@@ -2,16 +2,18 @@
 
 Subcommands: lpoly, scan, char-search, split, lemma62, stats, verify-paper.
 Every number printed here is produced by the library modules; this file
-only parses input, routes computation through the on-disk cache, and
-formats output.
+only parses input, hands every point count to one ``LPolyCache`` per
+command, and formats output.
 
 Exit codes: 0 success, 1 mathematical finding/criterion failure,
 2 configuration or I/O error, 3 work budget exceeded.
 
 The cache directory is taken from --cache-dir, else the environment
-variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  All cache
-writes happen in this process (workers only compute), and structured
-output is byte-identical for identical inputs regardless of --jobs.
+variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs sizes the
+cache's worker pool for every subcommand that counts points (lpoly, scan,
+char-search, lemma62, verify-paper).  All cache reads and writes happen in
+this process (workers only count), and structured output is
+byte-identical for identical inputs regardless of --jobs or cache state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .algebra import is_prime, odd_primes
@@ -28,7 +29,6 @@ from .curvecount import (
     DEFAULT_BUDGET,
     CurveModel,
     curve_from_coeffs,
-    log_derivative_counts,
     odd_bad_primes,
     validate_weil,
 )
@@ -61,30 +61,13 @@ class CliError(Exception):
     """Configuration or usage error (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the scanning subcommands."""
-
-    pmin: int
-    pmax: int
-    depth: str
-    budget: int
-    jobs: int
-    fmt: str
-
-    def __post_init__(self):
-        if self.pmin < 3 or self.pmin % 2 == 0:
-            raise CliError("prime range must start at an odd value >= 3")
-        if self.pmax < self.pmin:
-            raise CliError("empty prime range")
-        if self.budget <= 0:
-            raise CliError("budget must be positive")
-        if self.jobs < 1:
-            raise CliError("jobs must be >= 1")
-        if self.depth not in ("traces", "full"):
-            raise CliError("depth must be 'traces' or 'full'")
-        if self.fmt not in ("table", "records"):
-            raise CliError("format must be 'table' or 'records'")
+def _prime_range(args) -> list[int]:
+    """The odd primes in [--pmin, --pmax], after checking the range."""
+    if args.pmin < 3 or args.pmin % 2 == 0:
+        raise CliError("prime range must start at an odd value >= 3")
+    if args.pmax < args.pmin:
+        raise CliError("empty prime range")
+    return odd_primes(args.pmin, args.pmax)
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>[+-]?\d*)\*?x(?:\^(?P<exp>\d+))?$")
@@ -142,16 +125,14 @@ def _fmt_coeffs(coeffs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_lpoly(args, out) -> int:
+def _cmd_lpoly(args, cache, out) -> int:
     curve = parse_curve(args.curve)
-    cache = _make_cache(args)
     if args.p is not None:
         primes = [args.p]
     else:
         if args.pmax is None:
             raise CliError("give --p or a --pmin/--pmax range")
-        cfg = RunConfig(args.pmin, args.pmax, "full", args.budget, args.jobs, args.format)
-        primes = odd_primes(cfg.pmin, cfg.pmax)
+        primes = _prime_range(args)
     single = args.p is not None
     for p in primes:
         if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -181,32 +162,16 @@ def _cmd_lpoly(args, out) -> int:
     return 0
 
 
-def _cmd_scan(args, out) -> int:
+def _cmd_scan(args, cache, out) -> int:
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
-    cfg = RunConfig(args.pmin, args.pmax, args.depth, args.budget, args.jobs, args.format)
-    cache = _make_cache(args)
-    if cfg.jobs > 1:
-        report = scan_pair(
-            curve_a, curve_b, cfg.pmin, cfg.pmax, cfg.depth, cfg.budget, jobs=cfg.jobs
-        )
-        _store_report(cache, curve_a, curve_b, report)
-    else:
-        report = scan_pair(
-            curve_a,
-            curve_b,
-            cfg.pmin,
-            cfg.pmax,
-            cfg.depth,
-            cfg.budget,
-            lpoly_fn=cache.lpoly,
-            trace_fn=cache.trace,
-        )
-    if cfg.fmt == "records":
+    _prime_range(args)
+    report = scan_pair(curve_a, curve_b, args.pmin, args.pmax, args.depth, args.budget, cache)
+    if args.format == "records":
         out.write(report.to_text())
         return 0
     counts = report.verdict_counts()
-    print(f"scan {curve_a.label} vs {curve_b.label}  [{cfg.pmin},{cfg.pmax}] depth={cfg.depth}", file=out)
+    print(f"scan {curve_a.label} vs {curve_b.label}  [{args.pmin},{args.pmax}] depth={args.depth}", file=out)
     for r in report.records:
         if r.status != "ok":
             print(f"  p={r.p}: skipped ({r.status})", file=out)
@@ -234,33 +199,18 @@ def counts_value(counts, name: str) -> int:
     return counts[SignMatch(name)]
 
 
-def _store_report(cache: LPolyCache, curve_a, curve_b, report: ScanReport) -> None:
-    # parallel scans recompute; fold the results back into the cache here,
-    # in the single writer process
-    for r in report.good_records:
-        for curve, L, a in ((curve_a, r.lpoly_a, r.a), (curve_b, r.lpoly_b, r.a_prime)):
-            if L is not None:
-                cache.put(curve, r.p, counts=log_derivative_counts(L, curve.genus), lpoly=L)
-            elif a is not None:
-                cache.put(curve, r.p, counts=[r.p + 1 - a])
-
-
-def _cmd_char_search(args, out) -> int:
+def _cmd_char_search(args, cache, out) -> int:
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
-    cfg = RunConfig(args.pmin, args.pmax, "full", args.budget, args.jobs, args.format)
-    cache = _make_cache(args)
     if args.support is not None:
         support = {int(tk) for tk in args.support.split(",") if tk}
     else:
         support = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     candidates = enumerate_characters(support, args.include_2, args.include_sign)
     bad = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
-    primes = [p for p in odd_primes(cfg.pmin, cfg.pmax) if p not in bad]
-    result = character_search(
-        curve_a, curve_b, candidates, primes, cfg.budget, lpoly_fn=cache.lpoly
-    )
-    if cfg.fmt == "records":
+    primes = [p for p in _prime_range(args) if p not in bad]
+    result = character_search(curve_a, curve_b, candidates, primes, args.budget, cache)
+    if args.format == "records":
         for d, w in result.witnesses:
             print(f"char\t{d}\trefuted\t{w}", file=out)
         for ch in result.survivors:
@@ -288,21 +238,20 @@ def _cmd_char_search(args, out) -> int:
     return 0
 
 
-def _cmd_split(args, out) -> int:
-    cfg = RunConfig(args.pmin, args.pmax, "traces", args.budget, args.jobs, args.format)
+def _cmd_split(args, cache, out) -> int:
     fields = load_field_config(args.fields) if args.fields else default_fields()
     guard = guarded_primes(fields)
     freq: dict[str, int] = {"i": 0, "ii": 0, "iii": 0, "violation": 0}
-    for p in odd_primes(cfg.pmin, cfg.pmax):
+    for p in _prime_range(args):
         if p in guard:
-            if cfg.fmt == "records":
+            if args.format == "records":
                 print(f"split\t{p}\tguarded\t-\t-\t-", file=out)
             else:
                 print(f"  p={p}: skipped (guarded prime)", file=out)
             continue
         profile = split_profile(fields, p)
         freq[profile.case.value] += 1
-        if cfg.fmt == "records":
+        if args.format == "records":
             print(
                 f"split\t{p}\tok\t{profile.r}\t{profile.s}\t{profile.s_prime}\t{profile.case.value}",
                 file=out,
@@ -313,50 +262,49 @@ def _cmd_split(args, out) -> int:
                 file=out,
             )
     summary = "\t".join(f"{k}={v}" for k, v in freq.items())
-    if cfg.fmt == "records":
+    if args.format == "records":
         print(f"split-summary\t{summary}", file=out)
     else:
         print(f"  case frequencies: {summary}", file=out)
     return 0
 
 
-def _cmd_lemma62(args, out) -> int:
-    cfg = RunConfig(args.pmin, args.pmax, "full", args.budget, args.jobs, args.format)
-    cache = _make_cache(args)
+def _cmd_lemma62(args, cache, out) -> int:
+    primes = _prime_range(args)
     if args.c == 0:
         raise CliError("c must be nonzero")
     rc = 0
-    for p in odd_primes(cfg.pmin, cfg.pmax):
+    for p in primes:
         if p % 8 not in (3, 5):
             continue
         if args.c % p == 0:
             line = (
                 f"lemma62\t{args.c}\t{p}\tbad-reduction\t-"
-                if cfg.fmt == "records"
+                if args.format == "records"
                 else f"  p={p}: bad reduction"
             )
             print(line, file=out)
             continue
-        s = lemma62_check(args.c, p, budget=cfg.budget, lpoly_fn=cache.lpoly)
+        s = lemma62_check(args.c, p, args.budget, cache)
         if isinstance(s, Lemma62Violation):
             rc = 1
             detail = _fmt_coeffs(s.lpoly.coeffs)
             line = (
                 f"lemma62\t{args.c}\t{p}\tviolation\t{detail}"
-                if cfg.fmt == "records"
+                if args.format == "records"
                 else f"  p={p}: SHAPE VIOLATION L={detail}"
             )
         else:
             line = (
                 f"lemma62\t{args.c}\t{p}\tok\t{s}"
-                if cfg.fmt == "records"
+                if args.format == "records"
                 else f"  p={p}: s={s}"
             )
         print(line, file=out)
     return rc
 
 
-def _cmd_stats(args, out) -> int:
+def _cmd_stats(args, cache, out) -> int:
     try:
         text = open(args.report).read()
     except OSError as exc:
@@ -394,14 +342,9 @@ def _cmd_stats(args, out) -> int:
     return 0
 
 
-def _cmd_verify(args, out) -> int:
-    cache = _make_cache(args)
+def _cmd_verify(args, cache, out) -> int:
     results = run_all(budget=args.budget, cache=cache, echo=lambda s: print(s, file=out))
     return verify_exit_code(results)
-
-
-def _make_cache(args) -> LPolyCache:
-    return LPolyCache(resolve_cache_dir(args.cache_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +352,26 @@ def _make_cache(args) -> LPolyCache:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                         help="max field evaluations per prime (default 2e8)")
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (default: $TWISTSCOPE_CACHE_DIR or ./.twistscope-cache)")
     common.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or structured tab-separated records")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for point counting, in every subcommand that counts")
 
     parser = argparse.ArgumentParser(
         prog="twistscope",
@@ -483,7 +437,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        with LPolyCache(resolve_cache_dir(args.cache_dir), jobs=args.jobs) as cache:
+            return args.fn(args, cache, sys.stdout)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from .algebra import (
     poly_gcd,
     quad_char,
 )
-from .errors import BadReductionError, BudgetExceededError, InconsistentCountsError
+from .errors import BadReductionError, InconsistentCountsError
 
 DEFAULT_BUDGET = 200_000_000  # field evaluations per prime
 _CHUNK = 1 << 19
@@ -469,39 +469,21 @@ def lpoly_from_counts(counts: CountVector, p: int, g: int) -> LPolynomial:
     return L
 
 
-def lpoly(
-    curve: CurveModel,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    known_counts: tuple[int, ...] = (),
-    count_sink=None,
-) -> LPolynomial:
-    """Full L-polynomial at p, enumerating F_{p^i} for i = 1..g.
+def lpoly(curve: CurveModel, p: int, budget: int = DEFAULT_BUDGET) -> LPolynomial:
+    """Full L-polynomial at p, enumerating F_{p^i} for i = 1..g, with no store.
 
-    ``known_counts`` is a previously computed prefix of N_1.. that is
-    trusted and not recomputed.  Each freshly computed N_i is reported to
-    ``count_sink(i, N_i)`` before the next enumeration starts, so a
-    budget abort still leaves the partial progress with the caller.
-    The budget counts field evaluations for this prime only.
+    The budget counts field evaluations for this prime: degree i costs p^i.
     """
-    g = curve.genus
-    counts = list(known_counts[:g])
-    spent = 0
-    for i in range(len(counts) + 1, g + 1):
-        cost = p**i
-        if spent + cost > budget:
-            required = sum(p**j for j in range(len(known_counts) + 1, g + 1))
-            raise BudgetExceededError(required, budget, f"{curve.label} at p={p}")
-        counts.append(point_count(curve, p, i))
-        spent += cost
-        if count_sink is not None:
-            count_sink(i, counts[-1])
-    return lpoly_from_counts(CountVector(curve.label, p, tuple(counts)), p, g)
+    from .cache import LPolyCache  # the cache builds on this module
+
+    return LPolyCache("", enabled=False).lpoly(curve, p, budget)
 
 
-def frobenius_trace(curve: CurveModel, p: int) -> int:
-    """a_p = p + 1 - N_1; needs only the degree-1 count."""
-    return p + 1 - point_count(curve, p, 1)
+def frobenius_trace(curve: CurveModel, p: int, budget: int = DEFAULT_BUDGET) -> int:
+    """a_p = p + 1 - N_1; needs only the degree-1 count, which costs p."""
+    from .cache import LPolyCache
+
+    return LPolyCache("", enabled=False).trace(curve, p, budget)
 
 
 def validate_weil(L: LPolynomial) -> list[str]:

@@ -21,6 +21,10 @@ class BadReductionError(TwistscopeError):
         self.label = label
         self.p = p
 
+    def __reduce__(self):
+        # rebuilt from (label, p) when a worker process sends it back
+        return BadReductionError, (self.label, self.p)
+
 
 class BudgetExceededError(TwistscopeError):
     """An enumeration would exceed the configured work budget.

@@ -21,7 +21,8 @@ from enum import Enum
 from pathlib import Path
 
 from .algebra import PolyModP, ddf_degrees, is_prime
-from .curvecount import CurveModel, _rational_squarefree, frobenius_trace
+from .cache import LPolyCache
+from .curvecount import DEFAULT_BUDGET, CurveModel, _rational_squarefree, curve_from_coeffs
 from .errors import NotGaloisConsistentError, NotSquarefreeError, RamifiedPrimeError
 
 FIELDS_FORMAT_VERSION = 1
@@ -165,19 +166,24 @@ class TraceVanishing:
 
 
 def verify_trace_vanishing(
-    curve_a: CurveModel, curve_b: CurveModel, p: int, profile: SplitProfile
+    curve_a: CurveModel,
+    curve_b: CurveModel,
+    p: int,
+    profile: SplitProfile,
+    budget: int = DEFAULT_BUDGET,
+    cache: LPolyCache | None = None,
 ) -> TraceVanishing:
     """Check that both Frobenius traces vanish at a case ii/iii prime.
 
     Returns the traces either way; ok=False is a counterexample to the
-    expected vanishing, not an exception.
+    expected vanishing, not an exception.  Traces come from ``cache``
+    (default: uncached).
     """
     if profile.case not in (SplitCase.II, SplitCase.III):
         raise ValueError("trace vanishing is only asserted for cases ii and iii")
     if profile.p != p:
         raise ValueError("profile belongs to a different prime")
-    a = frobenius_trace(curve_a, p)
-    b = frobenius_trace(curve_b, p)
+    a, b = (cache or LPolyCache("", enabled=False)).traces([curve_a, curve_b], p, budget)
     return TraceVanishing(a == 0 and b == 0, a, b)
 
 
@@ -197,23 +203,23 @@ class Lemma62Violation:
     lpoly: object
 
 
-def lemma62_check(c: int, p: int, budget: int | None = None, lpoly_fn=None):
+def lemma62_check(
+    c: int, p: int, budget: int = DEFAULT_BUDGET, cache: LPolyCache | None = None
+):
     """For y^2 = x^9 + c x at p = 3, 5 mod 8: extract s from L = 1 + s T^4 + p^4 T^8.
 
     Returns the integer s when the computed L-polynomial has exactly that
     shape, and a Lemma62Violation carrying the polynomial otherwise.
     Requires good reduction (p odd, not dividing c) and the stated
-    congruence class.
+    congruence class.  The L-polynomial comes from ``cache`` (default:
+    uncached).
     """
-    from .curvecount import DEFAULT_BUDGET, lpoly
-
     if c == 0:
         raise ValueError("c must be nonzero")
     if p % 8 not in (3, 5):
         raise ValueError(f"p={p} is not 3 or 5 mod 8")
-    curve = CurveModel(f"x^9+{c}x", (0, c) + (0,) * 7 + (1,), 4)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    L = lpoly_fn(curve, p, budget) if lpoly_fn else lpoly(curve, p, budget)
+    curve = curve_from_coeffs((0, c) + (0,) * 7 + (1,))
+    L = (cache or LPolyCache("", enabled=False)).lpoly(curve, p, budget)
     a = L.coeffs
     if any(a[k] for k in (1, 2, 3, 5, 6, 7)) or a[8] != p**4:
         return Lemma62Violation(L)

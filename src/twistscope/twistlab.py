@@ -7,7 +7,8 @@ the verdict (trace-level or full), a character search tries to explain a
 whole pair of curves by a single quadratic character d via the necessary
 condition L'_p(T) = L_p(kronecker(d, p) * T), and the statistics helpers
 compute the vanishing-middle-coefficient fraction and normalized moment
-averages from a finished scan.
+averages from a finished scan.  Scans and searches take their counts from
+an ``LPolyCache`` (the compute backend), asking for one prime at a time.
 
 All verdict logic is exact integer/rational arithmetic; floats appear only
 in the normalized moment output.
@@ -26,19 +27,17 @@ runs and worker counts for equal inputs.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .algebra import kronecker, odd_primes
+from .cache import LPolyCache
 from .curvecount import (
     BadReduction,
     CurveModel,
     DEFAULT_BUDGET,
     LPolynomial,
-    frobenius_trace,
-    lpoly,
     reduce_curve,
 )
 from .errors import BudgetExceededError
@@ -226,35 +225,20 @@ class ScanReport:
 
 
 def _scan_one(
-    curve_a: CurveModel,
-    curve_b: CurveModel,
-    p: int,
-    depth: str,
-    budget: int,
-    lpoly_fn,
-    trace_fn,
+    curve_a: CurveModel, curve_b: CurveModel, p: int, depth: str, budget: int, cache: LPolyCache
 ) -> ScanRecord:
     if isinstance(reduce_curve(curve_a, p), BadReduction) or isinstance(
         reduce_curve(curve_b, p), BadReduction
     ):
         return ScanRecord(p, "bad-reduction")
-    if depth == "traces":
-        a = trace_fn(curve_a, p)
-        b = trace_fn(curve_b, p)
-        return ScanRecord(p, "ok", a, b, None, None, trace_sign_match(a, b))
     try:
-        La = lpoly_fn(curve_a, p, budget)
-        Lb = lpoly_fn(curve_b, p, budget)
+        if depth == "traces":
+            a, b = cache.traces([curve_a, curve_b], p, budget)
+            return ScanRecord(p, "ok", a, b, None, None, trace_sign_match(a, b))
+        La, Lb = cache.lpolys([curve_a, curve_b], p, budget)
     except BudgetExceededError:
         return ScanRecord(p, "budget-exceeded")
     return ScanRecord(p, "ok", La.trace, Lb.trace, La, Lb, local_twist_sign(La, Lb))
-
-
-def _scan_worker(args) -> ScanRecord:
-    curve_a, curve_b, p, depth, budget = args
-    return _scan_one(
-        curve_a, curve_b, p, depth, budget, lambda c, q, b: lpoly(c, q, b), frobenius_trace
-    )
 
 
 def scan_pair(
@@ -264,19 +248,16 @@ def scan_pair(
     pmax: int,
     depth: str = "traces",
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-    lpoly_fn=None,
-    trace_fn=None,
+    cache: LPolyCache | None = None,
 ) -> ScanReport:
     """Scan every odd prime in [pmin, pmax] and record the twist verdicts.
 
     Each prime appears exactly once: evaluated, or skipped with reason
-    ("bad-reduction" for either curve, "budget-exceeded" at full depth).
-    ``lpoly_fn(curve, p, budget)`` and ``trace_fn(curve, p)`` can be
-    injected to route computation through a cache; the default recomputes.
-    With jobs > 1 the primes are fanned out to worker processes (cache
-    injection then stays in the parent); records are merged back in prime
-    order, so the report does not depend on scheduling.
+    ("bad-reduction" for either curve, "budget-exceeded" when the counts
+    it needs cost more than ``budget``).  Counts come from ``cache``
+    (default: an uncached backend), one prime at a time; with
+    ``cache.jobs > 1`` the units of a prime run on its workers.  Records
+    are in prime order, so the report does not depend on scheduling.
     """
     if pmin < 3:
         raise ValueError("scans start at 3: p = 2 is excluded")
@@ -284,19 +265,10 @@ def scan_pair(
         raise ValueError("depth must be 'traces' or 'full'")
     if curve_a.genus != curve_b.genus:
         raise ValueError("cannot scan curves of different genus")
+    cache = cache or LPolyCache("", enabled=False)
     report = ScanReport(curve_a.label, curve_b.label, pmin, pmax, depth, curve_a.genus)
-    primes = odd_primes(pmin, pmax)
-    if jobs > 1 and lpoly_fn is None and trace_fn is None:
-        work = [(curve_a, curve_b, p, depth, budget) for p in primes]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            report.records = list(pool.map(_scan_worker, work))
-        return report
-    lpoly_fn = lpoly_fn or (lambda c, q, b: lpoly(c, q, b))
-    trace_fn = trace_fn or frobenius_trace
-    for p in primes:
-        report.records.append(
-            _scan_one(curve_a, curve_b, p, depth, budget, lpoly_fn, trace_fn)
-        )
+    for p in odd_primes(pmin, pmax):
+        report.records.append(_scan_one(curve_a, curve_b, p, depth, budget, cache))
     return report
 
 
@@ -355,7 +327,7 @@ def character_search(
     candidates: list[TwistCharacter],
     primes: list[int],
     budget: int = DEFAULT_BUDGET,
-    lpoly_fn=None,
+    cache: LPolyCache | None = None,
 ) -> CharSearchResult:
     """Test L'_p(T) = L_p(chi_d(p) T) for each candidate d over the primes.
 
@@ -363,11 +335,11 @@ def character_search(
     every candidate is refuted, so a refutation never enumerates beyond
     its largest witness.  A prime with kronecker(d, p) = 0 is skipped for
     that candidate only.  All supplied primes must be odd and good for
-    both curves.
+    both curves.  L-polynomials come from ``cache`` (default: uncached).
     """
     if not candidates:
         raise ValueError("need at least one candidate character")
-    lpoly_fn = lpoly_fn or (lambda c, q, b: lpoly(c, q, b))
+    cache = cache or LPolyCache("", enabled=False)
     alive: dict[int, TwistCharacter] = {c.d: c for c in candidates}
     witnesses: dict[int, int] = {}
     checked: list[int] = []
@@ -380,8 +352,7 @@ def character_search(
             reduce_curve(curve_b, p), BadReduction
         ):
             raise ValueError(f"p={p} is a bad prime for the pair; filter it out first")
-        La = lpoly_fn(curve_a, p, budget)
-        Lb = lpoly_fn(curve_b, p, budget)
+        La, Lb = cache.lpolys([curve_a, curve_b], p, budget)
         checked.append(p)
         for d in list(alive):
             eps = alive[d].value_at(p)

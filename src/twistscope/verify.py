@@ -83,13 +83,10 @@ class _Context:
     reports: list[ScanReport] = dataclass_field(default_factory=list)
     genus4_full: ScanReport | None = None
 
-    def lpoly(self, curve: CurveModel, p: int, budget: int | None = None) -> LPolynomial:
-        L = self.cache.lpoly(curve, p, self.budget if budget is None else budget)
+    def lpoly(self, curve: CurveModel, p: int) -> LPolynomial:
+        L = self.cache.lpoly(curve, p, self.budget)
         self.lpolys.append(L)
         return L
-
-    def trace(self, curve: CurveModel, p: int) -> int:
-        return self.cache.trace(curve, p)
 
 
 def reference_point_count(curve: CurveModel, p: int, i: int) -> int:
@@ -121,7 +118,7 @@ def reference_point_count(curve: CurveModel, p: int, i: int) -> int:
 
 def _c1_genus2_traces(ctx: _Context):
     report = scan_pair(
-        GENUS2_A, GENUS2_B, 3, 1000, depth="traces", trace_fn=ctx.trace
+        GENUS2_A, GENUS2_B, 3, 1000, depth="traces", budget=ctx.budget, cache=ctx.cache
     )
     ctx.reports.append(report)
     counts = report.verdict_counts()
@@ -144,7 +141,7 @@ def _c2_genus2_failure_at_3(ctx: _Context):
     verdict = local_twist_sign(La, Lb)
     chars = enumerate_characters(set(), include_2=True, include_sign=True)
     result = character_search(
-        GENUS2_A, GENUS2_B, chars, odd_primes(3, 97), budget=ctx.budget, lpoly_fn=ctx.lpoly
+        GENUS2_A, GENUS2_B, chars, odd_primes(3, 97), budget=ctx.budget, cache=ctx.cache
     )
     witnesses = dict(result.witnesses)
     ok = (
@@ -161,11 +158,10 @@ def _c2_genus2_failure_at_3(ctx: _Context):
 
 
 def _c3_genus4_traces_at_17(ctx: _Context):
-    a = ctx.trace(GENUS4_A, 17)
-    b = ctx.trace(GENUS4_B, 17)
+    a, b = ctx.cache.traces([GENUS4_A, GENUS4_B], 17, ctx.budget)
     chars = enumerate_characters(set(), include_2=True, include_sign=True)
     result = character_search(
-        GENUS4_A, GENUS4_B, chars, odd_primes(3, 97), budget=ctx.budget, lpoly_fn=ctx.lpoly
+        GENUS4_A, GENUS4_B, chars, odd_primes(3, 97), budget=ctx.budget, cache=ctx.cache
     )
     witnesses = dict(result.witnesses)
     ok = (
@@ -183,7 +179,7 @@ def _c3_genus4_traces_at_17(ctx: _Context):
 
 def _c4_genus4_full_scan(ctx: _Context):
     report = scan_pair(
-        GENUS4_A, GENUS4_B, 3, 47, depth="full", budget=ctx.budget, lpoly_fn=ctx.lpoly
+        GENUS4_A, GENUS4_B, 3, 47, depth="full", budget=ctx.budget, cache=ctx.cache
     )
     ctx.reports.append(report)
     ctx.genus4_full = report
@@ -227,7 +223,7 @@ def _c5_lemma62_shape(ctx: _Context):
     svals: dict[int, dict[int, int]] = {1: {}, 16: {}}
     for c in (1, 16):
         for p in primes:
-            s = lemma62_check(c, p, budget=ctx.budget, lpoly_fn=ctx.lpoly)
+            s = lemma62_check(c, p, budget=ctx.budget, cache=ctx.cache)
             if not isinstance(s, int):
                 return False, f"shape violated for c={c} at p={p}: {s}"
             svals[c][p] = s
@@ -275,7 +271,7 @@ def _c7_case_table(ctx: _Context):
             violations.append(p)
             continue
         if profile.case in (SplitCase.II, SplitCase.III):
-            tv = verify_trace_vanishing(GENUS2_A, GENUS2_B, p, profile)
+            tv = verify_trace_vanishing(GENUS2_A, GENUS2_B, p, profile, ctx.budget, ctx.cache)
             if not tv.ok:
                 nonzero_traces.append((p, tv.a, tv.a_prime))
     ok = not violations and not nonzero_traces
@@ -317,7 +313,10 @@ def _c9_oracle_equivalence(ctx: _Context):
 
 
 def _c10_global_invariants(ctx: _Context):
-    weil_bad = [L for L in ctx.lpolys if validate_weil(L)]
+    lpolys = ctx.lpolys + [
+        L for report in ctx.reports for r in report.good_records for L in (r.lpoly_a, r.lpoly_b) if L
+    ]
+    weil_bad = [L for L in lpolys if validate_weil(L)]
     even_bad = []
     for report in ctx.reports:
         for r in report.good_records:
@@ -327,7 +326,7 @@ def _c10_global_invariants(ctx: _Context):
                 even_bad.append((report.label_a, report.label_b, r.p))
     ok = not weil_bad and not even_bad
     detail = (
-        f"{len(ctx.lpolys)} L-polynomials Weil-consistent; even-coefficient "
+        f"{len(lpolys)} L-polynomials Weil-consistent; even-coefficient "
         f"invariant holds on every matched full-depth record"
     )
     if weil_bad:

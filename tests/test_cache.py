@@ -3,8 +3,8 @@ import json
 import pytest
 
 from twistscope.cache import LPolyCache, resolve_cache_dir
-from twistscope.curvecount import lpoly
-from twistscope.errors import BudgetExceededError
+from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
+from twistscope.errors import BadReductionError, BudgetExceededError
 
 
 @pytest.fixture
@@ -54,13 +54,15 @@ class TestBasics:
         cache.put(genus2_pair[0], 3, counts=[4])
         assert cache.get(genus2_pair[0], 3) is None
 
-    def test_distinct_labels_distinct_keys(self, cache, genus2_pair):
+    def test_same_coeffs_other_label_hits(self, cache, genus2_pair):
+        # the key is the coefficients; the label is metadata only
         from twistscope.curvecount import CurveModel
 
         curve = genus2_pair[0]
         alias = CurveModel("alias", curve.f_coeffs, curve.genus)
         cache.put(curve, 3, counts=[4])
-        assert cache.get(alias, 3) is None
+        assert cache.get(alias, 3)["counts"] == [4]
+        assert cache.get(alias, 3)["label"] == curve.label
 
 
 class TestComputeThrough:
@@ -82,6 +84,38 @@ class TestComputeThrough:
         assert cache.get(curve, 3)["counts"] == [4, 10, 28]
         L = cache.lpoly(curve, 3, budget=81)  # the missing p^4 enumeration fits
         assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
+
+    def test_budget_partial_progress_is_stored(self, tmp_path, genus4_pair):
+        # each count the budget affords reaches the store before the error,
+        # also when the units run on workers
+        curve = genus4_pair[0]
+        with LPolyCache(tmp_path / "cache", jobs=2) as cache:
+            with pytest.raises(BudgetExceededError) as exc:
+                cache.lpoly(curve, 3, budget=39)
+            assert cache.get(curve, 3)["counts"] == [4, 10, 28]
+        assert exc.value.required == 3 + 9 + 27 + 81
+
+    def test_stored_prefix_trusted(self, cache, genus4_pair, monkeypatch):
+        # with N_1..N_3 stored, only the p^4 enumeration runs
+        curve = genus4_pair[0]
+        cache.put(curve, 3, counts=[4, 10, 28])
+        degrees = []
+
+        def spy(curve, p, i):
+            degrees.append(i)
+            return point_count(curve, p, i)
+
+        monkeypatch.setattr("twistscope.cache.point_count", spy)
+        L = cache.lpoly(curve, 3, budget=81)
+        assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
+        assert degrees == [4]
+
+    def test_bad_reduction_from_workers(self):
+        bad = curve_from_coeffs((3, 0, 0, 0, 0, 1))  # x^5 + 3 = x^5 mod 3
+        with LPolyCache("", enabled=False, jobs=2) as cache:
+            with pytest.raises(BadReductionError) as exc:
+                cache.lpoly(bad, 3, budget=10**6)
+        assert (exc.value.label, exc.value.p) == (bad.label, 3)
 
     def test_counts_through_cache(self, cache, genus4_pair):
         curve = genus4_pair[0]

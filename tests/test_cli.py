@@ -1,7 +1,7 @@
 import pytest
 
 from twistscope.cli import CliError, main, parse_curve
-from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly
+from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly, point_count
 from twistscope.splitfield import default_fields, split_profile
 from twistscope.twistlab import ScanReport, scan_pair, z20_statistic
 
@@ -10,6 +10,25 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def count_only(monkeypatch, allowed=()):
+    """Let point_count run only for the listed degrees, here and in forked workers."""
+    real = point_count
+
+    def guarded(curve, p, i):
+        if i not in allowed:
+            raise AssertionError(f"point_count({curve.label}, {p}, {i}) was not expected")
+        return real(curve, p, i)
+
+    # the backend counts through twistscope.cache; patch the defining module too
+    monkeypatch.setattr("twistscope.curvecount.point_count", guarded)
+    monkeypatch.setattr("twistscope.cache.point_count", guarded, raising=False)
+
+
+def cache_files(directory):
+    """Identity and mtime of every cache file, to show a run rewrote nothing."""
+    return {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in directory.iterdir()}
 
 
 class TestParseCurve:
@@ -89,17 +108,56 @@ class TestLpolyCommand:
         assert rc == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("lpoly", "x^5-x", "--p", "3", "--jobs", "0"),
+         ("verify-paper", "--jobs", "0", "--budget", "-1")],
+    )
+    def test_nonpositive_jobs_or_budget_is_config_error(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestScanCommand:
-    def test_records_byte_identical_across_jobs(self, capsys, tmp_path):
-        base = (
-            "scan", "x^5-x", "x^5+4x", "--pmax", "40", "--format", "records",
-        )
-        rc1, out1, _ = run_cli(capsys, *base, "--cache-dir", str(tmp_path / "a"))
-        rc2, out2, _ = run_cli(capsys, *base, "--cache-dir", str(tmp_path / "b"), "--jobs", "2")
-        rc3, out3, _ = run_cli(capsys, *base, "--cache-dir", str(tmp_path / "a"))
-        assert rc1 == rc2 == rc3 == 0
-        assert out1 == out2 == out3
+    def test_records_byte_identical_across_jobs(self, capsys, tmp_path, monkeypatch):
+        # jobs in {1, 2} x {cold, warm}; each warm run reads the cache the
+        # other jobs value wrote, and counts nothing
+        for depth in ("traces", "full"):
+            base = ("scan", "x^5-x", "x^5+4x", "--pmax", "40", "--depth", depth,
+                    "--format", "records")
+            with monkeypatch.context() as patch:
+                runs = [
+                    run_cli(capsys, *base, "--jobs", jobs, "--cache-dir", str(tmp_path / depth / jobs))
+                    for jobs in ("1", "2")
+                ]
+                count_only(patch)
+                runs += [
+                    run_cli(capsys, *base, "--jobs", jobs, "--cache-dir", str(tmp_path / depth / other))
+                    for jobs, other in (("1", "2"), ("2", "1"))
+                ]
+            assert {(rc, out) for rc, out, _ in runs} == {(0, runs[0][1])}
+
+    def test_warm_parallel_rerun_counts_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        args = ("scan", "x^9+x", "x^9+16x", "--pmax", "13", "--depth", "full",
+                "--format", "records", "--jobs", "2", "--cache-dir", str(tmp_path))
+        rc1, out1, _ = run_cli(capsys, *args)
+        before = cache_files(tmp_path)
+        count_only(monkeypatch)
+        rc2, out2, _ = run_cli(capsys, *args)
+        assert rc1 == rc2 == 0 and out1 == out2
+        assert cache_files(tmp_path) == before
+
+    def test_parallel_budget_abort_keeps_prefix(self, capsys, tmp_path, monkeypatch):
+        args = ("scan", "x^9+x", "x^9+16x", "--pmax", "3", "--depth", "full",
+                "--format", "records", "--jobs", "2", "--cache-dir", str(tmp_path))
+        rc, out, _ = run_cli(capsys, *args, "--budget", "39")  # N_1..N_3 fit, N_4 does not
+        assert rc == 0 and "3\tbudget-exceeded" in out
+        count_only(monkeypatch, allowed=(4,))
+        rc, out, _ = run_cli(capsys, *args, "--budget", "81")  # only N_4 is missing
+        assert rc == 0
+        assert "3\tok\t0\t0\t1,0,0,0,18,0,0,0,81\t1,0,0,0,18,0,0,0,81\tboth" in out
 
     def test_records_reproducible_by_library(self, capsys, tmp_path):
         rc, out, _ = run_cli(
@@ -194,6 +252,23 @@ class TestLemma62Command:
         rows = [ln.split("\t") for ln in out.splitlines()]
         got = {int(r[2]): int(r[4]) for r in rows if r[3] == "ok"}
         assert got == {3: 18, 5: 50, 11: 242, 13: 338}
+
+    def test_after_scan_counts_nothing(self, capsys, tmp_path, monkeypatch):
+        # x^9 + x is the same curve however lemma62 spells it
+        rc, _, _ = run_cli(
+            capsys, "scan", "x^9+x", "x^9+16x", "--pmax", "13", "--depth", "full",
+            "--cache-dir", str(tmp_path),
+        )
+        assert rc == 0
+        before = cache_files(tmp_path)
+        count_only(monkeypatch)
+        rc, out, _ = run_cli(
+            capsys, "lemma62", "--c", "1", "--pmax", "13", "--format", "records",
+            "--cache-dir", str(tmp_path),
+        )
+        assert rc == 0
+        assert [ln.split("\t")[4] for ln in out.splitlines()] == ["18", "50", "242", "338"]
+        assert cache_files(tmp_path) == before
 
 
 class TestStatsCommand:

@@ -245,17 +245,6 @@ class TestLpoly:
             lpoly(genus4_pair[0], 47, budget=1000)
         assert exc.value.required == sum(47**i for i in range(1, 5))
 
-    def test_budget_partial_progress_reaches_sink(self, genus4_pair):
-        seen = []
-        with pytest.raises(BudgetExceededError):
-            lpoly(genus4_pair[0], 3, budget=39, count_sink=lambda i, n: seen.append((i, n)))
-        assert seen == [(1, 4), (2, 10), (3, 28)]
-
-    def test_known_counts_prefix_trusted(self, genus4_pair):
-        # with N_1..N_3 supplied, only the p^4 enumeration runs
-        L = lpoly(genus4_pair[0], 3, budget=85, known_counts=(4, 10, 28))
-        assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
-
     def test_every_lpoly_passes_weil(self, genus2_pair, genus1_curve):
         for curve in (*genus2_pair, genus1_curve):
             for p in odd_primes(3, 30):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistscope.algebra import kronecker, odd_primes
+from twistscope.cache import LPolyCache
 from twistscope.curvecount import LPolynomial, curve_from_coeffs, lpoly
 from twistscope.twistlab import (
     ScanReport,
@@ -119,6 +120,13 @@ class TestScanPair:
             "budget-exceeded",
         ]
 
+    def test_budget_applies_to_traces(self, genus2_pair):
+        # a trace costs p field evaluations; above the budget it is a skip record
+        report = scan_pair(*genus2_pair, 3, 200, depth="traces", budget=100)
+        by_p = {r.p: r.status for r in report.records}
+        assert [by_p[p] for p in odd_primes(3, 100)] == ["ok"] * len(odd_primes(3, 100))
+        assert [by_p[p] for p in odd_primes(101, 200)] == ["budget-exceeded"] * 21
+
     def test_full_implies_trace_verdict(self, genus2_pair):
         report = scan_pair(*genus2_pair, 3, 20, depth="full")
         for r in report.good_records:
@@ -135,7 +143,8 @@ class TestScanPair:
 
     def test_parallel_matches_serial(self, genus2_pair):
         serial = scan_pair(*genus2_pair, 3, 30, depth="traces")
-        parallel = scan_pair(*genus2_pair, 3, 30, depth="traces", jobs=2)
+        with LPolyCache("", enabled=False, jobs=2) as cache:
+            parallel = scan_pair(*genus2_pair, 3, 30, depth="traces", cache=cache)
         assert serial.to_text() == parallel.to_text()
 
 
