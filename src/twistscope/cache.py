@@ -4,9 +4,9 @@ Every point count goes through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
 evaluations), and runs only those (curve, p, i) units, in process when
-``jobs == 1`` or a single unit is missing, otherwise largest first on one
-worker pool, started on first need and shut down by ``close``.  A disabled
-cache is the uncached path: it stores nothing but counts the same way.
+``jobs == 1`` or a single unit is missing, otherwise in even-cost batches
+on one worker pool, started on first need and shut down by ``close``.  A
+disabled cache (``UNCACHED``) stores nothing but counts the same way.
 
 One JSON file per (coefficients, prime, tool version, record format),
 content-addressed by a SHA-256 key; the label is metadata only, so every
@@ -72,12 +72,12 @@ class _Entry:
     lpoly: LPolynomial | None
     new: dict[int, int] = field(default_factory=dict)  # degree -> count, this request
     pending: int = 0  # units still running
+    short: BudgetExceededError | None = None  # set when the budget cut the request short
 
 
-def _count(unit: tuple[CurveModel, int, int]) -> int:
+def _count_all(units: list[tuple[CurveModel, int, int]]) -> list[int]:
     # module-level so a worker can unpickle it; looks point_count up at call time
-    curve, p, i = unit
-    return point_count(curve, p, i)
+    return [point_count(curve, p, i) for curve, p, i in units]
 
 
 class LPolyCache:
@@ -175,13 +175,13 @@ class LPolyCache:
     # the compute backend
     # ------------------------------------------------------------------
 
-    def _resolve(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
+    def resolve(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
         """Serve (curve, p, upto) requests: one entry per request, holding N_1..N_upto.
 
         The budget caps the field evaluations spent on each (curve, p).  A
         request whose missing degrees do not all fit gets the prefix that
-        fits, stored like any other progress, and then the first such
-        request raises BudgetExceededError.  Its ``required`` is the cost of
+        fits, stored like any other progress, and its entry's ``short`` (not
+        raised) is a BudgetExceededError whose ``required`` is the cost of
         every degree the record lacked when the request was planned.
         """
         entries: dict[tuple, _Entry] = {}
@@ -192,7 +192,6 @@ class LPolyCache:
             if key not in entries:
                 entries[key] = self._load(curve, p)
         units = []
-        short = None
         for key, entry in entries.items():
             curve, p = entry.curve, entry.p
             if entry.lpoly is not None and len(entry.counts) < min(upto[key], 2 * curve.genus):
@@ -202,7 +201,7 @@ class LPolyCache:
             for i in missing:
                 if spent + p**i > budget:
                     required = sum(p**j for j in missing)
-                    short = short or BudgetExceededError(required, budget, f"{curve.label} at p={p}")
+                    entry.short = BudgetExceededError(required, budget, f"{curve.label} at p={p}")
                     break
                 spent += p**i
                 units.append((curve, p, i))
@@ -215,9 +214,15 @@ class LPolyCache:
             entry.pending -= 1
             if not entry.pending:
                 self._finish(entry)
+        return [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
+
+    def _served(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
+        """``resolve``, raising the first request's BudgetExceededError, if any."""
+        entries = self.resolve(requests, budget)
+        short = next((e.short for e in entries if e.short is not None), None)
         if short is not None:
             raise short
-        return [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
+        return entries
 
     def _load(self, curve: CurveModel, p: int) -> _Entry:
         record = self.get(curve, p) or {"counts": [], "lpoly": None}
@@ -232,29 +237,34 @@ class LPolyCache:
         self.put(curve, p, entry.counts, entry.lpoly)
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
-        """Yield (unit, N_i) for each (curve, p, i) unit as it finishes."""
+        """Yield (unit, N_i) for each (curve, p, i) unit as its batch finishes.
+
+        On the pool, the units, largest first, are dealt into four batches per
+        worker, so the batches cost about the same and small units share trips.
+        """
         if self.jobs == 1 or len(units) <= 1:
             for unit in units:
-                yield unit, _count(unit)
+                yield unit, _count_all([unit])[0]
             return
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
         units = sorted(units, key=lambda u: u[1] ** u[2], reverse=True)
-        futures = {self._pool.submit(_count, unit): unit for unit in units}
+        n = min(4 * self.jobs, len(units))
+        futures = {self._pool.submit(_count_all, units[k::n]): units[k::n] for k in range(n)}
         for future in concurrent.futures.as_completed(futures):
-            yield futures[future], future.result()
+            yield from zip(futures[future], future.result())
 
     def counts(self, curve: CurveModel, p: int, upto: int, budget: int) -> list[int]:
         """N_1..N_upto, enumerating only what the cache lacks."""
-        return self._resolve([(curve, p, upto)], budget)[0].counts[:upto]
+        return self._served([(curve, p, upto)], budget)[0].counts[:upto]
 
     def lpolys(self, curves: list[CurveModel], p: int, budget: int) -> list[LPolynomial]:
         """L_p of each curve, their missing counts computed together."""
-        return [e.lpoly for e in self._resolve([(c, p, c.genus) for c in curves], budget)]
+        return [e.lpoly for e in self._served([(c, p, c.genus) for c in curves], budget)]
 
     def traces(self, curves: list[CurveModel], p: int, budget: int) -> list[int]:
         """Frobenius trace p + 1 - N_1 of each curve, computed together."""
-        return [p + 1 - e.counts[0] for e in self._resolve([(c, p, 1) for c in curves], budget)]
+        return [p + 1 - e.counts[0] for e in self._served([(c, p, 1) for c in curves], budget)]
 
     def lpoly(self, curve: CurveModel, p: int, budget: int) -> LPolynomial:
         """L_p of one curve."""
@@ -263,3 +273,6 @@ class LPolyCache:
     def trace(self, curve: CurveModel, p: int, budget: int = DEFAULT_BUDGET) -> int:
         """Frobenius trace of one curve."""
         return self.traces([curve], p, budget)[0]
+
+
+UNCACHED = LPolyCache("", enabled=False)  # stores nothing, counts in process

@@ -12,8 +12,9 @@ The cache directory is taken from --cache-dir, else the environment
 variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs sizes the
 cache's worker pool for every subcommand that counts points (lpoly, scan,
 char-search, lemma62, verify-paper).  All cache reads and writes happen in
-this process (workers only count), and structured output is
-byte-identical for identical inputs regardless of --jobs or cache state.
+this process (workers only count).  Structured output is byte-identical
+for identical inputs regardless of --jobs, and of cache state when the
+budget covers every count (a warm cache serves what a tight one refuses).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .splitfield import (
 )
 from .twistlab import (
     ScanReport,
+    SignMatch,
     character_search,
     enumerate_characters,
     moment_stats,
@@ -183,20 +185,14 @@ def _cmd_scan(args, cache, out) -> int:
     good = len(report.good_records)
     print(
         f"  evaluated {good}/{len(report.records)}; verdicts "
-        f"plus={counts_value(counts, 'plus')} minus={counts_value(counts, 'minus')} "
-        f"both={counts_value(counts, 'both')} none={counts_value(counts, 'none')}",
+        f"plus={counts[SignMatch.PLUS]} minus={counts[SignMatch.MINUS]} "
+        f"both={counts[SignMatch.BOTH]} none={counts[SignMatch.NONE]}",
         file=out,
     )
     if good:
         nf = report.none_fraction()
         print(f"  none-fraction {nf.numerator}/{nf.denominator} (finite-range observation)", file=out)
     return 0
-
-
-def counts_value(counts, name: str) -> int:
-    from .twistlab import SignMatch
-
-    return counts[SignMatch(name)]
 
 
 def _cmd_char_search(args, cache, out) -> int:

@@ -474,16 +474,16 @@ def lpoly(curve: CurveModel, p: int, budget: int = DEFAULT_BUDGET) -> LPolynomia
 
     The budget counts field evaluations for this prime: degree i costs p^i.
     """
-    from .cache import LPolyCache  # the cache builds on this module
+    from .cache import UNCACHED  # the cache builds on this module
 
-    return LPolyCache("", enabled=False).lpoly(curve, p, budget)
+    return UNCACHED.lpoly(curve, p, budget)
 
 
 def frobenius_trace(curve: CurveModel, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """a_p = p + 1 - N_1; needs only the degree-1 count, which costs p."""
-    from .cache import LPolyCache
+    from .cache import UNCACHED
 
-    return LPolyCache("", enabled=False).trace(curve, p, budget)
+    return UNCACHED.trace(curve, p, budget)
 
 
 def validate_weil(L: LPolynomial) -> list[str]:

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 
 from .algebra import PolyModP, ddf_degrees, is_prime
-from .cache import LPolyCache
+from .cache import UNCACHED, LPolyCache
 from .curvecount import DEFAULT_BUDGET, CurveModel, _rational_squarefree, curve_from_coeffs
 from .errors import NotGaloisConsistentError, NotSquarefreeError, RamifiedPrimeError
 
@@ -171,7 +171,7 @@ def verify_trace_vanishing(
     p: int,
     profile: SplitProfile,
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache | None = None,
+    cache: LPolyCache = UNCACHED,
 ) -> TraceVanishing:
     """Check that both Frobenius traces vanish at a case ii/iii prime.
 
@@ -183,7 +183,7 @@ def verify_trace_vanishing(
         raise ValueError("trace vanishing is only asserted for cases ii and iii")
     if profile.p != p:
         raise ValueError("profile belongs to a different prime")
-    a, b = (cache or LPolyCache("", enabled=False)).traces([curve_a, curve_b], p, budget)
+    a, b = cache.traces([curve_a, curve_b], p, budget)
     return TraceVanishing(a == 0 and b == 0, a, b)
 
 
@@ -204,7 +204,7 @@ class Lemma62Violation:
 
 
 def lemma62_check(
-    c: int, p: int, budget: int = DEFAULT_BUDGET, cache: LPolyCache | None = None
+    c: int, p: int, budget: int = DEFAULT_BUDGET, cache: LPolyCache = UNCACHED
 ):
     """For y^2 = x^9 + c x at p = 3, 5 mod 8: extract s from L = 1 + s T^4 + p^4 T^8.
 
@@ -219,7 +219,7 @@ def lemma62_check(
     if p % 8 not in (3, 5):
         raise ValueError(f"p={p} is not 3 or 5 mod 8")
     curve = curve_from_coeffs((0, c) + (0,) * 7 + (1,))
-    L = (cache or LPolyCache("", enabled=False)).lpoly(curve, p, budget)
+    L = cache.lpoly(curve, p, budget)
     a = L.coeffs
     if any(a[k] for k in (1, 2, 3, 5, 6, 7)) or a[8] != p**4:
         return Lemma62Violation(L)

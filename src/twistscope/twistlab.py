@@ -7,8 +7,8 @@ the verdict (trace-level or full), a character search tries to explain a
 whole pair of curves by a single quadratic character d via the necessary
 condition L'_p(T) = L_p(kronecker(d, p) * T), and the statistics helpers
 compute the vanishing-middle-coefficient fraction and normalized moment
-averages from a finished scan.  Scans and searches take their counts from
-an ``LPolyCache`` (the compute backend), asking for one prime at a time.
+averages from a finished scan.  Counts come from an ``LPolyCache``: a scan
+asks for all its primes at once, a search for one prime at a time.
 
 All verdict logic is exact integer/rational arithmetic; floats appear only
 in the normalized moment output.
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import kronecker, odd_primes
-from .cache import LPolyCache
+from .algebra import is_prime, kronecker, odd_primes
+from .cache import UNCACHED, LPolyCache
 from .curvecount import (
     BadReduction,
     CurveModel,
@@ -40,7 +40,6 @@ from .curvecount import (
     LPolynomial,
     reduce_curve,
 )
-from .errors import BudgetExceededError
 
 REPORT_FORMAT_VERSION = 1
 
@@ -224,21 +223,8 @@ class ScanReport:
         return report
 
 
-def _scan_one(
-    curve_a: CurveModel, curve_b: CurveModel, p: int, depth: str, budget: int, cache: LPolyCache
-) -> ScanRecord:
-    if isinstance(reduce_curve(curve_a, p), BadReduction) or isinstance(
-        reduce_curve(curve_b, p), BadReduction
-    ):
-        return ScanRecord(p, "bad-reduction")
-    try:
-        if depth == "traces":
-            a, b = cache.traces([curve_a, curve_b], p, budget)
-            return ScanRecord(p, "ok", a, b, None, None, trace_sign_match(a, b))
-        La, Lb = cache.lpolys([curve_a, curve_b], p, budget)
-    except BudgetExceededError:
-        return ScanRecord(p, "budget-exceeded")
-    return ScanRecord(p, "ok", La.trace, Lb.trace, La, Lb, local_twist_sign(La, Lb))
+def _bad_pair(curve_a: CurveModel, curve_b: CurveModel, p: int) -> bool:
+    return any(isinstance(reduce_curve(c, p), BadReduction) for c in (curve_a, curve_b))
 
 
 def scan_pair(
@@ -248,16 +234,16 @@ def scan_pair(
     pmax: int,
     depth: str = "traces",
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache | None = None,
+    cache: LPolyCache = UNCACHED,
 ) -> ScanReport:
     """Scan every odd prime in [pmin, pmax] and record the twist verdicts.
 
     Each prime appears exactly once: evaluated, or skipped with reason
     ("bad-reduction" for either curve, "budget-exceeded" when the counts
-    it needs cost more than ``budget``).  Counts come from ``cache``
-    (default: an uncached backend), one prime at a time; with
-    ``cache.jobs > 1`` the units of a prime run on its workers.  Records
-    are in prime order, so the report does not depend on scheduling.
+    it needs cost more than ``budget``).  A scan needs every prime, so the
+    counts of all good primes go to ``cache`` as one batch; with
+    ``cache.jobs > 1`` all their units share its workers.  Records are in
+    prime order, so the report does not depend on scheduling.
     """
     if pmin < 3:
         raise ValueError("scans start at 3: p = 2 is excluded")
@@ -265,10 +251,26 @@ def scan_pair(
         raise ValueError("depth must be 'traces' or 'full'")
     if curve_a.genus != curve_b.genus:
         raise ValueError("cannot scan curves of different genus")
-    cache = cache or LPolyCache("", enabled=False)
     report = ScanReport(curve_a.label, curve_b.label, pmin, pmax, depth, curve_a.genus)
-    for p in odd_primes(pmin, pmax):
-        report.records.append(_scan_one(curve_a, curve_b, p, depth, budget, cache))
+    primes = odd_primes(pmin, pmax)
+    bad = {p for p in primes if _bad_pair(curve_a, curve_b, p)}
+    upto = 1 if depth == "traces" else curve_a.genus
+    requests = [(c, p, upto) for p in primes if p not in bad for c in (curve_a, curve_b)]
+    entries = iter(cache.resolve(requests, budget))
+    for p in primes:
+        if p in bad:
+            report.records.append(ScanRecord(p, "bad-reduction"))
+            continue
+        ea, eb = next(entries), next(entries)
+        if ea.short or eb.short:
+            report.records.append(ScanRecord(p, "budget-exceeded"))
+        elif depth == "traces":
+            a, b = p + 1 - ea.counts[0], p + 1 - eb.counts[0]
+            report.records.append(ScanRecord(p, "ok", a, b, None, None, trace_sign_match(a, b)))
+        else:
+            La, Lb = ea.lpoly, eb.lpoly
+            verdict = local_twist_sign(La, Lb)
+            report.records.append(ScanRecord(p, "ok", La.trace, Lb.trace, La, Lb, verdict))
     return report
 
 
@@ -285,8 +287,6 @@ def enumerate_characters(
     Returns 2^(|support| + include_2 + include_sign) characters including
     the trivial d = 1, ordered by (|d|, sign).
     """
-    from .algebra import is_prime
-
     support_list = sorted(support)
     if len(support_list) != len(set(support_list)):
         raise ValueError("support primes must be distinct")
@@ -327,7 +327,7 @@ def character_search(
     candidates: list[TwistCharacter],
     primes: list[int],
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache | None = None,
+    cache: LPolyCache = UNCACHED,
 ) -> CharSearchResult:
     """Test L'_p(T) = L_p(chi_d(p) T) for each candidate d over the primes.
 
@@ -339,7 +339,6 @@ def character_search(
     """
     if not candidates:
         raise ValueError("need at least one candidate character")
-    cache = cache or LPolyCache("", enabled=False)
     alive: dict[int, TwistCharacter] = {c.d: c for c in candidates}
     witnesses: dict[int, int] = {}
     checked: list[int] = []
@@ -348,9 +347,7 @@ def character_search(
             break
         if p < 3 or p % 2 == 0:
             raise ValueError("character search tests odd primes only")
-        if isinstance(reduce_curve(curve_a, p), BadReduction) or isinstance(
-            reduce_curve(curve_b, p), BadReduction
-        ):
+        if _bad_pair(curve_a, curve_b, p):
             raise ValueError(f"p={p} is a bad prime for the pair; filter it out first")
         La, Lb = cache.lpolys([curve_a, curve_b], p, budget)
         checked.append(p)

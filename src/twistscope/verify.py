@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .algebra import build_extension, legendre, odd_primes, sqrt_mod
-from .cache import LPolyCache
+from .cache import UNCACHED, LPolyCache
 from .curvecount import (
     DEFAULT_BUDGET,
     CurveModel,
@@ -36,6 +36,7 @@ from .curvecount import (
 from .errors import BudgetExceededError, TwistscopeError
 from .splitfield import (
     SplitCase,
+    cyclotomic_residue_degree,
     default_fields,
     guarded_primes,
     lemma62_check,
@@ -121,6 +122,8 @@ def _c1_genus2_traces(ctx: _Context):
         GENUS2_A, GENUS2_B, 3, 1000, depth="traces", budget=ctx.budget, cache=ctx.cache
     )
     ctx.reports.append(report)
+    if any(r.status == "budget-exceeded" for r in report.records):
+        raise BudgetExceededError(997, ctx.budget, "genus-2 trace scan to 1000")  # a trace costs p
     counts = report.verdict_counts()
     ok = (
         len(report.records) == 167
@@ -285,8 +288,6 @@ def _c7_case_table(ctx: _Context):
 
 
 def _c8_split_density(ctx: _Context):
-    from .splitfield import cyclotomic_residue_degree
-
     primes = odd_primes(3, 100_000)
     split = sum(1 for p in primes if cyclotomic_residue_degree(8, p) == 1)
     frac = Fraction(split, len(primes))
@@ -351,14 +352,14 @@ _CRITERIA = [
 
 
 def run_all(
-    budget: int = DEFAULT_BUDGET, cache: LPolyCache | None = None, echo=None
+    budget: int = DEFAULT_BUDGET, cache: LPolyCache = UNCACHED, echo=None
 ) -> list[CriterionResult]:
     """Run all ten criteria in order; returns one result per criterion.
 
     A criterion that cannot run inside the budget is reported as
     FAIL(budget) and the remaining criteria still execute.
     """
-    ctx = _Context(budget=budget, cache=cache or LPolyCache("", enabled=False))
+    ctx = _Context(budget=budget, cache=cache)
     results = []
     for number, title, fn in _CRITERIA:
         start = time.monotonic()

@@ -95,6 +95,16 @@ class TestComputeThrough:
             assert cache.get(curve, 3)["counts"] == [4, 10, 28]
         assert exc.value.required == 3 + 9 + 27 + 81
 
+    def test_resolve_marks_short_requests_without_raising(self, cache, genus4_pair):
+        # one batch: p = 3 fits the budget, p = 5 gets the prefix that fits
+        curve = genus4_pair[0]
+        at3, at5 = cache.resolve([(curve, 3, 4), (curve, 5, 4)], budget=120)
+        assert at3.short is None
+        assert at3.lpoly.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
+        assert at5.short.required == 5 + 25 + 125 + 625
+        assert at5.counts == [point_count(curve, 5, 1), point_count(curve, 5, 2)]
+        assert cache.get(curve, 5)["counts"] == at5.counts
+
     def test_stored_prefix_trusted(self, cache, genus4_pair, monkeypatch):
         # with N_1..N_3 stored, only the p^4 enumeration runs
         curve = genus4_pair[0]

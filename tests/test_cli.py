@@ -318,6 +318,18 @@ class TestVerifyCommand:
         assert status[10] == "PASS"
 
 
+    def test_trace_budget_is_budget_failure(self, capsys, tmp_path):
+        # below 997 the genus-2 trace scan to 1000 is cut by the budget,
+        # which is a resource limit, not a refutation of criterion 1
+        rc, out, _ = run_cli(
+            capsys, "verify-paper", "--budget", "500", "--cache-dir", str(tmp_path)
+        )
+        status = {int(ln.split()[2]): ln.split()[0] for ln in out.splitlines()}
+        assert status[1] == "FAIL(budget)"
+        assert "FAIL" not in {s for s in status.values()}
+        assert rc == 3
+
+
 class TestNumbersComeFromCore:
     def test_traces_in_scan_output(self, capsys, tmp_path):
         rc, out, _ = run_cli(

@@ -147,6 +147,21 @@ class TestScanPair:
             parallel = scan_pair(*genus2_pair, 3, 30, depth="traces", cache=cache)
         assert serial.to_text() == parallel.to_text()
 
+    def test_scan_counts_all_primes_in_one_batch(self, genus4_pair, monkeypatch):
+        # the workers share the units of every prime, not one prime at a time
+        batches = []
+        run = LPolyCache._run
+
+        def spy(self, units):
+            batches.append(sorted({p for _, p, _ in units}))
+            return run(self, units)
+
+        monkeypatch.setattr(LPolyCache, "_run", spy)
+        with LPolyCache("", enabled=False, jobs=2) as cache:
+            parallel = scan_pair(*genus4_pair, 3, 13, depth="full", budget=10**5, cache=cache)
+        assert batches == [[3, 5, 7, 11, 13]]
+        assert parallel.to_text() == scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
+
 
 class TestReportSerialization:
     def test_roundtrip_traces(self, genus2_pair):
