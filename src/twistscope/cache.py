@@ -4,9 +4,11 @@ Every point count goes through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
 evaluations), and runs only those (curve, p, i) units, in process when
-``jobs == 1`` or a single unit is missing, otherwise in even-cost batches
-on one worker pool, started on first need and shut down by ``close``.  A
-disabled cache (``UNCACHED``) stores nothing but counts the same way.
+``jobs == 1`` or all of them lie in one field F_{p^i}, otherwise in
+even-cost batches on one worker pool, started on first need and shut down
+by ``close``.  Units of one field always run back to back in one process,
+so they share that field's tables.  A disabled cache (``UNCACHED``)
+stores nothing but counts the same way.
 
 One JSON file per (coefficients, prime, tool version, record format),
 content-addressed by a SHA-256 key; the label is metadata only, so every
@@ -78,6 +80,18 @@ class _Entry:
 def _count_all(units: list[tuple[CurveModel, int, int]]) -> list[int]:
     # module-level so a worker can unpickle it; looks point_count up at call time
     return [point_count(curve, p, i) for curve, p, i in units]
+
+
+def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[CurveModel, int, int]]]:
+    """At most n batches of units; the units of one field (p, i) share a batch.
+
+    Fields go largest first, round-robin over the batches.
+    """
+    fields: dict[tuple[int, int], list] = {}
+    for unit in units:
+        fields.setdefault(unit[1:], []).append(unit)
+    order = sorted(fields, key=lambda f: f[0] ** f[1], reverse=True)
+    return [[u for f in order[k::n] for u in fields[f]] for k in range(min(n, len(order)))]
 
 
 class LPolyCache:
@@ -239,18 +253,20 @@ class LPolyCache:
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its batch finishes.
 
-        On the pool, the units, largest first, are dealt into four batches per
-        worker, so the batches cost about the same and small units share trips.
+        Units of one field (p, i) stay together, so the field's tables are
+        built once: in process, one field after another; on the pool, the
+        fields, largest first, are dealt into four batches per worker, so the
+        batches cost about the same and small units share trips.
         """
-        if self.jobs == 1 or len(units) <= 1:
-            for unit in units:
-                yield unit, _count_all([unit])[0]
+        batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
+        if len(batches) <= 1:
+            for batch in batches:
+                for unit in batch:
+                    yield unit, _count_all([unit])[0]
             return
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
-        units = sorted(units, key=lambda u: u[1] ** u[2], reverse=True)
-        n = min(4 * self.jobs, len(units))
-        futures = {self._pool.submit(_count_all, units[k::n]): units[k::n] for k in range(n)}
+        futures = {self._pool.submit(_count_all, batch): batch for batch in batches}
         for future in concurrent.futures.as_completed(futures):
             yield from zip(futures[future], future.result())
 

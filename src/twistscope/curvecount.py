@@ -13,14 +13,22 @@ identities; the rest follow from the functional equation
 a_{2g-j} = p^{g-j} a_j.
 
 Counting is exact integer work throughout.  The inner character sums run
-either through a vectorized kernel (character table over F_p composed
-with the norm map, computed chunkwise in int64 with explicit reduction
-points) or through a slow generic path that exponentiates elementwise;
-both must agree exactly and the test suite checks that they do.
+through one vectorized kernel per kind of field, all chunked in numpy:
+
+- F_p: Horner over all x, then a character table of F_p;
+- F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER: discrete-log tables built once
+  per field (x = g^k turns each monomial into an index, terms are added
+  by Zech logarithms, and chi(y) is the parity of log y);
+- larger F_{p^i}: f(x) by repeated squaring in int64, then chi_p of the
+  norm to F_p through Frobenius-orbit products.
+
+A slow generic path that exponentiates elementwise is the reference; the
+paths must agree exactly and the test suite checks that they do.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -38,6 +46,11 @@ from .errors import BadReductionError, InconsistentCountsError
 
 DEFAULT_BUDGET = 200_000_000  # field evaluations per prime
 _CHUNK = 1 << 19
+# Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
+# larger extension fields go through the norm kernel.  Logs lie in
+# [0, q - 1) and are stored as int32, which needs q - 1 < 2^31.
+_TABLE_MAX_ORDER = 1 << 23
+_TABLE_BLOCK = 1 << 16  # rows per matrix step while building an exp table
 
 
 @dataclass(frozen=True)
@@ -227,10 +240,17 @@ def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
     For a monic odd f and odd p, good reduction is exactly squarefreeness
     of f mod p.
     """
-    fbar = PolyModP(p, curve.f_coeffs)
-    if poly_gcd(fbar, fbar.derivative()).degree != 0:
+    if not _squarefree_mod(curve.f_coeffs, p):
         return BadReduction(curve.label, p)
-    return fbar
+    return PolyModP(p, curve.f_coeffs)
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _squarefree_mod(f_coeffs: tuple[int, ...], p: int) -> bool:
+    # memoised: a scan tests each (curve, p) before counting, and every
+    # count of that (curve, p) asks again
+    fbar = PolyModP(p, f_coeffs)
+    return poly_gcd(fbar, fbar.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +322,152 @@ class _BatchField:
         return out % p
 
 
-def _char_sum_fast(fbar: PolyModP, spec: FieldSpec) -> int:
-    """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked."""
+def _char_sum_prime(fbar: PolyModP, p: int) -> int:
+    """sum_x chi(f(x)) over F_p: chunked Horner, then the character table."""
+    chi = _chi_table(p)
+    total = 0
+    for lo in range(0, p, _CHUNK):
+        xs = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for c in reversed(fbar.coeffs):
+            acc = (acc * xs + c) % p
+        total += int(chi[acc].sum())
+    return total
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _mul_matrix(spec: FieldSpec, a: list[int]) -> np.ndarray:
+    """Matrix of y -> a*y on the power basis; column j holds a*t^j."""
+    p, low = spec.p, np.array(spec.modulus.coeffs[:-1], dtype=np.int64)
+    M = np.empty((spec.degree, spec.degree), dtype=np.int64)
+    col = np.array(a, dtype=np.int64)
+    for j in range(spec.degree):
+        M[:, j] = col
+        col = (np.concatenate(([0], col[:-1])) - col[-1] * low) % p  # times t, folded
+    return M
+
+
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
+
+
+def _primitive_matrix(spec: FieldSpec) -> np.ndarray:
+    """Multiplication matrix of the first primitive element in base-p counter order.
+
+    a generates F_q^* iff a^((q-1)/r) != 1 for every prime r | q - 1, tested
+    on i x i matrix powers.  Counter values below p are F_p, never primitive
+    for i >= 2, so the scan starts at t.
+    """
+    p, i, q = spec.p, spec.degree, spec.order
+    one, primes = np.eye(i, dtype=np.int64), _prime_divisors(q - 1)
+    for v in range(p, q):
+        M = _mul_matrix(spec, [(v // p**j) % p for j in range(i)])
+        if all(not np.array_equal(_mat_pow(M, (q - 1) // r, p), one) for r in primes):
+            return M
+    raise ArithmeticError(f"no primitive element in F_{p}^{i}; field data corrupt")
+
+
+def _exp_log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """exp[k] = code of g^k for k < q - 1, and log with log[exp[k]] = k, log[0] = -1.
+
+    g is the first primitive element; the code of a field element is its
+    coordinate vector read as a base-p number (the order of
+    ``FieldSpec.elements``).  The rows g^0..g^(n-1) are built by doubling,
+    then each next block of n is the last one times g^n, as one matrix
+    product, so memory beyond the two int32 tables stays at one block.
+    """
+    p, i, q = spec.p, spec.degree, spec.order
+    g = _primitive_matrix(spec)
+    codes = p ** np.arange(i, dtype=np.int64)
+    block = np.zeros((1, i), dtype=np.int64)
+    block[0, 0] = 1
+    step = g  # multiplication by g^len(block)
+    while len(block) < min(_TABLE_BLOCK, q - 1):
+        block = np.vstack((block, block @ step.T % p))
+        step = step @ step % p
+    exp = np.empty(q - 1, dtype=np.int32)
+    for lo in range(0, q - 1, len(block)):
+        hi = min(lo + len(block), q - 1)
+        exp[lo:hi] = block[: hi - lo] @ codes
+        block = block @ step.T % p
+    log = np.full(q, -1, dtype=np.int32)
+    for lo in range(0, q - 1, _CHUNK):
+        hi = min(lo + _CHUNK, q - 1)
+        log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+    if log[0] != -1 or (log[1:] < 0).any():
+        raise ArithmeticError(f"powers of g miss part of F_{p}^{i}; table bug")
+    return exp, log
+
+
+@functools.lru_cache(maxsize=2)
+def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zech logs of F_{p^i} and the logs of F_p's elements, built once per field.
+
+    zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.  The two most recent
+    fields stay in memory: both curves of a pair count over one table.
+    """
+    exp, log = _exp_log_tables(build_extension(p, i))
+    zech = np.empty_like(exp)
+    for lo in range(0, len(exp), _CHUNK):
+        e = exp[lo : lo + _CHUNK]
+        zech[lo : lo + _CHUNK] = log[e + np.where(e % p == p - 1, 1 - p, 1)]  # +1 on digit 0
+    log_fp = log[:p].astype(np.int64)
+    zech.flags.writeable = log_fp.flags.writeable = False  # shared by every caller
+    return zech, log_fp
+
+
+def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
+    """sum_x chi(f(x)) over F_q, i >= 2, by discrete logs.
+
+    With x = g^k, each term c_e x^e is g^(log c_e + e*k).  Terms are added
+    in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
+    is (-1)^n; q - 1 is even, so the parity survives reduction mod q - 1.
+    Exponents are reduced mod q - 1 first, so e*k < q^2 <= 2^46 in int64.
+    """
+    p, m = spec.p, spec.order - 1
+    zech, log_fp = _field_tables(p, spec.degree)
+    terms = [(e % m, int(log_fp[c])) for e, c in enumerate(fbar.coeffs) if c]
+    c0 = fbar.coeffs[0] if fbar.coeffs else 0
+    total = 1 - 2 * (int(log_fp[c0]) & 1) if c0 else 0  # x = 0
+    if not terms:
+        return total
+    (e0, l0), rest = terms[0], terms[1:]
+    for lo in range(0, m, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, m), dtype=np.int64)
+        acc = e0 * k + l0  # a log of the partial sum, unreduced
+        zero = np.zeros(len(k), dtype=bool)  # the partial sum is 0
+        for e, l in rest:
+            b = e * k + l
+            z = zech[(b - acc) % m]
+            acc = np.where(zero, b, acc + z)
+            zero = (z < 0) & ~zero
+        total += len(k) - int(zero.sum()) - 2 * int((acc[~zero] & 1).sum())
+    return total
+
+
+def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
+    """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked; i >= 2."""
     p, i, q = spec.p, spec.degree, spec.order
     if q >= 1 << 62:
         raise ValueError(f"field order {q} exceeds the int64 enumeration range")
     chi = _chi_table(p)
     fc = list(fbar.coeffs)
-
-    if i == 1:
-        total = 0
-        for lo in range(0, p, _CHUNK):
-            xs = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
-            acc = np.zeros_like(xs)
-            for c in reversed(fc):
-                acc = (acc * xs + c) % p
-            total += int(chi[acc].sum())
-        return total
-
     bf = _BatchField(spec)
     frob = _frobenius_matrix(spec)
     # Frobenius iterates sigma^(2^k) for the pairing scheme below
@@ -399,14 +547,20 @@ def _char_sum_generic(fbar: PolyModP, spec: FieldSpec) -> int:
 def affine_char_sum(fbar: PolyModP, spec: FieldSpec, method: str = "table") -> int:
     """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q].
 
-    method="table" uses the vectorized character-table/norm kernel;
-    method="powmod" evaluates quad_char elementwise.  The two agree
-    exactly; "powmod" exists as the independent slow reference.
+    method="table" picks a vectorized kernel by field: Horner plus the F_p
+    character table for i = 1, per-field log tables for i >= 2 with
+    q <= _TABLE_MAX_ORDER, and the norm kernel for larger q.
+    method="powmod" evaluates quad_char elementwise.  They agree exactly;
+    "powmod" exists as the independent slow reference.
     """
     if spec.p != fbar.p:
         raise ValueError("field and polynomial have different characteristic")
     if method == "table":
-        return _char_sum_fast(fbar, spec)
+        if spec.degree == 1:
+            return _char_sum_prime(fbar, spec.p)
+        if spec.order <= _TABLE_MAX_ORDER:
+            return _char_sum_logs(fbar, spec)
+        return _char_sum_norm(fbar, spec)
     if method == "powmod":
         return _char_sum_generic(fbar, spec)
     raise ValueError(f"unknown method {method!r}")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistscope import cache as cache_module
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError
@@ -147,6 +148,46 @@ class TestComputeThrough:
         assert cache.trace(curve, 7) == 0
         assert cache.get(curve, 7)["counts"] == [8]
         assert cache.trace(curve, 7) == 0
+
+
+class TestBatches:
+    def test_deal_keeps_fields_together_largest_first(self, genus4_pair):
+        units = [(c, p, i) for p in (3, 5, 7, 11) for c in genus4_pair for i in range(1, 5)]
+        batches = cache_module._deal(units, 8)
+        assert len(batches) == 8
+        dealt = [(c.f_coeffs, p, i) for batch in batches for c, p, i in batch]
+        assert sorted(dealt) == sorted((c.f_coeffs, p, i) for c, p, i in units)
+        homes = {}
+        for k, batch in enumerate(batches):
+            for _, p, i in batch:
+                assert homes.setdefault((p, i), k) == k  # no field spans two batches
+        firsts = [batch[0][1] ** batch[0][2] for batch in batches]
+        assert firsts == sorted(firsts, reverse=True) and firsts[0] == 11**4
+
+    def test_pool_scan_builds_each_field_once(self, tmp_path, genus4_pair, monkeypatch):
+        # a --jobs 2 scan hands each field's units to one worker, and stores
+        # the same records as an in-process scan
+        from twistscope.twistlab import scan_pair
+
+        dealt = []
+        deal = cache_module._deal
+
+        def spy(units, n):
+            dealt.append(deal(units, n))
+            return dealt[-1]
+
+        monkeypatch.setattr(cache_module, "_deal", spy)
+        with LPolyCache(tmp_path / "pool", jobs=2) as pooled:
+            report = scan_pair(*genus4_pair, 3, 13, depth="full", cache=pooled)
+        batches = dealt[0]
+        fields = [{(p, i) for _, p, i in batch} for batch in batches]
+        assert len(batches) == 8 and sum(map(len, fields)) == len(set().union(*fields)) == 20
+        assert all(len(batch) == 2 * len(f) for batch, f in zip(batches, fields))
+        serial = LPolyCache(tmp_path / "serial")
+        assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=serial).to_text() == report.to_text()
+        for curve in genus4_pair:
+            for p in (3, 5, 7, 11, 13):
+                assert pooled._path(curve, p).read_text() == serial._path(curve, p).read_text()
 
 
 class TestResolveDir:

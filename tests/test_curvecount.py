@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
-from twistscope.algebra import build_extension, odd_primes
+from twistscope import curvecount
+from twistscope.algebra import PolyModP, build_extension, odd_primes
 from twistscope.curvecount import (
     BadReduction,
     CountVector,
@@ -141,6 +143,74 @@ class TestAffineCharSum:
 
         with pytest.raises(ValueError):
             affine_char_sum(PolyModP(3, (0, 1)), build_extension(5, 1))
+
+
+# f over Z, ascending: sparse and dense models of genus 2, 3 and 4.  Each has
+# f(0) != 0 and a nonzero coefficient that vanishes mod 3, 5 or 7.
+KERNEL_POLYS = [
+    (2, 15, 0, 0, 0, 1),  # x^5 + 15x + 2
+    (6, 5, 4, 3, 2, 1),  # x^5 + 2x^4 + 3x^3 + 4x^2 + 5x + 6
+    (4, 0, 0, 21, 0, 0, 0, 1),  # x^7 + 21x^3 + 4
+    (1, 7, -1, 5, 3, -2, 1, 1),
+    (1, 35, 0, 0, 0, 0, 0, 0, 0, 1),  # x^9 + 35x + 1
+    (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
+]
+KERNEL_FIELDS = [(p, i) for p in (3, 5, 7) for i in (2, 3, 4)]
+
+
+class TestLogTableKernel:
+    @pytest.mark.parametrize("p,i", KERNEL_FIELDS)
+    def test_matches_enumeration_oracle(self, p, i):
+        assert p**i <= curvecount._TABLE_MAX_ORDER  # the log-table path
+        spec = build_extension(p, i)
+        for f in KERNEL_POLYS:
+            got = p**i + 1 + affine_char_sum(PolyModP(p, f), spec)
+            assert got == oracles.count_points(f, p, i), (f, p, i)
+
+    def test_norm_kernel_above_the_cap(self, monkeypatch):
+        # no workload reaches the norm kernel; a lowered cap routes these
+        # fields through it, and the sums must not move
+        want = {
+            (p, i, f): affine_char_sum(PolyModP(p, f), build_extension(p, i))
+            for p, i in KERNEL_FIELDS
+            for f in KERNEL_POLYS
+        }
+
+        def no_tables(fbar, spec):
+            raise AssertionError("log tables used above the cap")
+
+        monkeypatch.setattr(curvecount, "_TABLE_MAX_ORDER", 8)
+        monkeypatch.setattr(curvecount, "_char_sum_logs", no_tables)
+        for (p, i, f), s in want.items():
+            assert affine_char_sum(PolyModP(p, f), build_extension(p, i)) == s, (f, p, i)
+
+    @pytest.mark.parametrize("p,i", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
+    def test_exp_log_inverse_bijections(self, p, i):
+        spec = build_extension(p, i)
+        q = spec.order
+        exp, log = curvecount._exp_log_tables(spec)
+        assert exp.dtype == log.dtype == np.int32
+        assert sorted(exp.tolist()) == list(range(1, q))  # exp: Z/(q-1) -> F_q^*, onto
+        assert (log[exp] == np.arange(q - 1)).all()
+        assert (exp[log[1:]] == np.arange(1, q)).all()
+        assert log[0] == -1
+
+        def element(code):
+            return spec.element([(int(code) // p**j) % p for j in range(i)])
+
+        g = element(exp[1])
+        for k in range(q - 2):  # exp[k] really is g^k
+            assert element(exp[k + 1]) == element(exp[k]) * g
+
+    def test_table_ranges_fit_their_dtypes(self):
+        # logs are int32 in [0, q - 1); a term's exponent e*k, with e reduced
+        # mod q - 1, plus a log stays below q^2 in int64
+        cap = curvecount._TABLE_MAX_ORDER
+        assert cap - 1 <= np.iinfo(np.int32).max
+        assert cap * cap <= np.iinfo(np.int64).max
+
+    def test_genus4_count_at_47(self, genus4_pair):
+        assert point_count(genus4_pair[0], 47, 4) == 4862010
 
 
 class TestPointCount:
