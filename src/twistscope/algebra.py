@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .errors import NotSquarefreeError
+
 # Cap on the field characteristic accepted by FieldSpec.  The counting
 # kernels accumulate sums of up to ~8 products of residues in signed
 # 64-bit integers, so p < 2^25 keeps every intermediate below 2^54.
@@ -59,6 +61,18 @@ def odd_primes(lo: int, hi: int) -> list[int]:
         if sieve[q]:
             sieve[q * q :: q] = b"\x00" * len(range(q * q, hi + 1, q))
     return [p for p in range(max(lo, 3) | 1, hi + 1, 2) if sieve[p]]
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def _require_odd_prime(p: int) -> None:
@@ -266,8 +280,6 @@ def ddf_degrees(h: PolyModP) -> list[tuple[int, int]]:
     Returns (degree, count) pairs, ascending in degree, via successive
     gcd(h, x^(p^j) - x).  The factors themselves are never materialized.
     """
-    from .errors import NotSquarefreeError
-
     if not h.is_monic:
         raise ValueError("ddf_degrees requires a monic polynomial")
     if h.degree == 0:
@@ -304,17 +316,7 @@ def is_irreducible(h: PolyModP) -> bool:
     x = poly_x(p)
     if poly_powmod(x, p**n, h) != x % h:
         return False
-    divisors = set()
-    m, q = n, 2
-    while q * q <= m:
-        if m % q == 0:
-            divisors.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        divisors.add(m)
-    for t in divisors:
+    for t in prime_divisors(n):
         g = poly_gcd(h, poly_powmod(x, p ** (n // t), h) - x)
         if g.degree != 0:
             return False

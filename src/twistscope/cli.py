@@ -198,12 +198,12 @@ def _cmd_scan(args, cache, out) -> int:
 def _cmd_char_search(args, cache, out) -> int:
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
+    bad = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     if args.support is not None:
         support = {int(tk) for tk in args.support.split(",") if tk}
     else:
-        support = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
+        support = bad
     candidates = enumerate_characters(support, args.include_2, args.include_sign)
-    bad = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     primes = [p for p in _prime_range(args) if p not in bad]
     result = character_search(curve_a, curve_b, candidates, primes, args.budget, cache)
     if args.format == "records":

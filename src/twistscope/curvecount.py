@@ -22,8 +22,8 @@ through one vectorized kernel per kind of field, all chunked in numpy:
 - larger F_{p^i}: f(x) by repeated squaring in int64, then chi_p of the
   norm to F_p through Frobenius-orbit products.
 
-A slow generic path that exponentiates elementwise is the reference; the
-paths must agree exactly and the test suite checks that they do.
+The field alone picks the kernel.  The test suite checks every kernel
+against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .algebra import (
     FieldSpec,
     PolyModP,
     build_extension,
+    is_prime,
     poly_gcd,
-    quad_char,
+    prime_divisors,
 )
 from .errors import BadReductionError, InconsistentCountsError
 
@@ -143,8 +144,6 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
     remaining prime cofactor; a composite cofactor beyond the bound
     raises, since the support would be incomplete.
     """
-    from .algebra import is_prime
-
     d = abs(poly_discriminant(curve.f_coeffs))
     out: set[int] = set()
     while d % 2 == 0:
@@ -267,59 +266,25 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def _reduction_rows(spec: FieldSpec) -> np.ndarray:
-    """Row j = coefficient vector of t^(i+j) mod modulus, j = 0..i-2."""
-    p, i, m = spec.p, spec.degree, spec.modulus.coeffs
-    rows = np.zeros((i - 1, i), dtype=np.int64)
-    cur = [(-m[j]) % p for j in range(i)]  # t^i
-    rows[0] = cur
-    for j in range(1, i - 1):
-        carry = cur[-1]
-        nxt = [0] + cur[:-1]
-        cur = [(nxt[k] + carry * ((-m[k]) % p)) % p for k in range(i)]
-        rows[j] = cur
-    return rows
+def _batch_mul(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Rowwise products of (B, i) int64 arrays of F_{p^i} elements, entries in [0, p).
 
-
-def _frobenius_matrix(spec: FieldSpec) -> np.ndarray:
-    """Matrix of the p-power map on the power basis (it is F_p-linear)."""
-    p, i = spec.p, spec.degree
-    t = spec.element([0, 1])
-    tp = t**p
-    F = np.zeros((i, i), dtype=np.int64)
-    col = spec.one()
-    for j in range(i):
-        F[:, j] = col.coeffs
-        col = col * tp
-    return F
-
-
-class _BatchField:
-    """Vectorized F_{p^i} arithmetic on (B, i) int64 arrays, entries in [0, p).
-
-    Products are accumulated without intermediate reduction: at most i
-    terms of size (p-1)^2 plus the modulus folding stay below 2^54 for
-    p < 2^25, inside int64.
+    red[j] is t^(i+j) reduced by the modulus, j = 0..i-2.  Products are
+    accumulated without intermediate reduction: an entry sums at most
+    2i - 1 terms below p^2 < 2^50 (p < 2^25), inside int64 for every
+    i < 40 that the q < 2^62 guard of the norm kernel admits.
     """
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.i = spec.degree
-        self.red = _reduction_rows(spec) if spec.degree > 1 else None
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        p, i = self.p, self.i
-        prod = np.zeros((a.shape[0], 2 * i - 1), dtype=np.int64)
-        for j in range(i):
-            aj = a[:, j]
-            for k in range(i):
-                prod[:, j + k] += aj * b[:, k]
-        high = prod[:, i:] % p
-        out = prod[:, :i]
-        for j in range(i - 1):
-            out += high[:, j : j + 1] * self.red[j][None, :]
-        return out % p
+    i = a.shape[1]
+    prod = np.zeros((a.shape[0], 2 * i - 1), dtype=np.int64)
+    for j in range(i):
+        aj = a[:, j]
+        for k in range(i):
+            prod[:, j + k] += aj * b[:, k]
+    high = prod[:, i:] % p
+    out = prod[:, :i]
+    for j in range(i - 1):
+        out += high[:, j : j + 1] * red[j][None, :]
+    return out % p
 
 
 def _char_sum_prime(fbar: PolyModP, p: int) -> int:
@@ -333,17 +298,6 @@ def _char_sum_prime(fbar: PolyModP, p: int) -> int:
             acc = (acc * xs + c) % p
         total += int(chi[acc].sum())
     return total
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
 
 
 def _mul_matrix(spec: FieldSpec, a: list[int]) -> np.ndarray:
@@ -375,7 +329,7 @@ def _primitive_matrix(spec: FieldSpec) -> np.ndarray:
     for i >= 2, so the scan starts at t.
     """
     p, i, q = spec.p, spec.degree, spec.order
-    one, primes = np.eye(i, dtype=np.int64), _prime_divisors(q - 1)
+    one, primes = np.eye(i, dtype=np.int64), prime_divisors(q - 1)
     for v in range(p, q):
         M = _mul_matrix(spec, [(v // p**j) % p for j in range(i)])
         if all(not np.array_equal(_mat_pow(M, (q - 1) // r, p), one) for r in primes):
@@ -461,6 +415,25 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     return total
 
 
+def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The norm kernel's constants for F_{p^i}, i >= 2: (red, frob).
+
+    red[j] = t^(i+j) mod the modulus for j = 0..i-2: columns 1..i-1 of
+    multiplication by t^(i-1).  frob is the matrix of the (F_p-linear)
+    p-power map; its column j is sigma(t^j) = (t^p)^j.
+    """
+    p, i = spec.p, spec.degree
+    e = np.eye(i, dtype=np.int64)
+    red = _mul_matrix(spec, e[i - 1])[:, 1:].T
+    tp = _mat_pow(_mul_matrix(spec, e[1]), p, p)  # multiplication by t^p
+    frob = np.empty((i, i), dtype=np.int64)
+    col = e[0]
+    for j in range(i):
+        frob[:, j] = col
+        col = tp @ col % p
+    return red, frob
+
+
 def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
     """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked; i >= 2."""
     p, i, q = spec.p, spec.degree, spec.order
@@ -468,8 +441,7 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
         raise ValueError(f"field order {q} exceeds the int64 enumeration range")
     chi = _chi_table(p)
     fc = list(fbar.coeffs)
-    bf = _BatchField(spec)
-    frob = _frobenius_matrix(spec)
+    red, frob = _norm_matrices(spec)
     # Frobenius iterates sigma^(2^k) for the pairing scheme below
     frob_pows = [frob]
     k = 1
@@ -491,7 +463,7 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
         sq = {1: xs}
         b = 1
         while 2 * b <= maxdeg:
-            sq[2 * b] = bf.mul(sq[b], sq[b])
+            sq[2 * b] = _batch_mul(sq[b], sq[b], red, p)
             b *= 2
         val = np.zeros_like(xs)
         val[:, 0] = fc[0] % p
@@ -500,7 +472,7 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
             rem, bit = e, 1
             while rem:
                 if rem & 1:
-                    term = sq[bit] if term is None else bf.mul(term, sq[bit])
+                    term = sq[bit] if term is None else _batch_mul(term, sq[bit], red, p)
                 rem >>= 1
                 bit <<= 1
             c = fc[e] % p
@@ -514,13 +486,13 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
         done = 1
         kk = 0
         while 2 * done <= i:
-            acc = bf.mul(acc, acc @ frob_pows[kk].T % p)
+            acc = _batch_mul(acc, acc @ frob_pows[kk].T % p, red, p)
             done *= 2
             kk += 1
         if done < i:
             conj = val @ frob_pows[kk].T % p  # sigma^done(val)
             while True:
-                acc = bf.mul(acc, conj)
+                acc = _batch_mul(acc, conj, red, p)
                 done += 1
                 if done == i:
                     break
@@ -531,39 +503,20 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
     return total
 
 
-def _char_sum_generic(fbar: PolyModP, spec: FieldSpec) -> int:
-    """Reference path: elementwise Horner plus quad_char exponentiation."""
-    fc = list(fbar.coeffs)
-    total = 0
-    for x in spec.elements():
-        acc = spec.zero()
-        for c in reversed(fc):
-            acc = acc * x
-            acc = acc + spec.element([c])
-        total += quad_char(acc)
-    return total
-
-
-def affine_char_sum(fbar: PolyModP, spec: FieldSpec, method: str = "table") -> int:
+def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
     """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q].
 
-    method="table" picks a vectorized kernel by field: Horner plus the F_p
-    character table for i = 1, per-field log tables for i >= 2 with
-    q <= _TABLE_MAX_ORDER, and the norm kernel for larger q.
-    method="powmod" evaluates quad_char elementwise.  They agree exactly;
-    "powmod" exists as the independent slow reference.
+    The field picks the kernel: Horner plus the F_p character table for
+    i = 1, per-field log tables for i >= 2 with q <= _TABLE_MAX_ORDER,
+    and the norm kernel for larger q.
     """
     if spec.p != fbar.p:
         raise ValueError("field and polynomial have different characteristic")
-    if method == "table":
-        if spec.degree == 1:
-            return _char_sum_prime(fbar, spec.p)
-        if spec.order <= _TABLE_MAX_ORDER:
-            return _char_sum_logs(fbar, spec)
-        return _char_sum_norm(fbar, spec)
-    if method == "powmod":
-        return _char_sum_generic(fbar, spec)
-    raise ValueError(f"unknown method {method!r}")
+    if spec.degree == 1:
+        return _char_sum_prime(fbar, spec.p)
+    if spec.order <= _TABLE_MAX_ORDER:
+        return _char_sum_logs(fbar, spec)
+    return _char_sum_norm(fbar, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +524,12 @@ def affine_char_sum(fbar: PolyModP, spec: FieldSpec, method: str = "table") -> i
 # ---------------------------------------------------------------------------
 
 
-def point_count(curve: CurveModel, p: int, i: int, method: str = "table") -> int:
+def point_count(curve: CurveModel, p: int, i: int) -> int:
     """N_i = #C(F_{p^i}) including the point at infinity."""
     fbar = reduce_curve(curve, p)
     if isinstance(fbar, BadReduction):
         raise BadReductionError(curve.label, p)
-    spec = build_extension(p, i)
-    return p**i + 1 + affine_char_sum(fbar, spec, method=method)
+    return p**i + 1 + affine_char_sum(fbar, build_extension(p, i))
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:

@@ -16,6 +16,7 @@ reported as a violation value rather than an exception.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -103,8 +104,6 @@ def cyclotomic_residue_degree(n: int, p: int) -> int:
     """Multiplicative order of p mod n (residue degree of p in Q(zeta_n))."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    import math
-
     if math.gcd(p, n) != 1:
         raise ValueError(f"p={p} is not coprime to {n}")
     order, v = 1, p % n

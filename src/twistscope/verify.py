@@ -20,8 +20,10 @@ the algebra/curvecount/twistlab/splitfield operations.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import product
 
 from .algebra import build_extension, legendre, odd_primes, sqrt_mod
 from .cache import UNCACHED, LPolyCache
@@ -95,20 +97,37 @@ def reference_point_count(curve: CurveModel, p: int, i: int) -> int:
 
     #C(F_q) = 1 + sum_x #{y : y^2 = f(x)}, with the y-counts taken from
     one squaring pass over the field.  No characters, no Newton identities;
-    this is the independent cross-check for the counting pipeline.
+    this is the independent cross-check for the counting pipeline.  Field
+    elements are coefficient tuples in the power basis of
+    build_extension(p, i).modulus, multiplied schoolbook and folded by it;
+    nothing here shares code with the counting kernels.
     """
-    spec = build_extension(p, i)
-    squares: dict[tuple[int, ...], int] = {}
-    for e in spec.elements():
-        key = (e * e).coeffs
-        squares[key] = squares.get(key, 0) + 1
-    consts = [spec.element([c]) for c in curve.f_coeffs]
+    modulus = build_extension(p, i).modulus
+    low = modulus.coeffs[:-1] if modulus else ()  # t^i = -sum low[j] t^j
+
+    def mul(a, b):
+        prod = [0] * (2 * i - 1)
+        for j, aj in enumerate(a):
+            if aj:
+                for k, bk in enumerate(b):
+                    prod[j + k] += aj * bk
+        for top in range(2 * i - 2, i - 1, -1):
+            c = prod[top]
+            if c:
+                for j, mj in enumerate(low):
+                    prod[top - i + j] -= c * mj
+        return tuple(v % p for v in prod[:i])
+
+    elements = list(product(range(p), repeat=i))
+    squares = Counter(mul(e, e) for e in elements)
+    consts = [c % p for c in reversed(curve.f_coeffs)]
     total = 0
-    for x in spec.elements():
-        acc = spec.zero()
-        for c in reversed(consts):
-            acc = acc * x + c
-        total += squares.get(acc.coeffs, 0)
+    for x in elements:
+        acc = (0,) * i
+        for c in consts:
+            acc = mul(acc, x)
+            acc = ((acc[0] + c) % p,) + acc[1:]
+        total += squares[acc]
     return total + 1
 
 

@@ -18,6 +18,7 @@ from twistscope.algebra import (
     poly_gcd,
     poly_powmod,
     poly_x,
+    prime_divisors,
     quad_char,
     sqrt_mod,
 )
@@ -231,3 +232,13 @@ class TestPrimes:
             n = rng.randrange(2, 10**6)
             naive = all(n % d for d in range(2, int(n**0.5) + 1))
             assert is_prime(n) == naive
+
+    def test_prime_divisors(self):
+        assert prime_divisors(1) == []
+        assert prime_divisors(2) == [2]
+        assert prime_divisors(360) == [2, 3, 5]
+        assert prime_divisors(47**4 - 1) == [2, 3, 5, 13, 17, 23]
+        rng = random.Random(3)
+        for _ in range(100):
+            n = rng.randrange(1, 5000)
+            assert prime_divisors(n) == [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
