@@ -149,13 +149,130 @@ def sqrt_mod(a: int, p: int) -> int | None:
 # ---------------------------------------------------------------------------
 # polynomials over F_p
 # ---------------------------------------------------------------------------
+#
+# The one implementation of polynomial arithmetic.  These helpers take
+# coefficient sequences with entries in [0, p) and return fresh canonical
+# lists; PolyModP, poly_gcd, poly_powmod, ddf_degrees and is_irreducible
+# all wrap them.
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _addmul(a, b, c: int, p: int) -> list[int]:
+    """a + c*b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, bk in enumerate(b):
+        out[k] = (out[k] + c * bk) % p
+    return _trim(out)
+
+
+def _scale(a, c: int, p: int) -> list[int]:
+    return _trim([c * ak % p for ak in a])
+
+
+def _derivative(a, p: int) -> list[int]:
+    return _trim([k * ak % p for k, ak in enumerate(a)][1:])
+
+
+def _mul(a, b, p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for j, aj in enumerate(a):
+        if aj:
+            for k, bk in enumerate(b):
+                out[j + k] += aj * bk
+    return _trim([c % p for c in out])
+
+
+def _divmod(a, m, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic m.
+
+    Each step subtracts a multiple of m's nonzero lower coefficients only;
+    entries are reduced mod p when they are read as a quotient digit and
+    once at the end.
+    """
+    dm = len(m) - 1
+    rem = list(a)
+    if len(rem) <= dm:
+        return [], _trim(rem)
+    taps = [(k, mk) for k, mk in enumerate(m[:-1]) if mk]
+    quo = [0] * (len(rem) - dm)
+    for shift in range(len(rem) - 1 - dm, -1, -1):
+        c = rem[shift + dm] % p
+        if c:
+            quo[shift] = c
+            for k, mk in taps:
+                rem[shift + k] -= c * mk
+    return _trim(quo), _trim([r % p for r in rem[:dm]])
+
+
+def _mulmod(a, b, m, p: int) -> list[int]:
+    return _divmod(_mul(a, b, p), m, p)[1]
+
+
+def _monic(a, p: int) -> list[int]:
+    if not a or a[-1] == 1:
+        return list(a)
+    return _scale(a, pow(a[-1], p - 2, p), p)
+
+
+def _gcd(a, b, p: int) -> list[int]:
+    """Monic gcd; the gcd of two zero polynomials is zero."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _powmod(a, e: int, m, p: int) -> list[int]:
+    """a^e mod a monic m, by left-to-right square and multiply.
+
+    Multiplying by a itself each time keeps the cheap factor short when a
+    is short, as x is for the Frobenius columns.
+    """
+    a = _divmod(a, m, p)[1]
+    result = _divmod([1], m, p)[1]
+    for bit in bin(e)[2:]:
+        result = _mulmod(result, result, m, p)
+        if bit == "1":
+            result = _mulmod(result, a, m, p)
+    return result
+
+
+def _frobenius_columns(m, p: int) -> list[list[int]]:
+    """x^(kp) mod a monic m for k < deg m: the matrix of a -> a^p mod m."""
+    xp = _powmod([0, 1], p, m, p)
+    cols = [[1]]
+    for _ in range(2, len(m)):
+        cols.append(_mulmod(cols[-1], xp, m, p))
+    return cols
+
+
+def _frobenius(a, cols: list[list[int]], p: int) -> list[int]:
+    """a^p mod m for a reduced mod m, given m's Frobenius columns.
+
+    a^p = sum a_k x^(kp) because a_k^p = a_k in F_p, so raising to the
+    p-th power is one matrix-vector product.
+    """
+    out = [0] * len(cols)
+    for ak, col in zip(a, cols):
+        if ak:
+            for t, c in enumerate(col):
+                out[t] += ak * c
+    return _trim([v % p for v in out])
+
+
+def _poly(p: int, coeffs: list[int]) -> "PolyModP":
+    """A PolyModP from canonical helper output, without re-validating it."""
+    out = object.__new__(PolyModP)
+    object.__setattr__(out, "p", p)
+    object.__setattr__(out, "coeffs", tuple(coeffs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,7 +284,7 @@ class PolyModP:
 
     def __post_init__(self):
         _require_odd_prime(self.p)
-        object.__setattr__(self, "coeffs", _trim([c % self.p for c in self.coeffs]))
+        object.__setattr__(self, "coeffs", tuple(_trim([c % self.p for c in self.coeffs])))
 
     @property
     def degree(self) -> int:
@@ -182,69 +299,48 @@ class PolyModP:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
+    def _same_p(self, other: "PolyModP") -> int:
+        if self.p != other.p:
+            raise ValueError(f"polynomials mod {self.p} and mod {other.p} cannot be combined")
+        return self.p
+
     def __add__(self, other: "PolyModP") -> "PolyModP":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = (out[k] + c) % self.p
-        return PolyModP(self.p, out)
+        p = self._same_p(other)
+        return _poly(p, _addmul(self.coeffs, other.coeffs, 1, p))
 
     def __sub__(self, other: "PolyModP") -> "PolyModP":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            out[k] = (out[k] - c) % self.p
-        return PolyModP(self.p, out)
+        p = self._same_p(other)
+        return _poly(p, _addmul(self.coeffs, other.coeffs, p - 1, p))
 
     def __mul__(self, other: "PolyModP") -> "PolyModP":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PolyModP(self.p, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for j, aj in enumerate(a):
-            if aj:
-                for k, bk in enumerate(b):
-                    out[j + k] += aj * bk
-        return PolyModP(self.p, out)
+        p = self._same_p(other)
+        return _poly(p, _mul(self.coeffs, other.coeffs, p))
 
     def scale(self, c: int) -> "PolyModP":
-        return PolyModP(self.p, [c * a for a in self.coeffs])
+        return _poly(self.p, _scale(self.coeffs, c, self.p))
 
     def __divmod__(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
+        p = self._same_p(other)
         if other.is_zero:
             raise ValueError("polynomial division by zero")
-        p = self.p
+        # divide by the monic associate, then rescale the quotient
         inv_lead = pow(other.coeffs[-1], p - 2, p)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return PolyModP(p, ()), self
-        quo = [0] * (dq + 1)
-        for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree] * inv_lead % p
-            if c:
-                quo[shift] = c
-                for k, bk in enumerate(other.coeffs):
-                    rem[shift + k] = (rem[shift + k] - c * bk) % p
-        return PolyModP(p, quo), PolyModP(p, rem)
+        quo, rem = _divmod(self.coeffs, _scale(other.coeffs, inv_lead, p), p)
+        return _poly(p, _scale(quo, inv_lead, p)), _poly(p, rem)
 
     def __mod__(self, other: "PolyModP") -> "PolyModP":
         return divmod(self, other)[1]
 
     def monic(self) -> "PolyModP":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(pow(self.coeffs[-1], self.p - 2, self.p))
+        return _poly(self.p, _monic(self.coeffs, self.p))
 
     def derivative(self) -> "PolyModP":
-        return PolyModP(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
+        return _poly(self.p, _derivative(self.coeffs, self.p))
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
+        # f(x) is the remainder of f by t - x
+        rem = _divmod(self.coeffs, (-x % self.p, 1), self.p)[1]
+        return rem[0] if rem else 0
 
 
 def poly_x(p: int) -> PolyModP:
@@ -253,55 +349,51 @@ def poly_x(p: int) -> PolyModP:
 
 def poly_gcd(a: PolyModP, b: PolyModP) -> PolyModP:
     """Monic gcd; poly_gcd(0, 0) is the zero polynomial."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    p = a._same_p(b)
+    return _poly(p, _gcd(a.coeffs, b.coeffs, p))
 
 
 def poly_powmod(base: PolyModP, e: int, m: PolyModP) -> PolyModP:
     """base^e reduced mod m, by square and multiply."""
+    p = base._same_p(m)
     if m.is_zero:
         raise ValueError("zero modulus")
     if e < 0:
         raise ValueError("negative exponent")
-    result = PolyModP(base.p, (1,)) % m
-    acc = base % m
-    while e:
-        if e & 1:
-            result = (result * acc) % m
-        acc = (acc * acc) % m
-        e >>= 1
-    return result
+    return _poly(p, _powmod(base.coeffs, e, _monic(m.coeffs, p), p))
 
 
 def ddf_degrees(h: PolyModP) -> list[tuple[int, int]]:
     """Degrees of the irreducible factors of a monic squarefree h mod p.
 
     Returns (degree, count) pairs, ascending in degree, via successive
-    gcd(h, x^(p^j) - x).  The factors themselves are never materialized.
+    gcd(h, x^(p^j) - x).  Each x^(p^j) mod h comes from the previous one
+    through the Frobenius matrix of h (one matrix-vector product), and is
+    reduced mod the unfactored part only for the gcd.  The factors
+    themselves are never materialized.
     """
     if not h.is_monic:
         raise ValueError("ddf_degrees requires a monic polynomial")
     if h.degree == 0:
         return []
-    if poly_gcd(h, h.derivative()).degree != 0:
+    p, hc = h.p, h.coeffs
+    if len(_gcd(hc, _derivative(hc, p), p)) != 1:
         raise NotSquarefreeError(f"polynomial {h.coeffs} is not squarefree mod {h.p}")
-    p = h.p
-    x = poly_x(p)
+    cols = _frobenius_columns(hc, p)
+    x = [0, 1]
     out: list[tuple[int, int]] = []
-    rest = h
-    r = x % rest
+    rest = hc
+    r = x  # x mod h: the loop below runs only when deg h >= 2
     j = 0
-    while rest.degree >= 2 * (j + 1):
+    while len(rest) - 1 >= 2 * (j + 1):
         j += 1
-        r = poly_powmod(r, p, rest)  # r = x^(p^j) mod rest
-        g = poly_gcd(rest, r - x)
-        if g.degree > 0:
-            out.append((j, g.degree // j))
-            rest = divmod(rest, g)[0]
-            r = r % rest
-    if rest.degree > 0:
-        out.append((rest.degree, 1))
+        r = _frobenius(r, cols, p)  # r = x^(p^j) mod h
+        g = _gcd(rest, _addmul(_divmod(r, rest, p)[1], x, p - 1, p), p)
+        if len(g) > 1:
+            out.append((j, (len(g) - 1) // j))
+            rest = _divmod(rest, g, p)[0]
+    if len(rest) > 1:
+        out.append((len(rest) - 1, 1))
     return out
 
 
@@ -312,15 +404,17 @@ def is_irreducible(h: PolyModP) -> bool:
         return False
     if n == 1:
         return True
-    p = h.p
-    x = poly_x(p)
-    if poly_powmod(x, p**n, h) != x % h:
+    p, hc = h.p, h.coeffs
+    cols = _frobenius_columns(hc, p)
+    x = [0, 1]
+    frob = [x]  # frob[j] = x^(p^j) mod h
+    for _ in range(n):
+        frob.append(_frobenius(frob[-1], cols, p))
+    if frob[n] != x:
         return False
-    for t in prime_divisors(n):
-        g = poly_gcd(h, poly_powmod(x, p ** (n // t), h) - x)
-        if g.degree != 0:
-            return False
-    return True
+    return all(
+        len(_gcd(hc, _addmul(frob[n // t], x, p - 1, p), p)) == 1 for t in prime_divisors(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +524,8 @@ class FieldElement:
         p, i = spec.p, spec.degree
         if i == 1:
             return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = PolyModP(p, self.coeffs) * PolyModP(p, other.coeffs)
-        red = prod % spec.modulus
-        vec = list(red.coeffs) + [0] * (i - len(red.coeffs))
-        return FieldElement(spec, tuple(vec))
+        red = _mulmod(self.coeffs, other.coeffs, spec.modulus.coeffs, p)
+        return FieldElement(spec, tuple(red) + (0,) * (i - len(red)))
 
     def scale(self, c: int) -> "FieldElement":
         p = self.spec.p

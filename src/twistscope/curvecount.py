@@ -257,12 +257,18 @@ def _squarefree_mod(f_coeffs: tuple[int, ...], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)
 def _chi_table(p: int) -> np.ndarray:
-    """chi[v] = quadratic character of v in F_p, built from one squaring pass."""
+    """chi[v] = quadratic character of v in F_p, built from one squaring pass.
+
+    Memoised for the two curves of a pair, which the backend counts back
+    to back over each field; the shared table is read-only.
+    """
     chi = np.full(p, -1, dtype=np.int64)
     chi[0] = 0
     v = np.arange(1, p, dtype=np.int64)
     chi[(v * v) % p] = 1
+    chi.flags.writeable = False
     return chi
 
 

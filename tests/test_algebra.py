@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -114,6 +115,32 @@ class TestPolyModP:
         with pytest.raises(ValueError):
             poly_powmod(poly_x(3), 2, PolyModP(3, ()))
 
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+            lambda a, b: divmod(a, b),
+            lambda a, b: a % b,
+            poly_gcd,
+            lambda a, b: poly_powmod(a, 3, b),
+        ],
+        ids=["add", "sub", "mul", "divmod", "mod", "gcd", "powmod"],
+    )
+    def test_rejects_mixed_characteristic(self, combine):
+        a, b = PolyModP(5, (1, 1)), PolyModP(7, (6, 0, 1))
+        with pytest.raises(ValueError, match="mod 5 and mod 7"):
+            combine(a, b)
+        with pytest.raises(ValueError, match="mod 7 and mod 5"):
+            combine(b, a)
+
+    def test_evaluation(self):
+        h = PolyModP(7, (3, 0, 5, 1))  # x^3 + 5x^2 + 3
+        for x in range(-7, 15):
+            assert h(x) == (x**3 + 5 * x**2 + 3) % 7
+        assert PolyModP(7, ())(4) == 0
+
 
 class TestDDF:
     @pytest.mark.parametrize(
@@ -140,8 +167,10 @@ class TestDDF:
     @given(st.sampled_from([3, 5, 7, 11, 13]), st.data())
     def test_degrees_match_trial_division(self, p, data):
         # the trial-division oracle enumerates all divisors of degree <= deg/2,
-        # so cap the degree where p makes that enumeration large
-        deg = data.draw(st.integers(min_value=1, max_value=8 if p <= 7 else 5))
+        # so cap the degree where p makes that enumeration large; degree 10
+        # checks Frobenius matrices larger than the shipped fields' (8 x 8)
+        max_deg = 10 if p <= 5 else 8 if p <= 7 else 5
+        deg = data.draw(st.integers(min_value=1, max_value=max_deg))
         low = data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
         h = PolyModP(p, tuple(low) + (1,))
         try:
@@ -170,6 +199,15 @@ class TestExtensions:
     def test_modulus_is_irreducible(self):
         for p, i in [(3, 4), (7, 2), (11, 2), (3, 8)]:
             assert is_irreducible(build_extension(p, i).modulus)
+
+    @pytest.mark.parametrize("p,max_deg", [(3, 6), (5, 4), (7, 3)])
+    def test_irreducible_matches_trial_division(self, p, max_deg):
+        # every monic polynomial of each degree, including degree-5 ones
+        # with no linear factor (only the x^(p^n) = x check rejects those)
+        for deg in range(1, max_deg + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                h = low + (1,)
+                assert is_irreducible(PolyModP(p, h)) == (naive_factor_degrees(h, p) == [deg]), h
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import twistscope
 from twistscope.cli import CliError, main, parse_curve
 from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly, point_count
 from twistscope.splitfield import default_fields, split_profile
@@ -29,6 +35,18 @@ def count_only(monkeypatch, allowed=()):
 def cache_files(directory):
     """Identity and mtime of every cache file, to show a run rewrote nothing."""
     return {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in directory.iterdir()}
+
+
+class TestModuleEntryPoint:
+    def test_python_m_version(self):
+        src = str(Path(twistscope.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "twistscope", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"twistscope {twistscope.__version__}"
 
 
 class TestParseCurve:
@@ -240,6 +258,17 @@ class TestSplitCommand:
             assert [int(parts[3]), int(parts[4]), int(parts[5])] == [
                 prof.r, prof.s, prof.s_prime,
             ]
+
+    def test_records_to_5000(self, capsys, tmp_path):
+        # the first and last lines of the benchmark's split reference
+        rc, out, _ = run_cli(
+            capsys, "split", "--pmax", "5000", "--format", "records",
+            "--cache-dir", str(tmp_path),
+        )
+        lines = out.splitlines()
+        assert rc == 0
+        assert lines[0] == "split\t3\tguarded\t-\t-\t-"
+        assert lines[-1] == "split-summary\ti=161\tii=506\tiii=0\tviolation=0"
 
 
 class TestLemma62Command:

@@ -140,6 +140,15 @@ class TestAffineCharSum:
         with pytest.raises(ValueError):
             affine_char_sum(PolyModP(3, (0, 1)), build_extension(5, 1))
 
+    def test_chi_table_is_shared_and_read_only(self):
+        chi = curvecount._chi_table(13)
+        assert curvecount._chi_table(13) is chi
+        assert not chi.flags.writeable
+        with pytest.raises(ValueError):
+            chi[1] = 0
+        squares = {x * x % 13 for x in range(1, 13)}
+        assert chi.tolist() == [0] + [1 if v in squares else -1 for v in range(1, 13)]
+
 
 # f over Z, ascending: sparse and dense models of genus 2, 3 and 4.  Each has
 # f(0) != 0 and a nonzero coefficient that vanishes mod 3, 5 or 7.

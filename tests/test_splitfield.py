@@ -93,6 +93,13 @@ class TestResidueDegree:
         for p in odd_primes(3, 10_000):
             assert residue_degree_galois(base_field, p) == cyclotomic_residue_degree(8, p)
 
+    def test_cover_b_cyclotomic_identification_to_1e4(self, fields):
+        # cover-b is the 16th cyclotomic field (x^8 + 1): residue degree at p
+        # equals the order of p mod 16
+        cover_b = next(f for f in fields.values() if f.role == "cover-b")
+        for p in odd_primes(3, 10_000):
+            assert residue_degree_galois(cover_b, p) == cyclotomic_residue_degree(16, p)
+
     def test_galois_consistency_all_fields_to_1000(self, fields):
         guard = guarded_primes(fields)
         for f in fields.values():
