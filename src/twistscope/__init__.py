@@ -4,7 +4,6 @@ local quadratic-twist diagnostics at scanned primes."""
 __version__ = "0.1.0"
 
 from .algebra import (
-    FieldElement,
     FieldSpec,
     PolyModP,
     build_extension,
@@ -13,7 +12,6 @@ from .algebra import (
     legendre,
     poly_gcd,
     poly_powmod,
-    quad_char,
 )
 from .curvecount import (
     BadReduction,

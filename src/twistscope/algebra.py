@@ -450,25 +450,6 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.degree
 
-    def element(self, coeffs) -> "FieldElement":
-        vec = [c % self.p for c in coeffs]
-        if len(vec) > self.degree:
-            raise ValueError("coefficient vector longer than the field degree")
-        vec += [0] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.degree)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
-
-    def elements(self):
-        """All q field elements, in base-p counter order."""
-        p, i = self.p, self.degree
-        for v in range(self.order):
-            yield FieldElement(self, tuple((v // p**j) % p for j in range(i)))
-
 
 @functools.lru_cache(maxsize=256)
 def build_extension(p: int, i: int) -> FieldSpec:
@@ -487,72 +468,3 @@ def build_extension(p: int, i: int) -> FieldSpec:
         if is_irreducible(cand):
             return FieldSpec(p, i, cand)
     raise RuntimeError("unreachable: irreducibles of every degree exist")
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of F_{p^i}: residue vector in the power basis of the modulus root."""
-
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.degree:
-            raise ValueError("coefficient vector must match the field degree")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _same_field(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("elements live in different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        spec = self.spec
-        p, i = spec.p, spec.degree
-        if i == 1:
-            return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        red = _mulmod(self.coeffs, other.coeffs, spec.modulus.coeffs, p)
-        return FieldElement(spec, tuple(red) + (0,) * (i - len(red)))
-
-    def scale(self, c: int) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((c * a) % p for a in self.coeffs))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.spec.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
-
-
-def quad_char(e: FieldElement) -> int:
-    """Quadratic character of F_q: 0 on zero, else e^((q-1)/2) mapped to +-1."""
-    if e.is_zero:
-        return 0
-    q = e.spec.order
-    r = e ** ((q - 1) // 2)
-    if r == e.spec.one():
-        return 1
-    minus_one = e.spec.one().scale(-1)
-    if r == minus_one:
-        return -1
-    raise ArithmeticError("nonzero element has character outside {+-1}; field data corrupt")

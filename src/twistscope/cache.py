@@ -10,19 +10,18 @@ by ``close``.  Units of one field always run back to back in one process,
 so they share that field's tables.  A disabled cache (``UNCACHED``)
 stores nothing but counts the same way.
 
-One JSON file per (coefficients, prime, tool version, record format),
-content-addressed by a SHA-256 key; the label is metadata only, so every
-spelling of a curve shares its records.  Records hold the count prefix
-N_1.. plus the finished L-polynomial when known, so a run with a larger
-budget can extend a partial computation instead of restarting it.
-
-Concurrency contract: many readers, one writer.  Only the process that
-owns the cache reads and writes records; workers only count.  Each record
-is written once per request, as soon as its (curve, p) finishes, so an
-interrupted run keeps what it finished.  Writes are atomic (temp file +
-rename), so readers can never observe a half-written record.  A record
-that fails to parse or fails the Weil validation is treated as a miss,
-reported with a warning, and overwritten by the next write.
+Records live in one append-only JSON-lines file per (coefficients, tool
+version, record format), named by their SHA-256; the label is metadata
+only, so every spelling of a curve shares its records.  A line is one
+prime's record: the count prefix N_1.. and the L-polynomial when known,
+so a larger budget extends a partial computation.  A cache object reads
+a curve's file once; a later valid line for p replaces an earlier one,
+and a line that fails to parse or the Weil validation is a warned miss.
+Workers only count.  The owning process appends each finished (curve, p)
+at once, in one write under O_APPEND, so an interrupted run keeps what it
+finished and several commands may append to one directory.  After a line
+torn by a crash, the next append starts a fresh line.  Nothing is
+rewritten: a (curve, p) gains a line only when a request adds degrees.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,7 +51,7 @@ log = logging.getLogger("twistscope.cache")
 
 ENV_CACHE_DIR = "TWISTSCOPE_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".twistscope-cache"
-RECORD_FORMAT = 2  # part of the key: bump when the key or the record layout changes
+RECORD_FORMAT = 3  # part of the key: bump when the key or the record layout changes
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -95,13 +93,15 @@ def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[C
 
 
 class LPolyCache:
-    """Single-writer store of per-prime curve data, and the only way to count."""
+    """Append-only store of per-prime curve data, and the only way to count."""
 
     def __init__(self, directory: str | Path, enabled: bool = True, jobs: int = 1):
         self.directory = Path(directory)
         self.enabled = enabled
         self.jobs = jobs
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._files: dict[tuple[int, ...], dict[int, dict]] = {}  # coefficients -> {p: record}
+        self._torn: set[tuple[int, ...]] = set()  # files read without a final newline
 
     def __enter__(self) -> "LPolyCache":
         return self
@@ -115,75 +115,72 @@ class LPolyCache:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def _path(self, curve: CurveModel, p: int) -> Path:
-        raw = f"{RECORD_FORMAT}|{__version__}|{','.join(map(str, curve.f_coeffs))}|{p}"
-        return self.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.json"
+    def _path(self, curve: CurveModel) -> Path:
+        raw = f"{RECORD_FORMAT}|{__version__}|{','.join(map(str, curve.f_coeffs))}"
+        return self.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.jsonl"
+
+    def _records(self, curve: CurveModel) -> dict[int, dict]:
+        """The curve's valid records by p, read from its file on first use."""
+        if curve.f_coeffs in self._files:
+            return self._files[curve.f_coeffs]
+        records = self._files[curve.f_coeffs] = {}
+        path = self._path(curve)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return records
+        except OSError as exc:
+            log.warning("cache file %s unreadable (%s); recomputing", path.name, exc)
+            return records
+        if data and not data.endswith(b"\n"):
+            self._torn.add(curve.f_coeffs)
+        for n, line in enumerate(data.split(b"\n"), start=1):
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                log.warning("cache file %s line %d unreadable (%s); recomputing", path.name, n, exc)
+                continue
+            if not self._valid(record, curve):
+                log.warning("cache file %s line %d failed validation; recomputing", path.name, n)
+                continue
+            records[record["p"]] = record
+        return records
 
     def get(self, curve: CurveModel, p: int) -> dict | None:
         """The cached record, or None on miss/corruption."""
-        if not self.enabled:
-            return None
-        path = self._path(curve, p)
-        try:
-            record = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError) as exc:
-            log.warning("cache record %s unreadable (%s); recomputing", path.name, exc)
-            return None
-        if not self._valid(record, curve, p):
-            log.warning("cache record %s failed validation; recomputing", path.name)
-            return None
-        return record
+        return self._records(curve).get(p) if self.enabled else None
 
-    def _valid(self, record: dict, curve: CurveModel, p: int) -> bool:
+    def _valid(self, record: dict, curve: CurveModel) -> bool:
         try:
             if record["format"] != RECORD_FORMAT or record["tool_version"] != __version__:
                 return False
-            if record["p"] != p or tuple(record["f_coeffs"]) != curve.f_coeffs:
+            p = record["p"]
+            if not isinstance(p, int) or tuple(record["f_coeffs"]) != curve.f_coeffs:
                 return False
-            counts = record["counts"]
-            if not all(isinstance(n, int) for n in counts):
+            if not all(isinstance(n, int) for n in record["counts"]):
                 return False
-            if record["lpoly"] is not None:
-                L = LPolynomial(p, curve.genus, tuple(record["lpoly"]))
-                if validate_weil(L):
-                    return False
-            return True
+            lpoly = record["lpoly"]
+            return lpoly is None or not validate_weil(LPolynomial(p, curve.genus, tuple(lpoly)))
         except (KeyError, TypeError, ValueError):
             return False
 
-    def put(
-        self,
-        curve: CurveModel,
-        p: int,
-        counts: list[int],
-        lpoly: LPolynomial | None = None,
-    ) -> None:
-        """Write the whole record for (curve, p) atomically, replacing any earlier one."""
+    def put(self, curve: CurveModel, p: int, counts: list[int], lpoly: LPolynomial | None = None) -> None:
+        """Record (curve, p), replacing any earlier record: one line appended to the curve's file."""
         if not self.enabled:
             return
-        record = {
-            "format": RECORD_FORMAT,
-            "tool_version": __version__,
-            "label": curve.label,
-            "f_coeffs": list(curve.f_coeffs),
-            "p": p,
-            "counts": list(counts),
-            "lpoly": list(lpoly.coeffs) if lpoly is not None else None,
-        }
+        record = {"format": RECORD_FORMAT, "tool_version": __version__, "label": curve.label,
+                  "f_coeffs": list(curve.f_coeffs), "p": p, "counts": list(counts),
+                  "lpoly": list(lpoly.coeffs) if lpoly is not None else None}
+        self._records(curve)[p] = record
+        line = json.dumps(record) + "\n"
+        if curve.f_coeffs in self._torn:  # end the torn line first
+            line = "\n" + line
+            self._torn.discard(curve.f_coeffs)
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh)
-            os.replace(tmp, self._path(curve, p))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with open(self._path(curve), "ab", buffering=0) as fh:  # O_APPEND, one write(2)
+            fh.write(line.encode())
 
     # ------------------------------------------------------------------
     # the compute backend
@@ -265,6 +262,8 @@ class LPolyCache:
                     yield unit, _count_all([unit])[0]
             return
         if self._pool is None:
+            from . import kernels  # unused name: loads numpy once, before the workers fork
+
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
         futures = {self._pool.submit(_count_all, batch): batch for batch in batches}
         for future in concurrent.futures.as_completed(futures):

@@ -444,6 +444,9 @@ def main(argv=None) -> int:
     except (BadReductionError, TwistscopeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # input the library rejects: a usage error, not a finding
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ the exponential of the power-sum series; factor degrees come from trial
 division by every monic polynomial of lower degree.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -96,6 +97,81 @@ class TupleField:
         prod_ = poly_mul(a, b, self.p)
         _, rem = poly_divmod(prod_, self.modulus, self.p)
         return tuple(rem) + (0,) * (self.i - len(rem))
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """Element of a package field (a FieldSpec), in the power basis of its modulus root.
+
+    Products are schoolbook multiplication then the divmod above, by the
+    spec's own modulus, so kernels can be checked on the package's fields.
+    """
+
+    spec: object
+    coeffs: tuple
+
+    def __post_init__(self):
+        if len(self.coeffs) != self.spec.degree:
+            raise ValueError("coefficient vector must match the field degree")
+
+    @property
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __mul__(self, other):
+        if self.spec != other.spec:
+            raise ValueError("elements live in different fields")
+        p, i = self.spec.p, self.spec.degree
+        prod_ = poly_mul(self.coeffs, other.coeffs, p)
+        if i > 1:
+            _, prod_ = poly_divmod(prod_, self.spec.modulus.coeffs, p)
+        return FieldElement(self.spec, prod_ + (0,) * (i - len(prod_)))
+
+    def scale(self, c):
+        return FieldElement(self.spec, tuple(c * a % self.spec.p for a in self.coeffs))
+
+    def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        result, acc = one(self.spec), self
+        while e:
+            if e & 1:
+                result = result * acc
+            acc = acc * acc
+            e >>= 1
+        return result
+
+
+def element(spec, coeffs):
+    vec = [c % spec.p for c in coeffs]
+    if len(vec) > spec.degree:
+        raise ValueError("coefficient vector longer than the field degree")
+    return FieldElement(spec, tuple(vec) + (0,) * (spec.degree - len(vec)))
+
+
+def zero(spec):
+    return element(spec, [])
+
+
+def one(spec):
+    return element(spec, [1])
+
+
+def elements(spec):
+    """All q elements of spec's field, in base-p counter order."""
+    return (FieldElement(spec, v[::-1]) for v in product(range(spec.p), repeat=spec.degree))
+
+
+def quad_char(e):
+    """Quadratic character of F_q: 0 on zero, else e^((q-1)/2) mapped to +-1."""
+    if e.is_zero:
+        return 0
+    r = e ** ((e.spec.order - 1) // 2)
+    if r == one(e.spec):
+        return 1
+    if r == one(e.spec).scale(-1):
+        return -1
+    raise ArithmeticError("nonzero element has character outside {+-1}; field data corrupt")
 
 
 def count_points(f_coeffs, p, i):

@@ -1,9 +1,16 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistscope
 from twistscope import cache as cache_module
 from twistscope.cache import LPolyCache, resolve_cache_dir
+from twistscope.cli import main
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError
 
@@ -11,6 +18,15 @@ from twistscope.errors import BadReductionError, BudgetExceededError
 @pytest.fixture
 def cache(tmp_path):
     return LPolyCache(tmp_path / "cache")
+
+
+def reopened(cache):
+    """A new cache object on the same directory, which reads every file afresh."""
+    return LPolyCache(cache.directory)
+
+
+def lines(cache, curve):
+    return cache._path(curve).read_text().splitlines()
 
 
 class TestBasics:
@@ -28,27 +44,78 @@ class TestBasics:
     def test_corrupt_record_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
-        path = cache._path(curve, 3)
-        path.write_text("{ not json")
-        assert cache.get(curve, 3) is None
+        cache._path(curve).write_text("{ not json\n")
+        assert reopened(cache).get(curve, 3) is None
+
+    def test_undecodable_line_is_miss(self, cache, genus2_pair, caplog):
+        curve = genus2_pair[0]
+        cache.put(curve, 3, counts=[4])
+        cache._path(curve).write_bytes(b'{"label": "\xff"}\n' + cache._path(curve).read_bytes())
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            assert reopened(cache).get(curve, 3)["counts"] == [4]
+        assert "line 1 unreadable" in caplog.text
 
     def test_weil_invalid_lpoly_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
-        path = cache._path(curve, 3)
+        path = cache._path(curve)
         record = json.loads(path.read_text())
         record["lpoly"] = [1, 7, 7, 7, 9]  # fails the functional equation
-        path.write_text(json.dumps(record))
-        assert cache.get(curve, 3) is None
+        path.write_text(json.dumps(record) + "\n")
+        assert reopened(cache).get(curve, 3) is None
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
-        path = cache._path(curve, 3)
+        path = cache._path(curve)
         record = json.loads(path.read_text())
         record["tool_version"] = "0.0.0-old"
-        path.write_text(json.dumps(record))
-        assert cache.get(curve, 3) is None
+        path.write_text(json.dumps(record) + "\n")
+        assert reopened(cache).get(curve, 3) is None
+
+    def test_one_file_per_curve_one_line_per_put(self, cache, genus2_pair):
+        for curve in genus2_pair:
+            for p in (3, 7, 11):
+                cache.put(curve, p, counts=[p + 1])
+        files = sorted(cache.directory.iterdir())
+        assert [f.suffix for f in files] == [".jsonl", ".jsonl"]
+        assert sorted(files) == sorted(cache._path(c) for c in genus2_pair)
+        assert [json.loads(line)["p"] for line in lines(cache, genus2_pair[0])] == [3, 7, 11]
+
+    def test_later_line_replaces_earlier(self, cache, genus2_pair, caplog):
+        curve = genus2_pair[0]
+        L = lpoly(curve, 3)
+        cache.put(curve, 3, counts=[4])
+        cache.put(curve, 3, counts=[4, 6], lpoly=L)
+        assert cache.get(curve, 3)["counts"] == [4, 6]
+        assert len(lines(cache, curve)) == 2
+        assert reopened(cache).get(curve, 3)["counts"] == [4, 6]
+        # a still later line that fails validation does not displace it
+        bad = json.loads(lines(cache, curve)[0])
+        bad["counts"] = ["4"]
+        with open(cache._path(curve), "a") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            assert reopened(cache).get(curve, 3)["lpoly"] == list(L.coeffs)
+        assert "line 3 failed validation" in caplog.text
+
+    def test_torn_final_line_is_warned_miss(self, cache, genus2_pair, caplog):
+        curve = genus2_pair[0]
+        cache.put(curve, 3, counts=[4])
+        cache.put(curve, 5, counts=[6])
+        path = cache._path(curve)
+        path.write_bytes(path.read_bytes()[:-10])  # the p = 5 line loses its end and newline
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            torn = reopened(cache)
+            assert torn.get(curve, 5) is None
+            assert torn.get(curve, 3)["counts"] == [4]
+        assert "line 2 unreadable" in caplog.text
+        # the next appends start a fresh line, so the torn one swallows nothing
+        torn.put(curve, 5, counts=[6])
+        torn.put(curve, 7, counts=[8])
+        again = reopened(cache)
+        assert again.get(curve, 5)["counts"] == [6] and again.get(curve, 7)["counts"] == [8]
+        assert len(lines(cache, curve)) == 4
 
     def test_disabled_cache_never_stores(self, genus2_pair):
         cache = LPolyCache("", enabled=False)
@@ -143,6 +210,24 @@ class TestComputeThrough:
         assert out[:2] == [cache.get(curve, 5)["counts"][0], cache.get(curve, 5)["counts"][1]]
         assert len(out) == 4
 
+    def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
+        from twistscope.twistlab import scan_pair
+
+        counted = []
+
+        def interrupted(curve, p, i):
+            if p == 31:
+                raise KeyboardInterrupt
+            counted.append((curve.f_coeffs, p))
+            return point_count(curve, p, i)
+
+        monkeypatch.setattr("twistscope.cache.point_count", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
+        assert counted  # fields go largest first, so the primes above 31 ran
+        stored = {(c.f_coeffs, p) for c in genus2_pair for p in reopened(cache)._records(c)}
+        assert stored == set(counted)
+
     def test_trace_uses_count_prefix(self, cache, genus2_pair):
         curve = genus2_pair[1]
         assert cache.trace(curve, 7) == 0
@@ -185,9 +270,39 @@ class TestBatches:
         assert all(len(batch) == 2 * len(f) for batch, f in zip(batches, fields))
         serial = LPolyCache(tmp_path / "serial")
         assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=serial).to_text() == report.to_text()
-        for curve in genus4_pair:
-            for p in (3, 5, 7, 11, 13):
-                assert pooled._path(curve, p).read_text() == serial._path(curve, p).read_text()
+        for curve in genus4_pair:  # the same lines; the pool finishes them in any order
+            assert sorted(lines(pooled, curve)) == sorted(lines(serial, curve))
+            assert len(lines(serial, curve)) == 5
+
+
+class TestConcurrentCommands:
+    def test_two_scans_share_a_directory(self, tmp_path, genus2_pair, capsys, monkeypatch):
+        # two commands append to one cache directory at once: the records
+        # equal a serial run's, and a third, warm run counts and writes nothing
+        argv = ["scan", "x^5 - x", "x^5 + 4x", "--pmax", "3000", "--format", "records"]
+        shared, serial = tmp_path / "shared", tmp_path / "serial"
+        env = {**os.environ, "PYTHONPATH": str(Path(twistscope.__file__).resolve().parents[1])}
+        procs = [
+            subprocess.Popen([sys.executable, "-m", "twistscope", *argv, "--cache-dir", str(shared)],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert main([*argv, "--cache-dir", str(serial)]) == 0
+        want = capsys.readouterr().out
+        assert [(proc.returncode, out) for proc, (out, _) in zip(procs, outs)] == [(0, want)] * 2
+        assert len(list(serial.iterdir())) == len(list(shared.iterdir())) == 2  # one file per curve
+        for curve in genus2_pair:
+            assert LPolyCache(shared)._records(curve) == LPolyCache(serial)._records(curve)
+        sizes = {f.name: f.stat().st_size for f in shared.iterdir()}
+
+        def no_counting(curve, p, i):
+            raise AssertionError(f"point_count({curve.label}, {p}, {i}) on a warm cache")
+
+        monkeypatch.setattr("twistscope.cache.point_count", no_counting)
+        assert main([*argv, "--jobs", "2", "--cache-dir", str(shared)]) == 0
+        assert capsys.readouterr().out == want
+        assert {f.name: f.stat().st_size for f in shared.iterdir()} == sizes
 
 
 class TestResolveDir:

@@ -49,6 +49,54 @@ class TestModuleEntryPoint:
         assert done.stdout.strip() == f"twistscope {twistscope.__version__}"
 
 
+def run_python(*argv):
+    """Run the interpreter on this checkout's package, as a user would."""
+    src = str(Path(twistscope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestTracerNames:
+    def test_every_traced_function_resolves(self, tmp_path):
+        # the benchmark's tracer wraps functions by name; a rename must fail here
+        # instead of silently zeroing its per-layer metrics
+        tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        done = run_python(str(tracer), str(tmp_path), "--version")
+        assert done.returncode == 0, done.stderr
+        assert "not found" not in done.stderr
+
+
+# a CLI run that reports on stderr whether numpy was imported: in each forked
+# pool worker as it starts, and in the command's process at the end
+NUMPY_PROBE = (
+    "import os, sys\n"
+    "from twistscope.cli import main\n"
+    "os.register_at_fork(after_in_child=lambda: print('numpy at fork:', 'numpy' in sys.modules,"
+    " file=sys.stderr, flush=True))\n"
+    "rc = main(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+class TestNumpyOnlyWhenCounting:
+    def test_split_and_warm_scan_leave_numpy_unloaded(self, tmp_path):
+        scan = ("scan", "x^5 - x", "x^5 + 4x", "--pmax", "50", "--format", "records",
+                "--cache-dir", str(tmp_path))
+        runs = [
+            ((*scan, "--jobs", "2"), True),  # cold: counts on the pool, so numpy loads
+            ((*scan, "--jobs", "2"), False),  # warm: counts nothing
+            (("split", "--pmax", "50", "--format", "records", "--cache-dir", str(tmp_path)), False),
+        ]
+        for argv, loaded in runs:
+            done = run_python("-c", NUMPY_PROBE, *argv)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr.splitlines()[-1] == f"numpy loaded: {loaded}", argv
+            forks = [line for line in done.stderr.splitlines() if line.startswith("numpy at fork")]
+            # the parent loads numpy before the pool forks, so no worker imports it again
+            assert forks == ["numpy at fork: True"] * (2 if loaded else 0), done.stderr
+
+
 class TestParseCurve:
     def test_examples(self):
         c = parse_curve("x^5 - x")
@@ -136,6 +184,26 @@ class TestLpolyCommand:
             main([*argv, "--cache-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [("char-search", "x^5-x", "x^5+4x", "--pmax", "20", "--support", "abc"),
+         ("char-search", "x^5-x", "x^5+4x", "--pmax", "20", "--support", "4"),
+         ("scan", "x^5 - x", "x^7 + x", "--pmax", "20"),
+         ("stats", "traces.tsv"),
+         ("stats", "not-a-report.txt")],
+    )
+    def test_exit_2_with_an_error_line(self, capsys, tmp_path, argv):
+        main(["scan", "x^5-x", "x^5+4x", "--pmax", "20", "--format", "records",
+              "--cache-dir", str(tmp_path)])
+        (tmp_path / "traces.tsv").write_text(capsys.readouterr().out)  # a trace-depth report
+        (tmp_path / "not-a-report.txt").write_text("hello\n")
+        argv = [str(tmp_path / a) if a.endswith((".tsv", ".txt")) else a for a in argv]
+        rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestScanCommand:

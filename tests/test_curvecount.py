@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twistscope import curvecount
+from twistscope import kernels
 from twistscope.algebra import PolyModP, build_extension, odd_primes
 from twistscope.curvecount import (
     BadReduction,
@@ -141,8 +141,8 @@ class TestAffineCharSum:
             affine_char_sum(PolyModP(3, (0, 1)), build_extension(5, 1))
 
     def test_chi_table_is_shared_and_read_only(self):
-        chi = curvecount._chi_table(13)
-        assert curvecount._chi_table(13) is chi
+        chi = kernels._chi_table(13)
+        assert kernels._chi_table(13) is chi
         assert not chi.flags.writeable
         with pytest.raises(ValueError):
             chi[1] = 0
@@ -166,7 +166,7 @@ KERNEL_FIELDS = [(p, i) for p in (3, 5, 7) for i in (2, 3, 4)]
 class TestLogTableKernel:
     @pytest.mark.parametrize("p,i", KERNEL_FIELDS)
     def test_matches_enumeration_oracle(self, p, i):
-        assert p**i <= curvecount._TABLE_MAX_ORDER  # the log-table path
+        assert p**i <= kernels._TABLE_MAX_ORDER  # the log-table path
         spec = build_extension(p, i)
         for f in KERNEL_POLYS:
             got = p**i + 1 + affine_char_sum(PolyModP(p, f), spec)
@@ -184,8 +184,8 @@ class TestLogTableKernel:
         def no_tables(fbar, spec):
             raise AssertionError("log tables used above the cap")
 
-        monkeypatch.setattr(curvecount, "_TABLE_MAX_ORDER", 8)
-        monkeypatch.setattr(curvecount, "_char_sum_logs", no_tables)
+        monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
+        monkeypatch.setattr(kernels, "_char_sum_logs", no_tables)
         for (p, i, f), s in want.items():
             assert affine_char_sum(PolyModP(p, f), build_extension(p, i)) == s, (f, p, i)
 
@@ -193,7 +193,7 @@ class TestLogTableKernel:
     def test_exp_log_inverse_bijections(self, p, i):
         spec = build_extension(p, i)
         q = spec.order
-        exp, log = curvecount._exp_log_tables(spec)
+        exp, log = kernels._exp_log_tables(spec)
         assert exp.dtype == log.dtype == np.int32
         assert sorted(exp.tolist()) == list(range(1, q))  # exp: Z/(q-1) -> F_q^*, onto
         assert (log[exp] == np.arange(q - 1)).all()
@@ -201,7 +201,7 @@ class TestLogTableKernel:
         assert log[0] == -1
 
         def element(code):
-            return spec.element([(int(code) // p**j) % p for j in range(i)])
+            return oracles.element(spec, [(int(code) // p**j) % p for j in range(i)])
 
         g = element(exp[1])
         for k in range(q - 2):  # exp[k] really is g^k
@@ -210,7 +210,7 @@ class TestLogTableKernel:
     def test_table_ranges_fit_their_dtypes(self):
         # logs are int32 in [0, q - 1); a term's exponent e*k, with e reduced
         # mod q - 1, plus a log stays below q^2 in int64
-        cap = curvecount._TABLE_MAX_ORDER
+        cap = kernels._TABLE_MAX_ORDER
         assert cap - 1 <= np.iinfo(np.int32).max
         assert cap * cap <= np.iinfo(np.int64).max
 
@@ -227,26 +227,26 @@ class TestNormKernelHeadroom:
     @pytest.mark.parametrize("i", [2, 4])
     def test_batch_mul_matches_field_elements(self, i):
         spec = build_extension(EDGE_P, i)
-        red, _ = curvecount._norm_matrices(spec)
+        red, _ = kernels._norm_matrices(spec)
         rng = np.random.default_rng(i)
         top = np.full((1, i), EDGE_P - 1, dtype=np.int64)
         rand = rng.integers(0, EDGE_P, size=(6, i), dtype=np.int64)
         a = np.vstack((top, top, rand[:3], rand[3:]))
         b = np.vstack((top, rand[:1], top.repeat(3, axis=0), rand[:3]))
-        got = curvecount._batch_mul(a, b, red, EDGE_P)
+        got = kernels._batch_mul(a, b, red, EDGE_P)
         for x, y, xy in zip(a.tolist(), b.tolist(), got.tolist()):
-            assert tuple(xy) == (spec.element(x) * spec.element(y)).coeffs
+            assert tuple(xy) == (oracles.element(spec, x) * oracles.element(spec, y)).coeffs
 
     @pytest.mark.parametrize("i", [2, 4])
     def test_norm_matrices_match_field_powers(self, i):
         spec = build_extension(EDGE_P, i)
-        red, frob = curvecount._norm_matrices(spec)
-        t = spec.element([0, 1])
+        red, frob = kernels._norm_matrices(spec)
+        t = oracles.element(spec, [0, 1])
         for j, row in enumerate(red.tolist()):
             assert tuple(row) == (t ** (i + j)).coeffs
         rng = random.Random(i)
         for _ in range(3):
-            x = spec.element([rng.randrange(EDGE_P) for _ in range(i)])
+            x = oracles.element(spec, [rng.randrange(EDGE_P) for _ in range(i)])
             got = frob @ np.array(x.coeffs, dtype=np.int64) % EDGE_P
             assert tuple(got.tolist()) == (x**EDGE_P).coeffs
 
