@@ -111,41 +111,6 @@ def kronecker(d: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod p, or None if a is a non-residue (Tonelli-Shanks)."""
-    _require_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # p-1 = t * 2^s with t odd
-    t, s = p - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    g = pow(z, t, p)
-    x = pow(a, (t + 1) // 2, p)
-    b = pow(a, t, p)
-    r = s
-    while b != 1:
-        m, sq = 0, b
-        while sq != 1:
-            sq = sq * sq % p
-            m += 1
-        w = pow(g, 1 << (r - m - 1), p)
-        g = w * w % p
-        x = x * w % p
-        b = b * g % p
-        r = m
-    return x
-
-
 # ---------------------------------------------------------------------------
 # polynomials over F_p
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ version, record format), named by their SHA-256; the label is metadata
 only, so every spelling of a curve shares its records.  A line is one
 prime's record: the count prefix N_1.. and the L-polynomial when known,
 so a larger budget extends a partial computation.  A cache object reads
-a curve's file once; a later valid line for p replaces an earlier one,
-and a line that fails to parse or the Weil validation is a warned miss.
+a curve's file once; a later valid line for p replaces an earlier one.
+A line is valid when every count lies within the Weil bounds and a stored
+L-polynomial is the one N_1..N_g give; a line that fails to parse or
+this validation is a warned miss, recomputed on demand.
 Workers only count.  The owning process appends each finished (curve, p)
 at once, in one write under O_APPEND, so an interrupted run keeps what it
 finished and several commands may append to one directory.  After a line
@@ -40,12 +42,12 @@ from .curvecount import (
     CountVector,
     CurveModel,
     LPolynomial,
+    _check_count_bounds,
     log_derivative_counts,
     lpoly_from_counts,
     point_count,
-    validate_weil,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InconsistentCountsError
 
 log = logging.getLogger("twistscope.cache")
 
@@ -153,17 +155,21 @@ class LPolyCache:
         return self._records(curve).get(p) if self.enabled else None
 
     def _valid(self, record: dict, curve: CurveModel) -> bool:
+        """Every count within the Weil bounds, and any L-polynomial the one its counts give."""
         try:
             if record["format"] != RECORD_FORMAT or record["tool_version"] != __version__:
                 return False
-            p = record["p"]
+            p, counts, g = record["p"], record["counts"], curve.genus
             if not isinstance(p, int) or tuple(record["f_coeffs"]) != curve.f_coeffs:
                 return False
-            if not all(isinstance(n, int) for n in record["counts"]):
+            if not all(isinstance(n, int) for n in counts):
                 return False
+            _check_count_bounds(counts, p, g, curve.label)
             lpoly = record["lpoly"]
-            return lpoly is None or not validate_weil(LPolynomial(p, curve.genus, tuple(lpoly)))
-        except (KeyError, TypeError, ValueError):
+            return lpoly is None or tuple(lpoly) == lpoly_from_counts(
+                CountVector(curve.label, p, tuple(counts[:g])), p, g
+            ).coeffs
+        except (KeyError, TypeError, ValueError, InconsistentCountsError):
             return False
 
     def put(self, curve: CurveModel, p: int, counts: list[int], lpoly: LPolynomial | None = None) -> None:

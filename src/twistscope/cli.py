@@ -41,7 +41,7 @@ from .errors import (
 from .splitfield import (
     Lemma62Violation,
     default_fields,
-    guarded_primes,
+    is_guarded,
     lemma62_check,
     load_field_config,
     split_profile,
@@ -236,10 +236,9 @@ def _cmd_char_search(args, cache, out) -> int:
 
 def _cmd_split(args, cache, out) -> int:
     fields = load_field_config(args.fields) if args.fields else default_fields()
-    guard = guarded_primes(fields)
     freq: dict[str, int] = {"i": 0, "ii": 0, "iii": 0, "violation": 0}
     for p in _prime_range(args):
-        if p in guard:
+        if is_guarded(fields, p):
             if args.format == "records":
                 print(f"split\t{p}\tguarded\t-\t-\t-", file=out)
             else:

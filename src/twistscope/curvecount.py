@@ -10,7 +10,10 @@ prime p is det(1 - Frob*T) on the Jacobian: degree 2g, integer
 coefficients, constant term 1, reciprocal roots of absolute value sqrt(p).
 Its first g+1 coefficients are assembled from N_1..N_g by Newton's
 identities; the rest follow from the functional equation
-a_{2g-j} = p^{g-j} a_j.
+a_{2g-j} = p^{g-j} a_j.  The reduction at an odd p is good exactly when p
+does not divide disc(f); ``poly_discriminant`` is the package's one
+squarefreeness test, for curves here and for field polynomials in
+``splitfield``.
 
 Counting is exact integer work throughout.  The character sums come
 from ``kernels``, the one module that uses numpy; it is imported on the
@@ -21,10 +24,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .algebra import FieldSpec, PolyModP, build_extension, is_prime, poly_gcd
+from .algebra import FieldSpec, PolyModP, build_extension, is_prime
 from .errors import BadReductionError, InconsistentCountsError
 
 DEFAULT_BUDGET = 200_000_000  # field evaluations per prime
@@ -46,7 +48,7 @@ class CurveModel:
             raise ValueError("f must be monic")
         if self.genus != (deg - 1) // 2:
             raise ValueError("genus must equal (deg f - 1)/2")
-        if not _rational_squarefree(self.f_coeffs):
+        if poly_discriminant(self.f_coeffs) == 0:
             raise ValueError("f has a repeated root over Q")
 
 
@@ -77,11 +79,18 @@ def curve_from_coeffs(f_coeffs) -> "CurveModel":
     return CurveModel(canonical_label(coeffs), coeffs, (len(coeffs) - 2) // 2)
 
 
+@functools.lru_cache(maxsize=1 << 10)
 def poly_discriminant(coeffs: tuple[int, ...]) -> int:
-    """Discriminant of a monic integer polynomial, exactly.
+    """Discriminant of a monic integer polynomial of degree >= 1, exactly.
+
+    The package's one squarefreeness test: a monic f has a repeated root
+    over Q exactly when disc(f) = 0, and f mod p has a repeated factor
+    exactly when p divides disc(f), since reduction mod p keeps the
+    leading coefficient 1 and so commutes with the resultant.
 
     Sylvester resultant of f and f' by fraction-free Bareiss elimination,
-    so every intermediate stays an integer.
+    so every intermediate stays an integer.  Memoised per coefficient
+    vector: every (curve, p) and every split prime asks again.
     """
     f = list(coeffs)
     fp = [k * c for k, c in enumerate(f)][1:]
@@ -141,31 +150,6 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
     return out
 
 
-def _rational_squarefree(coeffs: tuple[int, ...]) -> bool:
-    # gcd(f, f') over Q via Fraction-exact Euclid; constant gcd <=> squarefree
-    a = [Fraction(c) for c in coeffs]
-    b = [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        while len(a) >= len(b) and a:
-            c = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for k in range(len(b)):
-                a[shift + k] -= c * b[k]
-            trim(a)
-        a, b = b, a
-    return len(a) <= 1
-
-
 @dataclass(frozen=True)
 class BadReduction:
     """Marker value: f mod p is not squarefree, the reduction is singular."""
@@ -213,19 +197,12 @@ def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
     """f mod p, or a BadReduction marker when the reduction is singular.
 
     For a monic odd f and odd p, good reduction is exactly squarefreeness
-    of f mod p.
+    of f mod p, that is, p not dividing disc(f).
     """
-    if not _squarefree_mod(curve.f_coeffs, p):
+    fbar = PolyModP(p, curve.f_coeffs)  # rejects p that is not an odd prime
+    if poly_discriminant(curve.f_coeffs) % p == 0:
         return BadReduction(curve.label, p)
-    return PolyModP(p, curve.f_coeffs)
-
-
-@functools.lru_cache(maxsize=1 << 15)
-def _squarefree_mod(f_coeffs: tuple[int, ...], p: int) -> bool:
-    # memoised: a scan tests each (curve, p) before counting, and every
-    # count of that (curve, p) asks again
-    fbar = PolyModP(p, f_coeffs)
-    return poly_gcd(fbar, fbar.derivative()).degree == 0
+    return fbar
 
 
 def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:

@@ -8,8 +8,8 @@ class TwistscopeError(Exception):
 class NotSquarefreeError(TwistscopeError):
     """A polynomial expected to be squarefree mod p has a repeated factor.
 
-    Callers computing splitting data treat the offending prime as
-    ramified/excluded rather than aborting a whole scan.
+    Residue-degree code never meets it: a prime dividing the polynomial
+    discriminant is guarded before any factoring.
     """
 
 

@@ -1,11 +1,12 @@
 """Residue degrees of rational primes in fixed Galois number fields.
 
-For a Galois number field with defining polynomial h and an odd prime p
-outside the guard list, every irreducible factor of h mod p has the same
-degree, and that common degree is the residue degree of p.  The guard
-list contains the primes dividing the polynomial discriminant: there the
-factor degrees of h mod p need not reflect the splitting of p (ramification
-or index divisors), so such primes are skipped, never guessed.
+For a Galois number field with monic defining polynomial h and an odd
+prime p not dividing disc(h), h mod p is squarefree, every irreducible
+factor of h mod p has the same degree, and that common degree is the
+residue degree of p.  The primes dividing disc(h) are guarded: there the
+factor degrees of h mod p need not reflect the splitting of p
+(ramification or index divisors), so such primes are skipped, never
+guessed.  The guard is computed from the polynomials, never configured.
 
 The built-in configuration describes three fields of degrees 4, 8, 8
 (see data/fields.cfg); their residue degrees (r, s, s') at a prime are
@@ -21,22 +22,22 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .algebra import PolyModP, ddf_degrees, is_prime
+from .algebra import PolyModP, ddf_degrees
 from .cache import UNCACHED, LPolyCache
-from .curvecount import DEFAULT_BUDGET, CurveModel, _rational_squarefree, curve_from_coeffs
-from .errors import NotGaloisConsistentError, NotSquarefreeError, RamifiedPrimeError
+from .curvecount import DEFAULT_BUDGET, CurveModel, curve_from_coeffs, poly_discriminant
+from .errors import NotGaloisConsistentError, RamifiedPrimeError
 
 FIELDS_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class NumberFieldSpec:
-    """A Galois number field given by a monic integer polynomial.
+    """A Galois number field given by a monic squarefree integer polynomial.
 
-    ``disc_factors`` lists the primes dividing the polynomial
-    discriminant; residue degrees are only computed away from them.
-    The galois flag is configuration-asserted; consumers validate it
-    statistically by checking equal factor degrees across many primes.
+    Residue degrees are only computed at primes not dividing the
+    polynomial discriminant.  The galois flag is configuration-asserted;
+    consumers validate it statistically by checking equal factor degrees
+    across many primes.
     """
 
     name: str
@@ -44,15 +45,14 @@ class NumberFieldSpec:
     defining_poly: tuple[int, ...]
     degree: int
     galois: bool
-    disc_factors: frozenset[int]
     provenance: str = ""
 
     def __post_init__(self):
         if self.defining_poly[-1] != 1:
             raise ValueError(f"field {self.name}: defining polynomial must be monic")
-        if len(self.defining_poly) - 1 != self.degree:
-            raise ValueError(f"field {self.name}: degree does not match the polynomial")
-        if not _rational_squarefree(self.defining_poly):
+        if len(self.defining_poly) - 1 != self.degree or self.degree < 1:
+            raise ValueError(f"field {self.name}: degree must be >= 1 and match the polynomial")
+        if poly_discriminant(self.defining_poly) == 0:
             raise ValueError(f"field {self.name}: defining polynomial is not squarefree over Q")
 
 
@@ -77,22 +77,15 @@ class SplitProfile:
 def residue_degree_galois(field: NumberFieldSpec, p: int) -> int:
     """Common degree of the irreducible factors of the defining polynomial mod p.
 
-    Raises RamifiedPrimeError at guarded primes and NotGaloisConsistentError
-    if the factor degrees are mixed (the configuration lied about being
-    Galois, or the guard list is incomplete).
+    Raises RamifiedPrimeError at primes dividing the polynomial
+    discriminant and NotGaloisConsistentError if the factor degrees are
+    mixed (the configuration lied about being Galois).
     """
     if not field.galois:
         raise ValueError(f"field {field.name} is not flagged Galois")
-    if p in field.disc_factors:
-        raise RamifiedPrimeError(f"p={p} divides the discriminant data of {field.name}")
-    h = PolyModP(p, field.defining_poly)
-    try:
-        degs = ddf_degrees(h)
-    except NotSquarefreeError as exc:
-        raise RamifiedPrimeError(
-            f"p={p}: defining polynomial of {field.name} is not squarefree mod p "
-            "(missing guard prime?)"
-        ) from exc
+    if poly_discriminant(field.defining_poly) % p == 0:
+        raise RamifiedPrimeError(f"p={p} divides the polynomial discriminant of {field.name}")
+    degs = ddf_degrees(PolyModP(p, field.defining_poly))
     if len(degs) != 1:
         raise NotGaloisConsistentError(
             f"{field.name} mod {p} has factor degrees {degs}; equal degrees expected"
@@ -143,11 +136,9 @@ def split_profile(fields: dict[str, NumberFieldSpec], p: int) -> SplitProfile:
     return SplitProfile(p, r, s, sp, case_classify(r, s, sp))
 
 
-def guarded_primes(fields: dict[str, NumberFieldSpec]) -> frozenset[int]:
-    out: set[int] = set()
-    for f in fields.values():
-        out |= f.disc_factors
-    return frozenset(out)
+def is_guarded(fields: dict[str, NumberFieldSpec], p: int) -> bool:
+    """True when p divides the polynomial discriminant of some configured field."""
+    return any(poly_discriminant(f.defining_poly) % p == 0 for f in fields.values())
 
 
 def _field_by_role(fields: dict[str, NumberFieldSpec], role: str) -> NumberFieldSpec:
@@ -231,7 +222,11 @@ def lemma62_check(
 
 
 def parse_field_config(text: str, source: str = "<config>") -> dict[str, NumberFieldSpec]:
-    """Parse the plain-text field configuration format (see data/fields.cfg)."""
+    """Parse the plain-text field configuration format (see data/fields.cfg).
+
+    Keys other than field, role, poly, galois and provenance are ignored,
+    so older files with ``disc-primes`` lines still parse.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("twistscope-fields"):
         raise ValueError(f"{source}: missing 'twistscope-fields <version>' header")
@@ -260,17 +255,12 @@ def parse_field_config(text: str, source: str = "<config>") -> dict[str, NumberF
 def _entry_to_spec(entry: dict[str, str], source: str) -> NumberFieldSpec:
     try:
         coeffs = tuple(int(c) for c in entry["poly"].split(","))
-        disc = frozenset(int(q) for q in entry["disc-primes"].split(",")) if entry["disc-primes"] else frozenset()
-        for q in disc:
-            if not is_prime(q):
-                raise ValueError(f"disc-primes entry {q} is not prime")
         return NumberFieldSpec(
             name=entry["field"],
             role=entry["role"],
             defining_poly=coeffs,
             degree=len(coeffs) - 1,
             galois=entry["galois"] == "true",
-            disc_factors=disc,
             provenance=entry.get("provenance", ""),
         )
     except KeyError as exc:

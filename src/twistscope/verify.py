@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
 
-from .algebra import build_extension, legendre, odd_primes, sqrt_mod
+from .algebra import build_extension, legendre, odd_primes
 from .cache import UNCACHED, LPolyCache
 from .curvecount import (
     DEFAULT_BUDGET,
@@ -40,7 +40,7 @@ from .splitfield import (
     SplitCase,
     cyclotomic_residue_degree,
     default_fields,
-    guarded_primes,
+    is_guarded,
     lemma62_check,
     split_profile,
     verify_trace_vanishing,
@@ -221,8 +221,7 @@ def _c4_genus4_full_scan(ctx: _Context):
     for r in report.records:
         if r.p % 8 not in (1, 7):
             continue
-        root = sqrt_mod(2, r.p)
-        signs = {legendre(root, r.p), legendre(r.p - root, r.p)}
+        signs = {legendre(x, r.p) for x in range(1, r.p) if x * x % r.p == 2}
         if signs == {1, -1}:
             if r.verdict is not SignMatch.BOTH:
                 mismatches.append((r.p, r.verdict.value, "both"))
@@ -280,12 +279,11 @@ def _c6_flat_counts(ctx: _Context):
 
 def _c7_case_table(ctx: _Context):
     fields = default_fields()
-    guard = guarded_primes(fields)
     freq = {c: 0 for c in SplitCase}
     nonzero_traces = []
     violations = []
     for p in odd_primes(3, 1000):
-        if p in guard:
+        if is_guarded(fields, p):
             continue
         profile = split_profile(fields, p)
         freq[profile.case] += 1

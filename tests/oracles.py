@@ -35,6 +35,22 @@ def poly_divmod(a, b, p):
     return tuple(quo), tuple(a)
 
 
+def _reduced(a, p):
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def squarefree_mod(f, p):
+    """Whether f mod p has no repeated factor: Euclid's gcd(f, f') is a nonzero constant."""
+    a = _reduced(f, p)
+    b = _reduced([k * c for k, c in enumerate(f)][1:], p)
+    while b:
+        a, b = b, _reduced(poly_divmod(a, b, p)[1], p)
+    return len(a) == 1
+
+
 def monic_polys(degree, p):
     for low in product(range(p), repeat=degree):
         yield low + (1,)

@@ -20,7 +20,6 @@ from twistscope.algebra import (
     poly_powmod,
     poly_x,
     prime_divisors,
-    sqrt_mod,
 )
 from twistscope.errors import NotSquarefreeError
 
@@ -76,17 +75,6 @@ class TestKronecker:
     def test_multiplicative_in_n(self, d, i, j):
         n1, n2 = 2 * i + 1, 2 * j + 1
         assert kronecker(d, n1 * n2) == kronecker(d, n1) * kronecker(d, n2)
-
-
-class TestSqrtMod:
-    def test_roundtrip(self):
-        for p in odd_primes(3, 60):
-            for a in range(p):
-                r = sqrt_mod(a, p)
-                if legendre(a, p) == -1:
-                    assert r is None
-                else:
-                    assert r * r % p == a
 
 
 class TestPolyModP:

@@ -11,7 +11,7 @@ import twistscope
 from twistscope import cache as cache_module
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
-from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
+from twistscope.curvecount import LPolynomial, curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError
 
 
@@ -63,6 +63,23 @@ class TestBasics:
         record["lpoly"] = [1, 7, 7, 7, 9]  # fails the functional equation
         path.write_text(json.dumps(record) + "\n")
         assert reopened(cache).get(curve, 3) is None
+
+    def test_count_outside_weil_bounds_is_miss(self, cache, genus2_pair, caplog):
+        curve = genus2_pair[1]  # x^5 + 4x: N_1 = 8 at p = 7
+        cache.put(curve, 7, counts=[1008])
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            again = reopened(cache)
+            assert again.get(curve, 7) is None
+            assert again.trace(curve, 7) == 0
+        assert "line 1 failed validation" in caplog.text
+
+    def test_lpoly_not_from_its_counts_is_miss(self, cache, genus2_pair):
+        # Weil-valid, but counts [6, 6] give 1 - 10T^2 + 25T^4, trace 0
+        curve = genus2_pair[0]
+        cache.put(curve, 5, counts=[6, 6], lpoly=LPolynomial(5, 2, (1, -2, 2, -10, 25)))
+        again = reopened(cache)
+        assert again.get(curve, 5) is None
+        assert again.lpoly(curve, 5, budget=10**6).trace == 0
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]

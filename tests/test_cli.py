@@ -1,3 +1,4 @@
+import importlib.resources
 import os
 import subprocess
 import sys
@@ -67,14 +68,15 @@ class TestTracerNames:
 
 
 # a CLI run that reports on stderr whether numpy was imported: in each forked
-# pool worker as it starts, and in the command's process at the end
+# pool worker as it starts, and in the command's process at the end.  Each
+# report is one write(2), so the lines of concurrent workers cannot interleave.
 NUMPY_PROBE = (
     "import os, sys\n"
     "from twistscope.cli import main\n"
-    "os.register_at_fork(after_in_child=lambda: print('numpy at fork:', 'numpy' in sys.modules,"
-    " file=sys.stderr, flush=True))\n"
+    "report = lambda what: os.write(2, f'{what}: {\"numpy\" in sys.modules}\\n'.encode())\n"
+    "os.register_at_fork(after_in_child=lambda: report('numpy at fork'))\n"
     "rc = main(sys.argv[1:])\n"
-    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "report('numpy loaded')\n"
     "sys.exit(rc)\n"
 )
 
@@ -328,15 +330,26 @@ class TestSplitCommand:
             ]
 
     def test_records_to_5000(self, capsys, tmp_path):
-        # the first and last lines of the benchmark's split reference
+        # the whole of the benchmark's split reference
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "g2-split.txt"
         rc, out, _ = run_cli(
             capsys, "split", "--pmax", "5000", "--format", "records",
             "--cache-dir", str(tmp_path),
         )
-        lines = out.splitlines()
         assert rc == 0
-        assert lines[0] == "split\t3\tguarded\t-\t-\t-"
-        assert lines[-1] == "split-summary\ti=161\tii=506\tiii=0\tviolation=0"
+        assert out == reference.read_text()
+
+    def test_disc_primes_lines_are_ignored(self, capsys, tmp_path):
+        # the guard comes from the discriminants, so wrong or missing
+        # disc-primes lines in a config change no record
+        shipped = importlib.resources.files("twistscope").joinpath("data/fields.cfg").read_text()
+        split = ("split", "--pmax", "1000", "--format", "records", "--cache-dir", str(tmp_path))
+        rc, want, _ = run_cli(capsys, *split)
+        assert rc == 0 and "\tguarded\t" in want
+        for disc_lines in ("", "disc-primes 5,7\n", "disc-primes 9\n"):
+            config = tmp_path / "fields.cfg"
+            config.write_text(shipped.replace("galois true\n", "galois true\n" + disc_lines))
+            assert run_cli(capsys, *split, "--fields", str(config)) == (0, want, ""), disc_lines
 
 
 class TestLemma62Command:

@@ -75,14 +75,26 @@ class TestDiscriminant:
     def test_bad_primes_detect_odd_factor(self):
         assert odd_bad_primes(curve_from_coeffs((3, 0, 0, 1))) == {3}
 
-    def test_bad_primes_match_reduction(self):
-        # disc mod p = 0 exactly at bad reduction, for a few crafted curves
-        for coeffs in [(3, 0, 0, 1), (2, 1, 0, 1), (0, -1, 0, 0, 0, 1), (5, 1, 3, 0, 0, 1)]:
+    def test_reduction_matches_gcd_oracle(self):
+        # bad reduction exactly where gcd(f, f') mod p is not constant, for
+        # crafted and random squarefree curves of genus 1-4 and every odd p <= 200
+        rng = random.Random(7)
+        crafted = [(3, 0, 0, 1), (2, 1, 0, 1), (0, -1, 0, 0, 0, 1), (5, 1, 3, 0, 0, 1)]
+        randoms = [
+            tuple(rng.randint(-6, 6) for _ in range(2 * g + 1)) + (1,)
+            for g in (1, 2, 3, 4)
+            for _ in range(10)
+        ]
+        bad_seen = 0
+        for coeffs in crafted + randoms:
+            if not oracles.squarefree_mod(coeffs, 10**9 + 7):  # repeated root over Q
+                continue
             curve = curve_from_coeffs(coeffs)
-            disc = poly_discriminant(coeffs)
-            for p in odd_primes(3, 60):
+            for p in odd_primes(3, 200):
                 bad = isinstance(reduce_curve(curve, p), BadReduction)
-                assert bad == (disc % p == 0)
+                assert bad == (not oracles.squarefree_mod(coeffs, p)), (coeffs, p)
+                bad_seen += bad
+        assert bad_seen > 20
 
 
 class TestReduceCurve:

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from twistscope.algebra import odd_primes
+from twistscope.algebra import PolyModP, ddf_degrees, odd_primes
 from twistscope.curvecount import curve_from_coeffs
 from twistscope.errors import (
     BadReductionError,
     NotGaloisConsistentError,
+    NotSquarefreeError,
     RamifiedPrimeError,
 )
 from twistscope.splitfield import (
@@ -15,7 +18,7 @@ from twistscope.splitfield import (
     case_classify,
     cyclotomic_residue_degree,
     default_fields,
-    guarded_primes,
+    is_guarded,
     lemma62_check,
     parse_field_config,
     residue_degree_galois,
@@ -41,7 +44,7 @@ class TestConfig:
         assert roles == ["base", "cover-a", "cover-b"]
         degrees = sorted(f.degree for f in fields.values())
         assert degrees == [4, 8, 8]
-        assert guarded_primes(fields) == frozenset({2, 3})
+        assert [p for p in [2, *odd_primes(3, 1000)] if is_guarded(fields, p)] == [2, 3]
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -53,11 +56,11 @@ class TestConfig:
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
-            NumberFieldSpec("x", "base", (1, 0, 2), 2, True, frozenset({2}))
+            NumberFieldSpec("x", "base", (1, 0, 2), 2, True)
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
-            NumberFieldSpec("x", "base", (1, 2, 1), 2, True, frozenset({2}))
+            NumberFieldSpec("x", "base", (1, 2, 1), 2, True)
 
 
 class TestResidueDegree:
@@ -76,14 +79,12 @@ class TestResidueDegree:
 
     def test_mixed_degrees_flagged(self):
         # x^3 - 2 factors as (linear)(quadratic) mod 5: not Galois
-        fake = NumberFieldSpec("fake", "base", (-2, 0, 0, 1), 3, True, frozenset({2, 3}))
+        fake = NumberFieldSpec("fake", "base", (-2, 0, 0, 1), 3, True)
         with pytest.raises(NotGaloisConsistentError):
             residue_degree_galois(fake, 5)
 
     def test_not_galois_flag_rejected(self, base_field):
-        bent = NumberFieldSpec(
-            "bent", "base", base_field.defining_poly, 4, False, base_field.disc_factors
-        )
+        bent = NumberFieldSpec("bent", "base", base_field.defining_poly, 4, False)
         with pytest.raises(ValueError):
             residue_degree_galois(bent, 5)
 
@@ -101,12 +102,42 @@ class TestResidueDegree:
             assert residue_degree_galois(cover_b, p) == cyclotomic_residue_degree(16, p)
 
     def test_galois_consistency_all_fields_to_1000(self, fields):
-        guard = guarded_primes(fields)
         for f in fields.values():
             for p in odd_primes(3, 1000):
-                if p in guard:
+                if is_guarded(fields, p):
                     continue
                 assert residue_degree_galois(f, p) >= 1  # raises on mixed degrees
+
+
+class TestGuard:
+    @staticmethod
+    def ddf_refuses(poly, p):
+        try:
+            ddf_degrees(PolyModP(p, poly))
+        except NotSquarefreeError:
+            return True
+        return False
+
+    def test_shipped_fields_guarded_exactly_where_ddf_refuses(self, fields):
+        for f in fields.values():
+            for p in odd_primes(3, 1000):
+                assert is_guarded({f.name: f}, p) == self.ddf_refuses(f.defining_poly, p), (f.name, p)
+
+    def test_random_polynomials_guarded_exactly_where_ddf_refuses(self):
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(60):
+            degree = rng.randint(2, 8)
+            poly = tuple(rng.randint(-4, 4) for _ in range(degree)) + (1,)
+            try:
+                field = NumberFieldSpec("r", "base", poly, degree, True)
+            except ValueError:  # a repeated root over Q
+                continue
+            for p in odd_primes(3, 60):
+                guarded = is_guarded({"r": field}, p)
+                assert guarded == self.ddf_refuses(poly, p), (poly, p)
+                refused += guarded
+        assert refused > 20
 
 
 class TestCyclotomic:
@@ -149,10 +180,9 @@ class TestSplitProfile:
         assert (prof17.r, prof17.s, prof17.s_prime, prof17.case) == (1, 2, 1, SplitCase.I)
 
     def test_no_violations_to_1000(self, fields):
-        guard = guarded_primes(fields)
         freq = {c: 0 for c in SplitCase}
         for p in odd_primes(3, 1000):
-            if p in guard:
+            if is_guarded(fields, p):
                 continue
             freq[split_profile(fields, p).case] += 1
         assert freq[SplitCase.VIOLATION] == 0
