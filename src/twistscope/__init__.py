@@ -10,12 +10,9 @@ from .algebra import (
     ddf_degrees,
     kronecker,
     legendre,
-    poly_gcd,
-    poly_powmod,
 )
 from .curvecount import (
     BadReduction,
-    CountVector,
     CurveModel,
     LPolynomial,
     affine_char_sum,

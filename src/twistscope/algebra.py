@@ -22,15 +22,24 @@ from .errors import NotSquarefreeError
 # 64-bit integers, so p < 2^25 keeps every intermediate below 2^54.
 MAX_FIELD_CHAR = 1 << 25
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first thirteen prime bases is exact below psi_13,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017); the bases 2..37 alone are exact only below psi_12.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
 
 
 @functools.lru_cache(maxsize=1 << 15)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all machine-range integers."""
+    """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
+
+    At or above psi_13 it raises ValueError instead of guessing.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -117,8 +126,8 @@ def kronecker(d: int, n: int) -> int:
 #
 # The one implementation of polynomial arithmetic.  These helpers take
 # coefficient sequences with entries in [0, p) and return fresh canonical
-# lists; PolyModP, poly_gcd, poly_powmod, ddf_degrees and is_irreducible
-# all wrap them.
+# lists; ddf_degrees and is_irreducible run them on the coefficients of a
+# PolyModP, the checked (p, coefficients) value the package passes around.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -133,10 +142,6 @@ def _addmul(a, b, c: int, p: int) -> list[int]:
     for k, bk in enumerate(b):
         out[k] = (out[k] + c * bk) % p
     return _trim(out)
-
-
-def _scale(a, c: int, p: int) -> list[int]:
-    return _trim([c * ak % p for ak in a])
 
 
 def _derivative(a, p: int) -> list[int]:
@@ -183,7 +188,8 @@ def _mulmod(a, b, m, p: int) -> list[int]:
 def _monic(a, p: int) -> list[int]:
     if not a or a[-1] == 1:
         return list(a)
-    return _scale(a, pow(a[-1], p - 2, p), p)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
 
 
 def _gcd(a, b, p: int) -> list[int]:
@@ -232,14 +238,6 @@ def _frobenius(a, cols: list[list[int]], p: int) -> list[int]:
     return _trim([v % p for v in out])
 
 
-def _poly(p: int, coeffs: list[int]) -> "PolyModP":
-    """A PolyModP from canonical helper output, without re-validating it."""
-    out = object.__new__(PolyModP)
-    object.__setattr__(out, "p", p)
-    object.__setattr__(out, "coeffs", tuple(coeffs))
-    return out
-
-
 @dataclass(frozen=True)
 class PolyModP:
     """Polynomial over F_p, coefficients ascending, canonical form."""
@@ -257,75 +255,8 @@ class PolyModP:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _same_p(self, other: "PolyModP") -> int:
-        if self.p != other.p:
-            raise ValueError(f"polynomials mod {self.p} and mod {other.p} cannot be combined")
-        return self.p
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        p = self._same_p(other)
-        return _poly(p, _addmul(self.coeffs, other.coeffs, 1, p))
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        p = self._same_p(other)
-        return _poly(p, _addmul(self.coeffs, other.coeffs, p - 1, p))
-
-    def __mul__(self, other: "PolyModP") -> "PolyModP":
-        p = self._same_p(other)
-        return _poly(p, _mul(self.coeffs, other.coeffs, p))
-
-    def scale(self, c: int) -> "PolyModP":
-        return _poly(self.p, _scale(self.coeffs, c, self.p))
-
-    def __divmod__(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
-        p = self._same_p(other)
-        if other.is_zero:
-            raise ValueError("polynomial division by zero")
-        # divide by the monic associate, then rescale the quotient
-        inv_lead = pow(other.coeffs[-1], p - 2, p)
-        quo, rem = _divmod(self.coeffs, _scale(other.coeffs, inv_lead, p), p)
-        return _poly(p, _scale(quo, inv_lead, p)), _poly(p, rem)
-
-    def __mod__(self, other: "PolyModP") -> "PolyModP":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "PolyModP":
-        return _poly(self.p, _monic(self.coeffs, self.p))
-
-    def derivative(self) -> "PolyModP":
-        return _poly(self.p, _derivative(self.coeffs, self.p))
-
-    def __call__(self, x: int) -> int:
-        # f(x) is the remainder of f by t - x
-        rem = _divmod(self.coeffs, (-x % self.p, 1), self.p)[1]
-        return rem[0] if rem else 0
-
-
-def poly_x(p: int) -> PolyModP:
-    return PolyModP(p, (0, 1))
-
-
-def poly_gcd(a: PolyModP, b: PolyModP) -> PolyModP:
-    """Monic gcd; poly_gcd(0, 0) is the zero polynomial."""
-    p = a._same_p(b)
-    return _poly(p, _gcd(a.coeffs, b.coeffs, p))
-
-
-def poly_powmod(base: PolyModP, e: int, m: PolyModP) -> PolyModP:
-    """base^e reduced mod m, by square and multiply."""
-    p = base._same_p(m)
-    if m.is_zero:
-        raise ValueError("zero modulus")
-    if e < 0:
-        raise ValueError("negative exponent")
-    return _poly(p, _powmod(base.coeffs, e, _monic(m.coeffs, p), p))
 
 
 def ddf_degrees(h: PolyModP) -> list[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""On-disk cache for point counts and L-polynomials, and the one way to count.
+"""On-disk cache of point counts, which give the L-polynomials, and the one way to count.
 
 Every point count goes through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
@@ -11,14 +11,17 @@ so they share that field's tables.  A disabled cache (``UNCACHED``)
 stores nothing but counts the same way.
 
 Records live in one append-only JSON-lines file per (coefficients, tool
-version, record format), named by their SHA-256; the label is metadata
-only, so every spelling of a curve shares its records.  A line is one
-prime's record: the count prefix N_1.. and the L-polynomial when known,
-so a larger budget extends a partial computation.  A cache object reads
-a curve's file once; a later valid line for p replaces an earlier one.
-A line is valid when every count lies within the Weil bounds and a stored
-L-polynomial is the one N_1..N_g give; a line that fails to parse or
-this validation is a warned miss, recomputed on demand.
+version, record format), named by their SHA-256, so every spelling of a
+curve shares its records.  A line is one prime's record: the key fields
+(format, tool version, coefficients, p) and the count prefix N_1.., so a
+larger budget extends a partial computation.  The count prefix is the
+only stored value: L_p follows from N_1..N_g, and it is derived when a
+line is taken in.  A cache object reads a curve's file once and keeps
+p -> (counts, L) for it, L None below g counts; a later valid line for p
+replaces an earlier one.  A line is valid when its key fields match, its
+counts are integers within the Weil bounds and, once there are g of them,
+``lpoly_from_counts`` accepts them; a line that fails to parse or this
+validation is a warned miss, recomputed on demand.
 Workers only count.  The owning process appends each finished (curve, p)
 at once, in one write under O_APPEND, so an interrupted run keeps what it
 finished and several commands may append to one directory.  After a line
@@ -39,7 +42,6 @@ from pathlib import Path
 from . import __version__
 from .curvecount import (
     DEFAULT_BUDGET,
-    CountVector,
     CurveModel,
     LPolynomial,
     _check_count_bounds,
@@ -53,7 +55,7 @@ log = logging.getLogger("twistscope.cache")
 
 ENV_CACHE_DIR = "TWISTSCOPE_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".twistscope-cache"
-RECORD_FORMAT = 3  # part of the key: bump when the key or the record layout changes
+RECORD_FORMAT = 4  # part of the key: bump when the key or the record layout changes
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -75,6 +77,17 @@ class _Entry:
     new: dict[int, int] = field(default_factory=dict)  # degree -> count, this request
     pending: int = 0  # units still running
     short: BudgetExceededError | None = None  # set when the budget cut the request short
+
+
+def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | None:
+    """L_p from a count prefix once it holds N_1..N_g, else None.
+
+    Raises InconsistentCountsError when a count lies outside the Weil
+    bounds or N_1..N_g cannot be a curve's.
+    """
+    g = curve.genus
+    _check_count_bounds(counts, p, g, curve.label)
+    return lpoly_from_counts(counts[:g], p, g, curve.label) if len(counts) >= g else None
 
 
 def _count_all(units: list[tuple[CurveModel, int, int]]) -> list[int]:
@@ -102,7 +115,8 @@ class LPolyCache:
         self.enabled = enabled
         self.jobs = jobs
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._files: dict[tuple[int, ...], dict[int, dict]] = {}  # coefficients -> {p: record}
+        # coefficients -> {p: (counts, L)}
+        self._files: dict[tuple[int, ...], dict[int, tuple[list[int], LPolynomial | None]]] = {}
         self._torn: set[tuple[int, ...]] = set()  # files read without a final newline
 
     def __enter__(self) -> "LPolyCache":
@@ -121,7 +135,7 @@ class LPolyCache:
         raw = f"{RECORD_FORMAT}|{__version__}|{','.join(map(str, curve.f_coeffs))}"
         return self.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.jsonl"
 
-    def _records(self, curve: CurveModel) -> dict[int, dict]:
+    def _records(self, curve: CurveModel) -> dict[int, tuple[list[int], LPolynomial | None]]:
         """The curve's valid records by p, read from its file on first use."""
         if curve.f_coeffs in self._files:
             return self._files[curve.f_coeffs]
@@ -144,42 +158,41 @@ class LPolyCache:
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 log.warning("cache file %s line %d unreadable (%s); recomputing", path.name, n, exc)
                 continue
-            if not self._valid(record, curve):
+            if not self._take(records, record, curve):
                 log.warning("cache file %s line %d failed validation; recomputing", path.name, n)
-                continue
-            records[record["p"]] = record
         return records
 
-    def get(self, curve: CurveModel, p: int) -> dict | None:
-        """The cached record, or None on miss/corruption."""
+    def get(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
+        """The cached (counts, L) at p, L None below g counts; None on miss/corruption."""
         return self._records(curve).get(p) if self.enabled else None
 
-    def _valid(self, record: dict, curve: CurveModel) -> bool:
-        """Every count within the Weil bounds, and any L-polynomial the one its counts give."""
+    @staticmethod
+    def _take(records: dict, record: dict, curve: CurveModel) -> bool:
+        """Enter a valid record into ``records`` with its derived L; False if invalid."""
         try:
-            if record["format"] != RECORD_FORMAT or record["tool_version"] != __version__:
+            if (record["format"], record["tool_version"]) != (RECORD_FORMAT, __version__):
                 return False
-            p, counts, g = record["p"], record["counts"], curve.genus
+            p, counts = record["p"], record["counts"]
             if not isinstance(p, int) or tuple(record["f_coeffs"]) != curve.f_coeffs:
                 return False
             if not all(isinstance(n, int) for n in counts):
                 return False
-            _check_count_bounds(counts, p, g, curve.label)
-            lpoly = record["lpoly"]
-            return lpoly is None or tuple(lpoly) == lpoly_from_counts(
-                CountVector(curve.label, p, tuple(counts[:g])), p, g
-            ).coeffs
+            records[p] = (counts, _lpoly_of(curve, p, counts))
+            return True
         except (KeyError, TypeError, ValueError, InconsistentCountsError):
             return False
 
-    def put(self, curve: CurveModel, p: int, counts: list[int], lpoly: LPolynomial | None = None) -> None:
-        """Record (curve, p), replacing any earlier record: one line appended to the curve's file."""
+    def put(self, curve: CurveModel, p: int, counts: list[int]) -> None:
+        """Record N_1.. at (curve, p): one line appended to the curve's file.
+
+        The line enters the in-memory records by the rule a read applies,
+        so counts a later read would reject are a miss here too.
+        """
         if not self.enabled:
             return
-        record = {"format": RECORD_FORMAT, "tool_version": __version__, "label": curve.label,
-                  "f_coeffs": list(curve.f_coeffs), "p": p, "counts": list(counts),
-                  "lpoly": list(lpoly.coeffs) if lpoly is not None else None}
-        self._records(curve)[p] = record
+        record = {"format": RECORD_FORMAT, "tool_version": __version__,
+                  "f_coeffs": list(curve.f_coeffs), "p": p, "counts": list(counts)}
+        self._take(self._records(curve), record, curve)
         line = json.dumps(record) + "\n"
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
@@ -207,7 +220,7 @@ class LPolyCache:
             key = (curve.f_coeffs, p)
             upto[key] = max(n, upto.get(key, 0))
             if key not in entries:
-                entries[key] = self._load(curve, p)
+                entries[key] = _Entry(curve, p, *(self.get(curve, p) or ([], None)))
         units = []
         for key, entry in entries.items():
             curve, p = entry.curve, entry.p
@@ -223,8 +236,6 @@ class LPolyCache:
                 spent += p**i
                 units.append((curve, p, i))
                 entry.pending += 1
-            if not entry.pending and entry.lpoly is None and len(entry.counts) >= curve.genus:
-                self._finish(entry)  # a record stored without its L-polynomial
         for (curve, p, i), n in self._run(units):
             entry = entries[(curve.f_coeffs, p)]
             entry.new[i] = n
@@ -241,17 +252,10 @@ class LPolyCache:
             raise short
         return entries
 
-    def _load(self, curve: CurveModel, p: int) -> _Entry:
-        record = self.get(curve, p) or {"counts": [], "lpoly": None}
-        L = record["lpoly"] and LPolynomial(p, curve.genus, tuple(record["lpoly"]))
-        return _Entry(curve, p, record["counts"], L)
-
     def _finish(self, entry: _Entry) -> None:
-        curve, p, g = entry.curve, entry.p, entry.curve.genus
         entry.counts = entry.counts + [entry.new[i] for i in sorted(entry.new)]
-        if entry.lpoly is None and len(entry.counts) >= g:
-            entry.lpoly = lpoly_from_counts(CountVector(curve.label, p, tuple(entry.counts[:g])), p, g)
-        self.put(curve, p, entry.counts, entry.lpoly)
+        entry.lpoly = _lpoly_of(entry.curve, entry.p, entry.counts)
+        self.put(entry.curve, entry.p, entry.counts)
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its batch finishes.

@@ -126,8 +126,9 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
     """Odd primes of bad reduction: odd prime factors of disc(f).
 
     Factoring runs trial division up to ``trial_bound`` and accepts a
-    remaining prime cofactor; a composite cofactor beyond the bound
-    raises, since the support would be incomplete.
+    remaining prime cofactor; a cofactor that is composite, or too large
+    for ``is_prime`` to decide, raises, since the support would be
+    incomplete.
     """
     d = abs(poly_discriminant(curve.f_coeffs))
     out: set[int] = set()
@@ -141,7 +142,11 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
                 d //= q
         q += 2
     if d > 1:
-        if not is_prime(d):
+        try:
+            prime = is_prime(d)
+        except ValueError:  # beyond the range is_prime decides
+            prime = False
+        if not prime:
             raise ValueError(
                 f"cannot factor the discriminant of {curve.label}; "
                 "pass the bad-prime support explicitly"
@@ -182,15 +187,6 @@ class LPolynomial:
     def trace(self) -> int:
         """Frobenius trace: the negated T-coefficient."""
         return -self.coeffs[1]
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Point counts N_i = #C(F_{p^i}) for i = 1..m, infinity included."""
-
-    label: str
-    p: int
-    counts: tuple[int, ...]
 
 
 def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
@@ -240,18 +236,19 @@ def _check_count_bounds(counts, p: int, g: int, label: str) -> None:
             )
 
 
-def lpoly_from_counts(counts: CountVector, p: int, g: int) -> LPolynomial:
+def lpoly_from_counts(counts, p: int, g: int, label: str) -> LPolynomial:
     """Assemble L_p from N_1..N_g by Newton's identities plus the functional equation.
 
+    ``counts`` is the sequence N_1..N_g of the curve named ``label``.
     Power sums s_i = p^i + 1 - N_i feed the recursion
     e_k = (1/k) * sum_{j=1..k} (-1)^(j-1) e_{k-j} s_j, and a_j = (-1)^j e_j.
     Every division must be exact; a remainder or a Weil-bound violation
     means the counts cannot belong to a curve.
     """
-    if counts.p != p or len(counts.counts) != g:
-        raise ValueError("need exactly g counts at the stated prime")
-    _check_count_bounds(counts.counts, p, g, counts.label)
-    s = [0] + [p**i + 1 - counts.counts[i - 1] for i in range(1, g + 1)]
+    if len(counts) != g:
+        raise ValueError("need exactly g counts")
+    _check_count_bounds(counts, p, g, label)
+    s = [0] + [p**i + 1 - counts[i - 1] for i in range(1, g + 1)]
     e = [1] + [0] * g
     for k in range(1, g + 1):
         acc = 0
@@ -260,7 +257,7 @@ def lpoly_from_counts(counts: CountVector, p: int, g: int) -> LPolynomial:
             acc += term if j % 2 == 1 else -term
         if acc % k:
             raise InconsistentCountsError(
-                f"{counts.label}: Newton step {k} is non-integral at p={p}"
+                f"{label}: Newton step {k} is non-integral at p={p}"
             )
         e[k] = acc // k
     coeffs = [0] * (2 * g + 1)
@@ -271,7 +268,7 @@ def lpoly_from_counts(counts: CountVector, p: int, g: int) -> LPolynomial:
     L = LPolynomial(p, g, tuple(coeffs))
     violations = validate_weil(L)
     if violations:
-        raise InconsistentCountsError(f"{counts.label}: {'; '.join(violations)}")
+        raise InconsistentCountsError(f"{label}: {'; '.join(violations)}")
     return L
 
 

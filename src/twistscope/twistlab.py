@@ -77,6 +77,17 @@ class TwistCharacter:
         return kronecker(self.d, p)
 
 
+def _known_squarefree(d: int) -> TwistCharacter:
+    """TwistCharacter(d) for a d built from distinct primes, without factoring d again.
+
+    Trial division would run to sqrt|d|, which a large bad prime puts out
+    of reach.
+    """
+    ch = object.__new__(TwistCharacter)
+    object.__setattr__(ch, "d", d)
+    return ch
+
+
 def local_twist_sign(L: LPolynomial, Lp: LPolynomial) -> SignMatch:
     """Compare L'(T) against L(T) and L(-T) at one prime."""
     if L.p != Lp.p or L.g != Lp.g:
@@ -300,7 +311,7 @@ def enumerate_characters(
     if include_sign:
         ds += [-d for d in ds]
     ds.sort(key=lambda d: (abs(d), d < 0))
-    return [TwistCharacter(d) for d in ds]
+    return [_known_squarefree(d) for d in ds]
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,9 @@ from twistscope.algebra import (
     kronecker,
     legendre,
     odd_primes,
-    poly_gcd,
-    poly_powmod,
-    poly_x,
     prime_divisors,
 )
+from twistscope.algebra import _divmod, _gcd, _powmod
 from twistscope.errors import NotSquarefreeError
 
 
@@ -81,52 +79,22 @@ class TestPolyModP:
     def test_canonical_form(self):
         h = PolyModP(5, (6, 0, 10, 0, 0))
         assert h.coeffs == (1,)
-        assert PolyModP(5, ()).is_zero
+        assert PolyModP(5, ()).coeffs == ()
 
     def test_divmod(self):
-        # (x^2 - 1) = (x - 1)(x + 1) mod 5
-        q, r = divmod(PolyModP(5, (4, 0, 1)), PolyModP(5, (4, 1)))
-        assert r.is_zero and q.coeffs == (1, 1)
+        # (x^2 - 1) = (x - 1)(x + 1) mod 5, by the helper every division uses
+        q, r = _divmod([4, 0, 1], [4, 1], 5)
+        assert r == [] and q == [1, 1]
 
     def test_gcd_examples(self):
-        g = poly_gcd(PolyModP(5, (4, 0, 1)), PolyModP(5, (4, 1)))  # x^2-1, x-1
-        assert g.coeffs == (4, 1)
-        assert poly_gcd(PolyModP(5, ()), PolyModP(5, ())).is_zero
+        assert _gcd([4, 0, 1], [4, 1], 5) == [4, 1]  # x^2-1, x-1
+        assert _gcd([3, 0, 2], [3, 3], 5) == [1, 1]  # 2(x^2-1), 3(x+1): monic x+1
+        assert _gcd([], [], 5) == []
 
     def test_powmod_examples(self):
-        m = PolyModP(3, (1, 0, 1))  # x^2 + 1
-        assert poly_powmod(poly_x(3), 1, m).coeffs == (0, 1)
-        assert poly_powmod(poly_x(3), 4, m).coeffs == (1,)  # x^2 = -1, so x^4 = 1
-
-    def test_powmod_zero_modulus(self):
-        with pytest.raises(ValueError):
-            poly_powmod(poly_x(3), 2, PolyModP(3, ()))
-
-    @pytest.mark.parametrize(
-        "combine",
-        [
-            lambda a, b: a + b,
-            lambda a, b: a - b,
-            lambda a, b: a * b,
-            lambda a, b: divmod(a, b),
-            lambda a, b: a % b,
-            poly_gcd,
-            lambda a, b: poly_powmod(a, 3, b),
-        ],
-        ids=["add", "sub", "mul", "divmod", "mod", "gcd", "powmod"],
-    )
-    def test_rejects_mixed_characteristic(self, combine):
-        a, b = PolyModP(5, (1, 1)), PolyModP(7, (6, 0, 1))
-        with pytest.raises(ValueError, match="mod 5 and mod 7"):
-            combine(a, b)
-        with pytest.raises(ValueError, match="mod 7 and mod 5"):
-            combine(b, a)
-
-    def test_evaluation(self):
-        h = PolyModP(7, (3, 0, 5, 1))  # x^3 + 5x^2 + 3
-        for x in range(-7, 15):
-            assert h(x) == (x**3 + 5 * x**2 + 3) % 7
-        assert PolyModP(7, ())(4) == 0
+        m = [1, 0, 1]  # x^2 + 1 mod 3
+        assert _powmod([0, 1], 1, m, 3) == [0, 1]
+        assert _powmod([0, 1], 4, m, 3) == [1]  # x^2 = -1, so x^4 = 1
 
 
 class TestDDF:
@@ -245,6 +213,17 @@ class TestPrimes:
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31 - 3)
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+    def test_is_prime_psi12_is_composite(self):
+        # psi_12 is a strong pseudoprime to the bases 2..37; base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+        assert 318665857834031151167461 == 399165290221 * 798330580441
+
+    def test_is_prime_refuses_from_psi13(self):
+        # psi_13 fools the bases 2..41 as well, so is_prime does not answer there
+        assert is_prime(3317044064679887385961981 - 2) is False  # divisible by 17
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(3317044064679887385961981)
 
     def test_odd_primes_range(self):
         assert odd_primes(3, 30) == [3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -11,7 +11,7 @@ import twistscope
 from twistscope import cache as cache_module
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
-from twistscope.curvecount import LPolynomial, curve_from_coeffs, lpoly, point_count
+from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError
 
 
@@ -35,11 +35,16 @@ class TestBasics:
 
     def test_put_get_roundtrip(self, cache, genus2_pair):
         curve = genus2_pair[0]
-        L = lpoly(curve, 3)
-        cache.put(curve, 3, counts=[4, 6], lpoly=L)
-        record = cache.get(curve, 3)
-        assert record["counts"] == [4, 6]
-        assert tuple(record["lpoly"]) == L.coeffs
+        cache.put(curve, 3, counts=[4, 6])
+        assert cache.get(curve, 3) == ([4, 6], lpoly(curve, 3))
+        assert reopened(cache).get(curve, 3) == ([4, 6], lpoly(curve, 3))
+        # a line holds the key fields and the counts; L is derived on read
+        assert json.loads(lines(cache, curve)[0]) == {
+            "format": cache_module.RECORD_FORMAT, "tool_version": twistscope.__version__,
+            "f_coeffs": list(curve.f_coeffs), "p": 3, "counts": [4, 6],
+        }
+        cache.put(curve, 5, counts=[6])  # below g counts: no L-polynomial yet
+        assert reopened(cache).get(curve, 5) == ([6], None)
 
     def test_corrupt_record_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]
@@ -52,17 +57,8 @@ class TestBasics:
         cache.put(curve, 3, counts=[4])
         cache._path(curve).write_bytes(b'{"label": "\xff"}\n' + cache._path(curve).read_bytes())
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
-            assert reopened(cache).get(curve, 3)["counts"] == [4]
+            assert reopened(cache).get(curve, 3)[0] == [4]
         assert "line 1 unreadable" in caplog.text
-
-    def test_weil_invalid_lpoly_is_miss(self, cache, genus2_pair):
-        curve = genus2_pair[0]
-        cache.put(curve, 3, counts=[4])
-        path = cache._path(curve)
-        record = json.loads(path.read_text())
-        record["lpoly"] = [1, 7, 7, 7, 9]  # fails the functional equation
-        path.write_text(json.dumps(record) + "\n")
-        assert reopened(cache).get(curve, 3) is None
 
     def test_count_outside_weil_bounds_is_miss(self, cache, genus2_pair, caplog):
         curve = genus2_pair[1]  # x^5 + 4x: N_1 = 8 at p = 7
@@ -73,13 +69,23 @@ class TestBasics:
             assert again.trace(curve, 7) == 0
         assert "line 1 failed validation" in caplog.text
 
-    def test_lpoly_not_from_its_counts_is_miss(self, cache, genus2_pair):
-        # Weil-valid, but counts [6, 6] give 1 - 10T^2 + 25T^4, trace 0
+    def test_counts_failing_newton_are_warned_miss(self, cache, genus2_pair, caplog, capsys):
+        # [6, 27] lies within the Weil bounds, but Newton step 2 is non-integral
         curve = genus2_pair[0]
-        cache.put(curve, 5, counts=[6, 6], lpoly=LPolynomial(5, 2, (1, -2, 2, -10, 25)))
-        again = reopened(cache)
-        assert again.get(curve, 5) is None
-        assert again.lpoly(curve, 5, budget=10**6).trace == 0
+        cache.put(curve, 5, counts=[6, 27])
+        assert cache.get(curve, 5) is None
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            again = reopened(cache)
+            assert again.get(curve, 5) is None
+            assert again.lpoly(curve, 5, budget=10**6).coeffs == (1, 0, -10, 0, 25)
+        assert "line 1 failed validation" in caplog.text
+        assert reopened(cache).get(curve, 5) == ([6, 6], lpoly(curve, 5))
+        # the CLI recounts past such a line instead of failing
+        other = LPolyCache(cache.directory.parent / "cli")
+        other.put(curve, 5, counts=[6, 27])
+        argv = ["lpoly", "x^5 - x", "--p", "5", "--format", "records", "--cache-dir", str(other.directory)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "lpoly\tx^5 - x\t5\t1,0,-10,0,25\t0\tok\n"
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
         curve = genus2_pair[0]
@@ -103,17 +109,17 @@ class TestBasics:
         curve = genus2_pair[0]
         L = lpoly(curve, 3)
         cache.put(curve, 3, counts=[4])
-        cache.put(curve, 3, counts=[4, 6], lpoly=L)
-        assert cache.get(curve, 3)["counts"] == [4, 6]
+        cache.put(curve, 3, counts=[4, 6])
+        assert cache.get(curve, 3)[0] == [4, 6]
         assert len(lines(cache, curve)) == 2
-        assert reopened(cache).get(curve, 3)["counts"] == [4, 6]
+        assert reopened(cache).get(curve, 3)[0] == [4, 6]
         # a still later line that fails validation does not displace it
         bad = json.loads(lines(cache, curve)[0])
         bad["counts"] = ["4"]
         with open(cache._path(curve), "a") as fh:
             fh.write(json.dumps(bad) + "\n")
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
-            assert reopened(cache).get(curve, 3)["lpoly"] == list(L.coeffs)
+            assert reopened(cache).get(curve, 3) == ([4, 6], L)
         assert "line 3 failed validation" in caplog.text
 
     def test_torn_final_line_is_warned_miss(self, cache, genus2_pair, caplog):
@@ -125,13 +131,13 @@ class TestBasics:
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             torn = reopened(cache)
             assert torn.get(curve, 5) is None
-            assert torn.get(curve, 3)["counts"] == [4]
+            assert torn.get(curve, 3)[0] == [4]
         assert "line 2 unreadable" in caplog.text
         # the next appends start a fresh line, so the torn one swallows nothing
         torn.put(curve, 5, counts=[6])
         torn.put(curve, 7, counts=[8])
         again = reopened(cache)
-        assert again.get(curve, 5)["counts"] == [6] and again.get(curve, 7)["counts"] == [8]
+        assert again.get(curve, 5)[0] == [6] and again.get(curve, 7)[0] == [8]
         assert len(lines(cache, curve)) == 4
 
     def test_disabled_cache_never_stores(self, genus2_pair):
@@ -146,17 +152,15 @@ class TestBasics:
         curve = genus2_pair[0]
         alias = CurveModel("alias", curve.f_coeffs, curve.genus)
         cache.put(curve, 3, counts=[4])
-        assert cache.get(alias, 3)["counts"] == [4]
-        assert cache.get(alias, 3)["label"] == curve.label
+        assert cache.get(alias, 3)[0] == [4]
+        assert "label" not in json.loads(lines(cache, curve)[0])
 
 
 class TestComputeThrough:
     def test_lpoly_stores_and_replays(self, cache, genus2_pair):
         curve = genus2_pair[0]
         first = cache.lpoly(curve, 3, budget=10**6)
-        record = cache.get(curve, 3)
-        assert tuple(record["lpoly"]) == first.coeffs
-        assert record["counts"] == [4, 6]
+        assert cache.get(curve, 3) == ([4, 6], first)
         # replay without recomputation: poison the stored counts to prove
         # the polynomial is served from disk
         again = cache.lpoly(curve, 3, budget=0)
@@ -166,7 +170,7 @@ class TestComputeThrough:
         curve = genus4_pair[0]
         with pytest.raises(BudgetExceededError):
             cache.lpoly(curve, 3, budget=39)  # room for N_1..N_3 only
-        assert cache.get(curve, 3)["counts"] == [4, 10, 28]
+        assert cache.get(curve, 3)[0] == [4, 10, 28]
         L = cache.lpoly(curve, 3, budget=81)  # the missing p^4 enumeration fits
         assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
 
@@ -177,7 +181,7 @@ class TestComputeThrough:
         with LPolyCache(tmp_path / "cache", jobs=2) as cache:
             with pytest.raises(BudgetExceededError) as exc:
                 cache.lpoly(curve, 3, budget=39)
-            assert cache.get(curve, 3)["counts"] == [4, 10, 28]
+            assert cache.get(curve, 3)[0] == [4, 10, 28]
         assert exc.value.required == 3 + 9 + 27 + 81
 
     def test_resolve_marks_short_requests_without_raising(self, cache, genus4_pair):
@@ -188,7 +192,7 @@ class TestComputeThrough:
         assert at3.lpoly.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
         assert at5.short.required == 5 + 25 + 125 + 625
         assert at5.counts == [point_count(curve, 5, 1), point_count(curve, 5, 2)]
-        assert cache.get(curve, 5)["counts"] == at5.counts
+        assert cache.get(curve, 5)[0] == at5.counts
 
     def test_stored_prefix_trusted(self, cache, genus4_pair, monkeypatch):
         # with N_1..N_3 stored, only the p^4 enumeration runs
@@ -216,7 +220,7 @@ class TestComputeThrough:
         curve = genus4_pair[0]
         out = cache.counts(curve, 53, upto=2, budget=10**6)
         assert out == [53 + 1, 53**2 + 1]
-        assert cache.get(curve, 53)["counts"] == out
+        assert cache.get(curve, 53)[0] == out
         assert cache.counts(curve, 53, upto=1, budget=0) == [54]
 
     def test_counts_recovered_from_lpoly(self, cache, genus2_pair):
@@ -224,7 +228,7 @@ class TestComputeThrough:
         cache.lpoly(curve, 5, budget=10**6)
         # cached record has counts for i <= g; ask beyond the stored prefix
         out = cache.counts(curve, 5, upto=4, budget=0)
-        assert out[:2] == [cache.get(curve, 5)["counts"][0], cache.get(curve, 5)["counts"][1]]
+        assert out[:2] == [cache.get(curve, 5)[0][0], cache.get(curve, 5)[0][1]]
         assert len(out) == 4
 
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
@@ -248,7 +252,7 @@ class TestComputeThrough:
     def test_trace_uses_count_prefix(self, cache, genus2_pair):
         curve = genus2_pair[1]
         assert cache.trace(curve, 7) == 0
-        assert cache.get(curve, 7)["counts"] == [8]
+        assert cache.get(curve, 7)[0] == [8]
         assert cache.trace(curve, 7) == 0
 
 

@@ -50,11 +50,11 @@ class TestModuleEntryPoint:
         assert done.stdout.strip() == f"twistscope {twistscope.__version__}"
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=120):
     """Run the interpreter on this checkout's package, as a user would."""
     src = str(Path(twistscope.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestTracerNames:
@@ -299,6 +299,32 @@ class TestCharSearchCommand:
         assert "d=-2: survived" in out
         assert "finite evidence" in out
 
+    def test_large_bad_prime_in_default_support(self, tmp_path):
+        # disc(x^5 + 2014x + 1) has the odd prime factors 3 and 942529141893627341;
+        # the candidates built from them are not factored again, so this takes
+        # seconds, and the ones free of the large prime match a --support 3 run
+        argv = ("-m", "twistscope", "char-search", "x^5 + 2014x + 1", "x^5 + 4x", "--pmax", "30",
+                "--format", "records", "--cache-dir", str(tmp_path))
+        default = run_python(*argv, timeout=30)
+        small = run_python(*argv, "--support", "3", timeout=30)
+        assert default.returncode == small.returncode == 0, default.stderr + small.stderr
+        small_ds = {d * s for d in (1, 2, 3, 6) for s in (1, -1)}
+
+        def chars(out, ds):
+            return [ln for ln in out.splitlines() if ln.startswith("char\t") and int(ln.split("\t")[1]) in ds]
+
+        assert chars(default.stdout, small_ds) == chars(small.stdout, small_ds)
+        assert len(chars(small.stdout, small_ds)) == 8
+        assert sum(ln.startswith("char\t") for ln in default.stdout.splitlines()) == 16
+
+    def test_undecidable_discriminant_cofactor_is_config_error(self, tmp_path):
+        # disc(x^5 + 1000003x + 1) = 2^a 3^b 17^c * (a cofactor near 5.0e30), beyond
+        # the range is_prime decides, so the support must be passed explicitly
+        done = run_python("-m", "twistscope", "char-search", "x^5 + 1000003x + 1", "x^5 + 4x",
+                          "--pmax", "30", "--cache-dir", str(tmp_path), timeout=30)
+        assert done.returncode == 2
+        assert "pass the bad-prime support explicitly" in done.stderr
+
 
 class TestSplitCommand:
     def test_table_and_guard(self, capsys, tmp_path):
@@ -350,6 +376,27 @@ class TestSplitCommand:
             config = tmp_path / "fields.cfg"
             config.write_text(shipped.replace("galois true\n", "galois true\n" + disc_lines))
             assert run_cli(capsys, *split, "--fields", str(config)) == (0, want, ""), disc_lines
+
+
+# the other benchmark reference files and the commands the benchmark runs for them
+REFERENCE_COMMANDS = {
+    "g4-scan": ("scan", "x^9 + x", "x^9 + 16x", "--pmax", "23", "--depth", "full", "--jobs", "2"),
+    "g4-lemma62-c1": ("lemma62", "--c", "1", "--pmax", "23"),
+    "g4-lemma62-c16": ("lemma62", "--c", "16", "--pmax", "23"),
+    "g4-char-search": ("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "23"),
+    "g2-scan": ("scan", "x^5 - x", "x^5 + 4x", "--pmax", "5000", "--depth", "traces", "--jobs", "2"),
+}
+
+
+class TestBenchmarkReferences:
+    @pytest.mark.parametrize("key", sorted(REFERENCE_COMMANDS))
+    def test_cold_and_warm_reproduce_reference(self, key, capsys, tmp_path, monkeypatch):
+        # byte for byte: once from counting, once from the cache's lines alone
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / f"{key}.txt"
+        argv = (*REFERENCE_COMMANDS[key], "--format", "records", "--cache-dir", str(tmp_path))
+        assert run_cli(capsys, *argv) == (0, reference.read_text(), "")
+        count_only(monkeypatch)
+        assert run_cli(capsys, *argv) == (0, reference.read_text(), "")
 
 
 class TestLemma62Command:

@@ -213,6 +213,8 @@ class TestEnumerateCharacters:
             TwistCharacter(4)
         with pytest.raises(ValueError):
             TwistCharacter(0)
+        with pytest.raises(ValueError):
+            TwistCharacter(-12)
         assert TwistCharacter(-6).value_at(5) == kronecker(-6, 5)
 
 
