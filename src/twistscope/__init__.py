@@ -7,7 +7,6 @@ from .algebra import (
     FieldSpec,
     PolyModP,
     build_extension,
-    ddf_degrees,
     kronecker,
     legendre,
 )
@@ -45,6 +44,7 @@ from .splitfield import (
     lemma62_check,
     residue_degree_galois,
     split_profile,
+    split_profiles,
     verify_trace_vanishing,
 )
 from .twistlab import (

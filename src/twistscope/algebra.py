@@ -2,9 +2,12 @@
 
 Polynomials over F_p are coefficient lists in ascending degree with
 coefficients reduced to [0, p) and no trailing zeros ([] is the zero
-polynomial).  Extension fields F_{p^i} are F_p[t]/(m(t)) for a monic
-irreducible m found by a deterministic scan, so equal (p, i) always
-produce the same field and all derived output is reproducible.
+polynomial).  ``equal_factor_degrees`` gives the common degree of the
+irreducible factors of one integer polynomial mod each of many primes,
+computing x^p for a block of primes modulo their product.  Extension
+fields F_{p^i} are F_p[t]/(m(t)) for a monic irreducible m found by a
+deterministic scan, so equal (p, i) always produce the same field and all
+derived output is reproducible.
 
 Everything here is pure and exact; p = 2 is rejected throughout because
 the curve-counting layer assumes odd characteristic.
@@ -13,9 +16,11 @@ the curve-counting layer assumes odd characteristic.
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import NotSquarefreeError
+from .errors import NotGaloisConsistentError
 
 # Cap on the field characteristic accepted by FieldSpec.  The counting
 # kernels accumulate sums of up to ~8 products of residues in signed
@@ -126,8 +131,10 @@ def kronecker(d: int, n: int) -> int:
 #
 # The one implementation of polynomial arithmetic.  These helpers take
 # coefficient sequences with entries in [0, p) and return fresh canonical
-# lists; ddf_degrees and is_irreducible run them on the coefficients of a
-# PolyModP, the checked (p, coefficients) value the package passes around.
+# lists; is_irreducible runs them on the coefficients of a PolyModP, the
+# checked (p, coefficients) value the package passes around.  Nothing in
+# them needs p to be prime except _monic and _gcd (which invert), so
+# _divmod and _powmod also work modulo a product of primes.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -142,10 +149,6 @@ def _addmul(a, b, c: int, p: int) -> list[int]:
     for k, bk in enumerate(b):
         out[k] = (out[k] + c * bk) % p
     return _trim(out)
-
-
-def _derivative(a, p: int) -> list[int]:
-    return _trim([k * ak % p for k, ak in enumerate(a)][1:])
 
 
 def _mul(a, b, p: int) -> list[int]:
@@ -215,9 +218,8 @@ def _powmod(a, e: int, m, p: int) -> list[int]:
     return result
 
 
-def _frobenius_columns(m, p: int) -> list[list[int]]:
-    """x^(kp) mod a monic m for k < deg m: the matrix of a -> a^p mod m."""
-    xp = _powmod([0, 1], p, m, p)
+def _frobenius_columns(xp, m, p: int) -> list[list[int]]:
+    """x^(kp) mod a monic m for k < deg m, given xp = x^p mod m: the matrix of a -> a^p mod m."""
     cols = [[1]]
     for _ in range(2, len(m)):
         cols.append(_mulmod(cols[-1], xp, m, p))
@@ -259,38 +261,85 @@ class PolyModP:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
 
-def ddf_degrees(h: PolyModP) -> list[tuple[int, int]]:
-    """Degrees of the irreducible factors of a monic squarefree h mod p.
+# Primes per block in _xp_by_blocks.  One powmod modulo the product M of a
+# block replaces one powmod per prime; larger blocks make the coefficients
+# (about 17 * _XP_BLOCK bits near p = 10^5) and each gap step dearer.
+_XP_BLOCK = 32
 
-    Returns (degree, count) pairs, ascending in degree, via successive
-    gcd(h, x^(p^j) - x).  Each x^(p^j) mod h comes from the previous one
-    through the Frobenius matrix of h (one matrix-vector product), and is
-    reduced mod the unfactored part only for the gcd.  The factors
-    themselves are never materialized.
+
+def _xp_by_blocks(h, primes: Sequence[int]) -> Iterator[list[int]]:
+    """x^p mod (h, p) for each of the ascending primes, for a monic integer h.
+
+    For each block of consecutive primes with product M, one powmod gives
+    x^(p_first) mod (h, M); each next prime follows from the one before
+    by multiplying by x^gap and reducing by h mod M.  Division by a monic
+    h is exact over Z/M, and reducing mod p is a ring map from Z/M to F_p,
+    so reducing the coefficients mod p gives x^p mod (h, p).  Lazy: a
+    block is computed when its first prime is reached.
     """
-    if not h.is_monic:
-        raise ValueError("ddf_degrees requires a monic polynomial")
-    if h.degree == 0:
-        return []
-    p, hc = h.p, h.coeffs
-    if len(_gcd(hc, _derivative(hc, p), p)) != 1:
-        raise NotSquarefreeError(f"polynomial {h.coeffs} is not squarefree mod {h.p}")
-    cols = _frobenius_columns(hc, p)
-    x = [0, 1]
-    out: list[tuple[int, int]] = []
-    rest = hc
-    r = x  # x mod h: the loop below runs only when deg h >= 2
-    j = 0
-    while len(rest) - 1 >= 2 * (j + 1):
-        j += 1
-        r = _frobenius(r, cols, p)  # r = x^(p^j) mod h
-        g = _gcd(rest, _addmul(_divmod(r, rest, p)[1], x, p - 1, p), p)
-        if len(g) > 1:
-            out.append((j, (len(g) - 1) // j))
-            rest = _divmod(rest, g, p)[0]
-    if len(rest) > 1:
-        out.append((len(rest) - 1, 1))
-    return out
+    for lo in range(0, len(primes), _XP_BLOCK):
+        block = primes[lo : lo + _XP_BLOCK]
+        M = math.prod(block)
+        hM = [c % M for c in h]
+        r = _powmod([0, 1], block[0], hM, M)
+        prev = block[0]
+        for p in block:
+            if p != prev:
+                r = _divmod([0] * (p - prev) + r, hM, M)[1]
+                prev = p
+            yield _trim([c % p for c in r])
+
+
+def _frobenius_order(hc, xp, p: int) -> int | None:
+    """The common degree of the irreducible factors of a monic h, squarefree mod p.
+
+    ``xp`` is x^p mod h.  The least j with x^(p^j) = x mod h is the least
+    common multiple of the factor degrees, so it is the common degree f
+    when they are equal, and then gcd(h, x^(p^(f/l)) - x) = 1 for every
+    prime l | f.  Each x^(p^j) mod h follows from the previous one through
+    the Frobenius matrix of h.  Returns None when no j <= deg h fits or a
+    gcd is nontrivial: the degrees are unequal.
+    """
+    x = _divmod([0, 1], hc, p)[1]  # x itself once deg h >= 2
+    if xp == x:
+        return 1
+    cols = _frobenius_columns(xp, hc, p)
+    frob = [x, xp]  # frob[j] = x^(p^j) mod h
+    while frob[-1] != x and len(frob) < len(hc):
+        frob.append(_frobenius(frob[-1], cols, p))
+    f = len(frob) - 1
+    # frob[f] != x here means no j <= deg h fits: the lcm exceeds deg h
+    if frob[f] != x or any(
+        len(_gcd(hc, _addmul(frob[f // ell], x, p - 1, p), p)) != 1 for ell in prime_divisors(f)
+    ):
+        return None
+    return f
+
+
+def equal_factor_degrees(h: Sequence[int], primes: Sequence[int]) -> Iterator[int]:
+    """The common degree of the irreducible factors of h mod p, for each prime.
+
+    ``h`` is a monic integer polynomial of degree >= 1 (ascending
+    coefficients) and ``primes`` are ascending odd primes at which h is
+    squarefree mod p; callers rule out the primes dividing disc(h) first.
+    One value is yielded per prime, lazily, so everything yielded before a
+    failure stands.  Raises NotGaloisConsistentError at the first prime
+    where the factor degrees are not all equal.
+    """
+    h = tuple(h)
+    if len(h) < 2 or h[-1] != 1:
+        raise ValueError(f"polynomial {h} must be monic of degree >= 1")
+    for p, prev in zip(primes, [2, *primes]):
+        _require_odd_prime(p)
+        if p <= prev:
+            raise ValueError("primes must be ascending")
+    for p, xp in zip(primes, _xp_by_blocks(h, primes)):
+        f = _frobenius_order([c % p for c in h], xp, p)
+        if f is None:
+            raise NotGaloisConsistentError(
+                f"polynomial {h} has irreducible factors of unequal degrees mod {p}"
+            )
+        yield f
 
 
 def is_irreducible(h: PolyModP) -> bool:
@@ -301,7 +350,7 @@ def is_irreducible(h: PolyModP) -> bool:
     if n == 1:
         return True
     p, hc = h.p, h.coeffs
-    cols = _frobenius_columns(hc, p)
+    cols = _frobenius_columns(_powmod([0, 1], p, hc, p), hc, p)
     x = [0, 1]
     frob = [x]  # frob[j] = x^(p^j) mod h
     for _ in range(n):

@@ -31,6 +31,7 @@ from .curvecount import (
     CurveModel,
     curve_from_coeffs,
     odd_bad_primes,
+    poly_discriminant,
     validate_weil,
 )
 from .errors import (
@@ -41,10 +42,9 @@ from .errors import (
 from .splitfield import (
     Lemma62Violation,
     default_fields,
-    is_guarded,
     lemma62_check,
     load_field_config,
-    split_profile,
+    split_profiles,
 )
 from .twistlab import (
     ScanReport,
@@ -198,13 +198,13 @@ def _cmd_scan(args, cache, out) -> int:
 def _cmd_char_search(args, cache, out) -> int:
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
-    bad = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     if args.support is not None:
         support = {int(tk) for tk in args.support.split(",") if tk}
     else:
-        support = bad
+        support = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     candidates = enumerate_characters(support, args.include_2, args.include_sign)
-    primes = [p for p in _prime_range(args) if p not in bad]
+    discs = [poly_discriminant(c.f_coeffs) for c in (curve_a, curve_b)]
+    primes = [p for p in _prime_range(args) if all(d % p for d in discs)]
     result = character_search(curve_a, curve_b, candidates, primes, args.budget, cache)
     if args.format == "records":
         for d, w in result.witnesses:
@@ -237,14 +237,13 @@ def _cmd_char_search(args, cache, out) -> int:
 def _cmd_split(args, cache, out) -> int:
     fields = load_field_config(args.fields) if args.fields else default_fields()
     freq: dict[str, int] = {"i": 0, "ii": 0, "iii": 0, "violation": 0}
-    for p in _prime_range(args):
-        if is_guarded(fields, p):
+    for p, profile in split_profiles(fields, _prime_range(args)):
+        if profile is None:
             if args.format == "records":
                 print(f"split\t{p}\tguarded\t-\t-\t-", file=out)
             else:
                 print(f"  p={p}: skipped (guarded prime)", file=out)
             continue
-        profile = split_profile(fields, p)
         freq[profile.case.value] += 1
         if args.format == "records":
             print(

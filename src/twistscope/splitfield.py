@@ -3,8 +3,11 @@
 For a Galois number field with monic defining polynomial h and an odd
 prime p not dividing disc(h), h mod p is squarefree, every irreducible
 factor of h mod p has the same degree, and that common degree is the
-residue degree of p.  The primes dividing disc(h) are guarded: there the
-factor degrees of h mod p need not reflect the splitting of p
+residue degree of p.  It is the order of Frobenius on x in F_p[x]/(h),
+computed for all primes of a range in one ascending pass per field
+(``algebra.equal_factor_degrees``), and the degrees are checked to be
+equal at every computed prime.  The primes dividing disc(h) are guarded:
+there the factor degrees of h mod p need not reflect the splitting of p
 (ramification or index divisors), so such primes are skipped, never
 guessed.  The guard is computed from the polynomials, never configured.
 
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .algebra import PolyModP, ddf_degrees
+from .algebra import equal_factor_degrees
 from .cache import UNCACHED, LPolyCache
 from .curvecount import DEFAULT_BUDGET, CurveModel, curve_from_coeffs, poly_discriminant
 from .errors import NotGaloisConsistentError, RamifiedPrimeError
@@ -81,16 +85,19 @@ def residue_degree_galois(field: NumberFieldSpec, p: int) -> int:
     discriminant and NotGaloisConsistentError if the factor degrees are
     mixed (the configuration lied about being Galois).
     """
-    if not field.galois:
-        raise ValueError(f"field {field.name} is not flagged Galois")
     if poly_discriminant(field.defining_poly) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides the polynomial discriminant of {field.name}")
-    degs = ddf_degrees(PolyModP(p, field.defining_poly))
-    if len(degs) != 1:
-        raise NotGaloisConsistentError(
-            f"{field.name} mod {p} has factor degrees {degs}; equal degrees expected"
-        )
-    return degs[0][0]
+    return next(_residue_degrees(field, [p]))
+
+
+def _residue_degrees(field: NumberFieldSpec, primes: list[int]) -> Iterator[int]:
+    """Residue degrees of ``field`` at ascending primes none of which is guarded; lazy."""
+    if not field.galois:
+        raise ValueError(f"field {field.name} is not flagged Galois")
+    try:
+        yield from equal_factor_degrees(field.defining_poly, primes)
+    except NotGaloisConsistentError as exc:
+        raise NotGaloisConsistentError(f"field {field.name}: {exc}; equal degrees expected") from None
 
 
 def cyclotomic_residue_degree(n: int, p: int) -> int:
@@ -125,15 +132,47 @@ def case_classify(r: int, s: int, s_prime: int) -> SplitCase:
     return SplitCase.VIOLATION
 
 
+def split_profiles(
+    fields: dict[str, NumberFieldSpec], primes: Iterable[int]
+) -> Iterator[tuple[int, SplitProfile | None]]:
+    """(p, profile) for each ascending prime, with profile None at a guarded prime.
+
+    Residue degrees of the base/cover-a/cover-b triple come from one pass
+    over the unguarded primes per field; guarded primes are never
+    computed.  Lazy, so every pair yielded before an error stands.
+    """
+    primes = list(primes)
+    guarded = [is_guarded(fields, p) for p in primes]
+    computed = [p for p, g in zip(primes, guarded) if not g]
+    triples = _degree_triples(fields, computed)
+    for p, g in zip(primes, guarded):
+        if g:
+            yield p, None
+            continue
+        r, s, sp = next(triples)
+        yield p, SplitProfile(p, r, s, sp, case_classify(r, s, sp))
+
+
+def _degree_triples(fields: dict[str, NumberFieldSpec], primes: list[int]) -> Iterator[tuple[int, ...]]:
+    """(r, s, s') at the ascending unguarded primes.
+
+    A generator, so a configuration error surfaces at the first computed
+    prime, after the guarded records before it.
+    """
+    triple = [_field_by_role(fields, role) for role in ("base", "cover-a", "cover-b")]
+    yield from zip(*(_residue_degrees(field, primes) for field in triple))
+
+
 def split_profile(fields: dict[str, NumberFieldSpec], p: int) -> SplitProfile:
-    """Residue degrees of p in the configured base/cover-a/cover-b triple."""
-    base = _field_by_role(fields, "base")
-    ca = _field_by_role(fields, "cover-a")
-    cb = _field_by_role(fields, "cover-b")
-    r = residue_degree_galois(base, p)
-    s = residue_degree_galois(ca, p)
-    sp = residue_degree_galois(cb, p)
-    return SplitProfile(p, r, s, sp, case_classify(r, s, sp))
+    """Residue degrees of p in the configured base/cover-a/cover-b triple.
+
+    The one-prime case of ``split_profiles``; raises RamifiedPrimeError at
+    a guarded prime.
+    """
+    [(_, profile)] = split_profiles(fields, [p])
+    if profile is None:
+        raise RamifiedPrimeError(f"p={p} divides the polynomial discriminant of a configured field")
+    return profile
 
 
 def is_guarded(fields: dict[str, NumberFieldSpec], p: int) -> bool:

@@ -40,9 +40,8 @@ from .splitfield import (
     SplitCase,
     cyclotomic_residue_degree,
     default_fields,
-    is_guarded,
     lemma62_check,
-    split_profile,
+    split_profiles,
     verify_trace_vanishing,
 )
 from .twistlab import (
@@ -282,10 +281,9 @@ def _c7_case_table(ctx: _Context):
     freq = {c: 0 for c in SplitCase}
     nonzero_traces = []
     violations = []
-    for p in odd_primes(3, 1000):
-        if is_guarded(fields, p):
+    for p, profile in split_profiles(fields, odd_primes(3, 1000)):
+        if profile is None:
             continue
-        profile = split_profile(fields, p)
         freq[profile.case] += 1
         if profile.case is SplitCase.VIOLATION:
             violations.append(p)

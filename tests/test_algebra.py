@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,12 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import element, elements, naive_factor_degrees, one, quad_char, zero
+from oracles import (
+    element,
+    elements,
+    monic_polys,
+    naive_factor_degrees,
+    one,
+    poly_mul,
+    quad_char,
+    squarefree_mod,
+    zero,
+)
 from twistscope.algebra import (
     FieldSpec,
     PolyModP,
     build_extension,
-    ddf_degrees,
+    equal_factor_degrees,
     is_irreducible,
     is_prime,
     kronecker,
@@ -18,8 +29,9 @@ from twistscope.algebra import (
     odd_primes,
     prime_divisors,
 )
-from twistscope.algebra import _divmod, _gcd, _powmod
-from twistscope.errors import NotSquarefreeError
+from twistscope.algebra import _XP_BLOCK, _divmod, _gcd, _powmod, _xp_by_blocks
+from twistscope.errors import NotGaloisConsistentError
+from twistscope.splitfield import default_fields, is_guarded
 
 
 class TestLegendre:
@@ -97,44 +109,110 @@ class TestPolyModP:
         assert _powmod([0, 1], 4, m, 3) == [1]  # x^2 = -1, so x^4 = 1
 
 
+def factor_degree(coeffs, p):
+    """equal_factor_degrees at one prime."""
+    [degree] = equal_factor_degrees(coeffs, [p])
+    return degree
+
+
 class TestDDF:
     @pytest.mark.parametrize(
         "p,coeffs,want",
         [
-            (5, (1, 0, 1), [(1, 2)]),  # x^2+1 splits mod 5
-            (3, (1, 0, 1), [(2, 1)]),  # x^2+1 inert mod 3
-            (3, (1, 0, 0, 0, 1), [(2, 2)]),  # x^4+1 -> two quadratics mod 3
-            (17, (1, 0, 0, 0, 1), [(1, 4)]),  # x^4+1 splits mod 17
+            (5, (1, 0, 1), [1]),  # x^2+1 splits mod 5
+            (3, (1, 0, 1), [2]),  # x^2+1 inert mod 3
+            (3, (1, 0, 0, 0, 1), [2]),  # x^4+1 -> two quadratics mod 3
+            (17, (1, 0, 0, 0, 1), [1]),  # x^4+1 splits mod 17
         ],
     )
     def test_examples(self, p, coeffs, want):
-        assert ddf_degrees(PolyModP(p, coeffs)) == want
-
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(NotSquarefreeError):
-            ddf_degrees(PolyModP(3, (0, 0, 1)))  # x^2
+        assert list(equal_factor_degrees(coeffs, [p])) == want
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
-            ddf_degrees(PolyModP(5, (1, 2)))
+            factor_degree((1, 2), 5)
+
+    def test_rejects_bad_primes(self):
+        for primes in ([9], [2], [7, 5]):
+            with pytest.raises(ValueError):
+                list(equal_factor_degrees((1, 0, 1), primes))
+
+    @pytest.mark.parametrize(
+        "p,factors",
+        [
+            (3, [(0, 1), (1, 0, 1)]),  # x (x^2+1): lcm 2 <= 3, a gcd finds the linear factor
+            (3, [(1, 0, 1), (1, 2, 0, 1)]),  # quadratic times cubic: lcm 6 exceeds degree 5
+            (5, [(2, 1), (2, 0, 1), (1, 1, 0, 1)]),  # degrees 1, 2, 3: lcm 6 = degree 6
+        ],
+    )
+    def test_mixed_degrees_raise(self, p, factors):
+        h = functools.reduce(lambda a, b: poly_mul(a, b, p), factors)
+        assert len(set(naive_factor_degrees(h, p))) > 1 and squarefree_mod(h, p)
+        with pytest.raises(NotGaloisConsistentError, match="unequal degrees"):
+            factor_degree(h, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5]), st.data())
+    def test_degrees_match_trial_division(self, p, data):
+        # degree 10 checks Frobenius matrices larger than the shipped fields' (8 x 8)
+        deg = data.draw(st.integers(min_value=1, max_value=10))
+        low = data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
+        h = tuple(low) + (1,)
+        if not squarefree_mod(h, p):
+            return
+        want = set(naive_factor_degrees(h, p))
+        if len(want) == 1:
+            assert factor_degree(h, p) == want.pop()
+        else:
+            with pytest.raises(NotGaloisConsistentError):
+                factor_degree(h, p)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([3, 5, 7, 11, 13]), st.data())
-    def test_degrees_match_trial_division(self, p, data):
-        # the trial-division oracle enumerates all divisors of degree <= deg/2,
-        # so cap the degree where p makes that enumeration large; degree 10
-        # checks Frobenius matrices larger than the shipped fields' (8 x 8)
-        max_deg = 10 if p <= 5 else 8 if p <= 7 else 5
-        deg = data.draw(st.integers(min_value=1, max_value=max_deg))
-        low = data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
-        h = PolyModP(p, tuple(low) + (1,))
-        try:
-            got = ddf_degrees(h)
-        except NotSquarefreeError:
-            return
-        flat = sorted(d for d, cnt in got for _ in range(cnt))
-        assert flat == naive_factor_degrees(h.coeffs, p)
-        assert sum(d * cnt for d, cnt in got) == h.degree
+    @given(st.sampled_from([3, 5]), st.data())
+    def test_equal_degree_products(self, p, data):
+        # products of distinct irreducibles of one degree d, degree d*k <= 10
+        d = data.draw(st.integers(min_value=1, max_value=5 if p == 3 else 4))
+        irreducibles = monic_irreducibles(d, p)
+        k = data.draw(st.integers(min_value=1, max_value=min(10 // d, len(irreducibles))))
+        chosen = data.draw(st.lists(st.sampled_from(irreducibles), min_size=k, max_size=k, unique=True))
+        h = functools.reduce(lambda a, b: poly_mul(a, b, p), chosen)
+        assert factor_degree(h, p) == d
+
+
+@functools.lru_cache(maxsize=None)
+def monic_irreducibles(d, p):
+    return [g for g in monic_polys(d, p) if naive_factor_degrees(g, p) == [d]]
+
+
+class TestXpBlocks:
+    """x^p mod (h, p) from block products against one powmod per prime."""
+
+    @staticmethod
+    def per_prime(h, primes):
+        return [_powmod([0, 1], p, [c % p for c in h], p) for p in primes]
+
+    def test_shipped_fields_to_1e4(self):
+        fields = default_fields()
+        primes = [p for p in odd_primes(3, 10_000) if not is_guarded(fields, p)]
+        for f in fields.values():
+            assert list(_xp_by_blocks(f.defining_poly, primes)) == self.per_prime(f.defining_poly, primes), f.name
+
+    def test_random_polynomials(self):
+        rng = random.Random(11)
+        pool = odd_primes(3, 3000)
+        lengths = [1, _XP_BLOCK - 1, _XP_BLOCK, _XP_BLOCK + 1, 2 * _XP_BLOCK + 5]
+        for trial in range(40):
+            deg = rng.randint(2, 10)
+            h = tuple(rng.randint(-10**6, 10**6) for _ in range(deg)) + (1,)
+            n = lengths[trial % len(lengths)]
+            # the first trials start at 3, below deg h, where x^p needs no reduction
+            primes = pool[:n] if trial < len(lengths) else sorted(rng.sample(pool, n))
+            assert list(_xp_by_blocks(h, primes)) == self.per_prime(h, primes), (h, primes)
+
+    def test_lazy(self):
+        # one block is computed when its first prime is reached, not before
+        blocks = _xp_by_blocks((1, 0, 1), odd_primes(3, 10**6))
+        assert next(blocks) == [0, 2]  # x^3 = -x mod (x^2 + 1, 3)
 
 
 class TestExtensions:

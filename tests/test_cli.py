@@ -64,7 +64,10 @@ class TestTracerNames:
         tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         done = run_python(str(tracer), str(tmp_path), "--version")
         assert done.returncode == 0, done.stderr
-        assert "not found" not in done.stderr
+        # ddf_degrees is deleted: split computes residue degrees in one pass per
+        # field, so the algebra.ddf_degrees metrics read 0 by design
+        missing = [ln for ln in done.stderr.splitlines() if "not found" in ln]
+        assert missing == ["tracer: algebra.ddf_degrees not found; its metrics stay 0"], done.stderr
 
 
 # a CLI run that reports on stderr whether numpy was imported: in each forked
@@ -325,6 +328,17 @@ class TestCharSearchCommand:
         assert done.returncode == 2
         assert "pass the bad-prime support explicitly" in done.stderr
 
+    def test_explicit_support_skips_factoring(self, tmp_path):
+        # the same pair with --support runs: bad primes come from disc(f) % p
+        argv = ("-m", "twistscope", "char-search", "x^5 + 1000003x + 1", "x^5 + 4x",
+                "--pmax", "30", "--support", "3,17", "--format", "records", "--cache-dir", str(tmp_path))
+        done = run_python(*argv, timeout=30)
+        assert done.returncode == 0, done.stderr
+        chars = [ln.split("\t") for ln in done.stdout.splitlines() if ln.startswith("char\t")]
+        # 3, 17, 2 and the sign give 16 characters, all refuted at 5: 3 divides
+        # disc(x^5 + 1000003x + 1), so it is skipped rather than counted
+        assert len(chars) == 16 and {(c[2], c[3]) for c in chars} == {("refuted", "5")}
+
 
 class TestSplitCommand:
     def test_table_and_guard(self, capsys, tmp_path):
@@ -364,6 +378,20 @@ class TestSplitCommand:
         )
         assert rc == 0
         assert out == reference.read_text()
+
+    def test_mixed_degrees_stop_after_earlier_records(self, capsys, tmp_path):
+        # a cover that is not Galois (x^3 - 2, guarded at 2 and 3) fails at 5,
+        # after the record for 3 is out
+        shipped = importlib.resources.files("twistscope").joinpath("data/fields.cfg").read_text()
+        config = tmp_path / "fields.cfg"
+        config.write_text(shipped.replace("poly 1,0,28,0,2,0,4,0,1", "poly -2,0,0,1"))
+        rc, out, err = run_cli(
+            capsys, "split", "--pmax", "50", "--format", "records", "--fields", str(config),
+            "--cache-dir", str(tmp_path),
+        )
+        assert rc == 1
+        assert out == "split\t3\tguarded\t-\t-\t-\n"
+        assert err.startswith("NotGaloisConsistentError: field q-i-fourthroot2: ") and "mod 5" in err
 
     def test_disc_primes_lines_are_ignored(self, capsys, tmp_path):
         # the guard comes from the discriminants, so wrong or missing

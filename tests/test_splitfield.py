@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from twistscope.algebra import PolyModP, ddf_degrees, odd_primes
+from oracles import squarefree_mod
+from twistscope.algebra import odd_primes
 from twistscope.curvecount import curve_from_coeffs
 from twistscope.errors import (
     BadReductionError,
     NotGaloisConsistentError,
-    NotSquarefreeError,
     RamifiedPrimeError,
 )
 from twistscope.splitfield import (
@@ -23,6 +23,7 @@ from twistscope.splitfield import (
     parse_field_config,
     residue_degree_galois,
     split_profile,
+    split_profiles,
     verify_trace_vanishing,
 )
 
@@ -66,8 +67,6 @@ class TestConfig:
 class TestResidueDegree:
     @pytest.mark.parametrize("p,want", [(17, 1), (3, 2), (5, 2), (7, 2), (41, 1)])
     def test_base_field_examples(self, base_field, p, want):
-        if p == 3:
-            pass  # 3 is unguarded for the base field itself
         assert residue_degree_galois(base_field, p) == want
 
     def test_guarded_prime_rejected(self, fields):
@@ -80,7 +79,7 @@ class TestResidueDegree:
     def test_mixed_degrees_flagged(self):
         # x^3 - 2 factors as (linear)(quadratic) mod 5: not Galois
         fake = NumberFieldSpec("fake", "base", (-2, 0, 0, 1), 3, True)
-        with pytest.raises(NotGaloisConsistentError):
+        with pytest.raises(NotGaloisConsistentError, match="^field fake: .* unequal degrees mod 5"):
             residue_degree_galois(fake, 5)
 
     def test_not_galois_flag_rejected(self, base_field):
@@ -110,18 +109,10 @@ class TestResidueDegree:
 
 
 class TestGuard:
-    @staticmethod
-    def ddf_refuses(poly, p):
-        try:
-            ddf_degrees(PolyModP(p, poly))
-        except NotSquarefreeError:
-            return True
-        return False
-
     def test_shipped_fields_guarded_exactly_where_ddf_refuses(self, fields):
         for f in fields.values():
             for p in odd_primes(3, 1000):
-                assert is_guarded({f.name: f}, p) == self.ddf_refuses(f.defining_poly, p), (f.name, p)
+                assert is_guarded({f.name: f}, p) == (not squarefree_mod(f.defining_poly, p)), (f.name, p)
 
     def test_random_polynomials_guarded_exactly_where_ddf_refuses(self):
         rng = random.Random(5)
@@ -135,7 +126,7 @@ class TestGuard:
                 continue
             for p in odd_primes(3, 60):
                 guarded = is_guarded({"r": field}, p)
-                assert guarded == self.ddf_refuses(poly, p), (poly, p)
+                assert guarded == (not squarefree_mod(poly, p)), (poly, p)
                 refused += guarded
         assert refused > 20
 
@@ -188,6 +179,29 @@ class TestSplitProfile:
         assert freq[SplitCase.VIOLATION] == 0
         assert freq[SplitCase.III] == 0  # unreachable: the base group has exponent 2
         assert freq[SplitCase.I] + freq[SplitCase.II] == 166
+
+    def test_one_pass_matches_one_prime_case(self, fields):
+        # blocks of x^p and a pass per field give what each prime alone gives
+        primes = odd_primes(3, 1500)
+        got = list(split_profiles(fields, primes))
+        assert [p for p, _ in got] == primes
+        for p, profile in got:
+            assert profile == (None if is_guarded(fields, p) else split_profile(fields, p))
+
+    def test_guarded_prime_rejected(self, fields):
+        assert list(split_profiles(fields, [3])) == [(3, None)]
+        with pytest.raises(RamifiedPrimeError):
+            split_profile(fields, 3)
+
+    def test_lazy_up_to_the_first_mixed_prime(self, fields):
+        # x^3 - 2 is not Galois: mixed degrees (1, 2) at 5, equal (3) at 7;
+        # everything yielded before the failure stands
+        fake = NumberFieldSpec("fake", "cover-a", (-2, 0, 0, 1), 3, True)
+        config = {f.name: f for f in fields.values() if f.role != "cover-a"} | {"fake": fake}
+        profiles = split_profiles(config, odd_primes(3, 50))
+        assert next(profiles) == (3, None)
+        with pytest.raises(NotGaloisConsistentError, match="^field fake: .* mod 5"):
+            next(profiles)
 
 
 class TestTraceVanishing:
