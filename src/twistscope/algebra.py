@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .errors import NotGaloisConsistentError
+from .values import FrozenValue
 
 # Cap on the field characteristic accepted by FieldSpec.  The counting
 # kernels accumulate sums of up to ~8 products of residues in signed
@@ -240,16 +240,14 @@ def _frobenius(a, cols: list[list[int]], p: int) -> list[int]:
     return _trim([v % p for v in out])
 
 
-@dataclass(frozen=True)
-class PolyModP:
+class PolyModP(FrozenValue):
     """Polynomial over F_p, coefficients ascending, canonical form."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        object.__setattr__(self, "coeffs", tuple(_trim([c % self.p for c in self.coeffs])))
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        _require_odd_prime(p)
+        self._set(p, tuple(_trim([c % p for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -367,29 +365,27 @@ def is_irreducible(h: PolyModP) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenValue):
     """The field F_{p^degree}, with a defining modulus when degree > 1."""
 
-    p: int
-    degree: int
-    modulus: PolyModP | None = None
+    __slots__ = ("p", "degree", "modulus")
 
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        if self.p >= MAX_FIELD_CHAR:
-            raise ValueError(f"p={self.p} exceeds the supported cap {MAX_FIELD_CHAR}")
-        if self.degree < 1:
+    def __init__(self, p: int, degree: int, modulus: PolyModP | None = None):
+        _require_odd_prime(p)
+        if p >= MAX_FIELD_CHAR:
+            raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
+        if degree < 1:
             raise ValueError("field degree must be >= 1")
-        if self.degree == 1:
-            if self.modulus is not None:
+        if degree == 1:
+            if modulus is not None:
                 raise ValueError("prime fields carry no modulus")
         else:
-            m = self.modulus
-            if m is None or m.p != self.p or m.degree != self.degree or not m.is_monic:
+            m = modulus
+            if m is None or m.p != p or m.degree != degree or not m.is_monic:
                 raise ValueError("modulus must be monic of the stated degree")
             if not is_irreducible(m):
-                raise ValueError(f"modulus {m.coeffs} is reducible mod {self.p}")
+                raise ValueError(f"modulus {m.coeffs} is reducible mod {p}")
+        self._set(p, degree, modulus)
 
     @property
     def order(self) -> int:

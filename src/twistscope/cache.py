@@ -16,12 +16,14 @@ curve shares its records.  A line is one prime's record: the key fields
 (format, tool version, coefficients, p) and the count prefix N_1.., so a
 larger budget extends a partial computation.  The count prefix is the
 only stored value: L_p follows from N_1..N_g, and it is derived when a
-line is taken in.  A cache object reads a curve's file once and keeps
-p -> (counts, L) for it, L None below g counts; a later valid line for p
-replaces an earlier one.  A line is valid when its key fields match, its
-counts are integers within the Weil bounds and, once there are g of them,
-``lpoly_from_counts`` accepts them; a line that fails to parse or this
-validation is a warned miss, recomputed on demand.
+line is taken in.  A cache object reads a curve's file once, keeping the
+count lists of the lines whose key fields match, by p in file order.  The
+first request for p takes the newest of them that is valid, and keeps
+(counts, L) for it, L None below g counts, so a later valid line for p
+wins.  A line is valid when its counts are integers within the Weil
+bounds and, once there are g of them, ``lpoly_from_counts`` accepts them;
+a line that fails to parse, or this validation, is a warned miss,
+recomputed on demand.
 Workers only count.  The owning process appends each finished (curve, p)
 at once, in one write under O_APPEND, so an interrupted run keeps what it
 finished and several commands may append to one directory.  After a line
@@ -31,12 +33,9 @@ rewritten: a (curve, p) gains a line only when a request adds degrees.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import logging
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -50,8 +49,7 @@ from .curvecount import (
     point_count,
 )
 from .errors import BudgetExceededError, InconsistentCountsError
-
-log = logging.getLogger("twistscope.cache")
+from .values import Value
 
 ENV_CACHE_DIR = "TWISTSCOPE_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".twistscope-cache"
@@ -66,17 +64,27 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_DIR)
 
 
-@dataclass
-class _Entry:
+def _warn(msg: str, *args) -> None:
+    import logging  # only a damaged cache file needs it
+
+    logging.getLogger("twistscope.cache").warning(msg, *args)
+
+
+class _Entry(Value):
     """What the backend holds for one (curve, p) while serving a request."""
 
-    curve: CurveModel
-    p: int
-    counts: list[int]
-    lpoly: LPolynomial | None
-    new: dict[int, int] = field(default_factory=dict)  # degree -> count, this request
-    pending: int = 0  # units still running
-    short: BudgetExceededError | None = None  # set when the budget cut the request short
+    __slots__ = ("curve", "p", "counts", "lpoly", "new", "pending", "short")
+
+    def __init__(self, curve: CurveModel, p: int, counts: list[int], lpoly: LPolynomial | None,
+                 new: dict[int, int] | None = None, pending: int = 0,
+                 short: BudgetExceededError | None = None):
+        self.curve = curve
+        self.p = p
+        self.counts = counts
+        self.lpoly = lpoly
+        self.new = {} if new is None else new  # degree -> count, this request
+        self.pending = pending  # units still running
+        self.short = short  # set when the budget cut the request short
 
 
 def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | None:
@@ -88,6 +96,16 @@ def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | Non
     g = curve.genus
     _check_count_bounds(counts, p, g, curve.label)
     return lpoly_from_counts(counts[:g], p, g, curve.label) if len(counts) >= g else None
+
+
+def _take(curve: CurveModel, p: int, counts: list) -> tuple[list[int], LPolynomial | None] | None:
+    """(counts, L) for a stored count prefix, or None when the counts fail validation."""
+    if not all(isinstance(n, int) for n in counts):
+        return None
+    try:
+        return counts, _lpoly_of(curve, p, counts)
+    except InconsistentCountsError:
+        return None
 
 
 def _count_all(units: list[tuple[CurveModel, int, int]]) -> list[int]:
@@ -115,8 +133,10 @@ class LPolyCache:
         self.enabled = enabled
         self.jobs = jobs
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        # coefficients -> {p: (counts, L)}
-        self._files: dict[tuple[int, ...], dict[int, tuple[list[int], LPolynomial | None]]] = {}
+        # coefficients -> {p: [(line number, counts), ...]}, in file order
+        self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list]]]] = {}
+        # (coefficients, p) -> what get serves there: the valid (counts, L), or None
+        self._taken: dict[tuple[tuple[int, ...], int], tuple[list[int], LPolynomial | None] | None] = {}
         self._torn: set[tuple[int, ...]] = set()  # files read without a final newline
 
     def __enter__(self) -> "LPolyCache":
@@ -135,8 +155,12 @@ class LPolyCache:
         raw = f"{RECORD_FORMAT}|{__version__}|{','.join(map(str, curve.f_coeffs))}"
         return self.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.jsonl"
 
-    def _records(self, curve: CurveModel) -> dict[int, tuple[list[int], LPolynomial | None]]:
-        """The curve's valid records by p, read from its file on first use."""
+    def _records(self, curve: CurveModel) -> dict[int, list[tuple[int, list]]]:
+        """The curve's lines by p, as (line number, counts) in file order, read on first use.
+
+        A line enters when it parses and its key fields match; its counts
+        are checked only when ``get`` first asks for its prime.
+        """
         if curve.f_coeffs in self._files:
             return self._files[curve.f_coeffs]
         records = self._files[curve.f_coeffs] = {}
@@ -146,7 +170,7 @@ class LPolyCache:
         except FileNotFoundError:
             return records
         except OSError as exc:
-            log.warning("cache file %s unreadable (%s); recomputing", path.name, exc)
+            _warn("cache file %s unreadable (%s); recomputing", path.name, exc)
             return records
         if data and not data.endswith(b"\n"):
             self._torn.add(curve.f_coeffs)
@@ -156,43 +180,63 @@ class LPolyCache:
             try:
                 record = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                log.warning("cache file %s line %d unreadable (%s); recomputing", path.name, n, exc)
+                _warn("cache file %s line %d unreadable (%s); recomputing", path.name, n, exc)
                 continue
-            if not self._take(records, record, curve):
-                log.warning("cache file %s line %d failed validation; recomputing", path.name, n)
+            try:
+                p, counts = record["p"], record["counts"]
+                keyed = (
+                    (record["format"], record["tool_version"]) == (RECORD_FORMAT, __version__)
+                    and isinstance(p, int) and isinstance(counts, list)
+                    and tuple(record["f_coeffs"]) == curve.f_coeffs
+                )
+            except (KeyError, TypeError):
+                keyed = False
+            if keyed:
+                records.setdefault(p, []).append((n, counts))
+            else:
+                _warn("cache file %s line %d failed validation; recomputing", path.name, n)
         return records
 
     def get(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
-        """The cached (counts, L) at p, L None below g counts; None on miss/corruption."""
-        return self._records(curve).get(p) if self.enabled else None
+        """The cached (counts, L) at p, L None below g counts; None on miss/corruption.
 
-    @staticmethod
-    def _take(records: dict, record: dict, curve: CurveModel) -> bool:
-        """Enter a valid record into ``records`` with its derived L; False if invalid."""
-        try:
-            if (record["format"], record["tool_version"]) != (RECORD_FORMAT, __version__):
-                return False
-            p, counts = record["p"], record["counts"]
-            if not isinstance(p, int) or tuple(record["f_coeffs"]) != curve.f_coeffs:
-                return False
-            if not all(isinstance(n, int) for n in counts):
-                return False
-            records[p] = (counts, _lpoly_of(curve, p, counts))
-            return True
-        except (KeyError, TypeError, ValueError, InconsistentCountsError):
-            return False
+        The first request for p checks its lines, so a command pays for
+        the primes it asks for, not for the whole file.
+        """
+        if not self.enabled:
+            return None
+        key = (curve.f_coeffs, p)
+        if key not in self._taken:
+            self._taken[key] = self._newest_valid(curve, p)
+        return self._taken[key]
+
+    def _newest_valid(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
+        """The newest line for p whose counts pass, so a later valid line wins.
+
+        Each newer line that fails is a warned miss.
+        """
+        for n, counts in reversed(self._records(curve).get(p, [])):
+            taken = _take(curve, p, counts)
+            if taken is not None:
+                return taken
+            _warn("cache file %s line %d failed validation; recomputing", self._path(curve).name, n)
+        return None
 
     def put(self, curve: CurveModel, p: int, counts: list[int]) -> None:
         """Record N_1.. at (curve, p): one line appended to the curve's file.
 
-        The line enters the in-memory records by the rule a read applies,
-        so counts a later read would reject are a miss here too.
+        The counts are checked at once by the rule ``get`` applies to a
+        stored line: valid ones are what ``get`` serves from now on, and
+        counts a later read would reject change nothing in memory.
         """
         if not self.enabled:
             return
         record = {"format": RECORD_FORMAT, "tool_version": __version__,
                   "f_coeffs": list(curve.f_coeffs), "p": p, "counts": list(counts)}
-        self._take(self._records(curve), record, curve)
+        self._records(curve)  # read the file, and see a torn last line, before appending
+        taken = _take(curve, p, record["counts"])
+        if taken is not None:
+            self._taken[(curve.f_coeffs, p)] = taken
         line = json.dumps(record) + "\n"
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
@@ -271,9 +315,10 @@ class LPolyCache:
                 for unit in batch:
                     yield unit, _count_all([unit])[0]
             return
-        if self._pool is None:
-            from . import kernels  # unused name: loads numpy once, before the workers fork
+        from . import kernels  # unused name: loads numpy once, before the workers fork
+        import concurrent.futures
 
+        if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
         futures = {self._pool.submit(_count_all, batch): batch for batch in batches}
         for future in concurrent.futures.as_completed(futures):

@@ -15,6 +15,9 @@ char-search, lemma62, verify-paper).  All cache reads and writes happen in
 this process (workers only count).  Structured output is byte-identical
 for identical inputs regardless of --jobs, and of cache state when the
 budget covers every count (a warm cache serves what a tight one refuses).
+
+Each subcommand imports the library code it runs when it runs, so a
+command loads only its own path: ``split`` and ``stats`` open no cache.
 """
 
 from __future__ import annotations
@@ -24,39 +27,9 @@ import re
 import sys
 
 from . import __version__
-from .algebra import is_prime, odd_primes
-from .cache import LPolyCache, resolve_cache_dir
-from .curvecount import (
-    DEFAULT_BUDGET,
-    CurveModel,
-    curve_from_coeffs,
-    odd_bad_primes,
-    poly_discriminant,
-    validate_weil,
-)
-from .errors import (
-    BadReductionError,
-    BudgetExceededError,
-    TwistscopeError,
-)
-from .splitfield import (
-    Lemma62Violation,
-    default_fields,
-    lemma62_check,
-    load_field_config,
-    split_profiles,
-)
-from .twistlab import (
-    ScanReport,
-    SignMatch,
-    character_search,
-    enumerate_characters,
-    moment_stats,
-    scan_pair,
-    z20_statistic,
-)
-from .verify import exit_code as verify_exit_code
-from .verify import run_all
+
+# the subcommands that count points; only these open an LPolyCache
+_COUNTING = {"lpoly", "scan", "char-search", "lemma62", "verify-paper"}
 
 
 class CliError(Exception):
@@ -65,6 +38,8 @@ class CliError(Exception):
 
 def _prime_range(args) -> list[int]:
     """The odd primes in [--pmin, --pmax], after checking the range."""
+    from .algebra import odd_primes
+
     if args.pmin < 3 or args.pmin % 2 == 0:
         raise CliError("prime range must start at an odd value >= 3")
     if args.pmax < args.pmin:
@@ -82,6 +57,8 @@ def parse_curve(expr: str) -> CurveModel:
     Accepts forms like "x^5 - x", "x^9+16x", "x^3 - 2*x + 1".  Errors
     carry the character position of the offending term.
     """
+    from .curvecount import curve_from_coeffs
+
     compact = expr.replace(" ", "")
     if not compact:
         raise CliError("empty curve expression")
@@ -128,6 +105,10 @@ def _fmt_coeffs(coeffs) -> str:
 
 
 def _cmd_lpoly(args, cache, out) -> int:
+    from .algebra import is_prime
+    from .curvecount import validate_weil
+    from .errors import BadReductionError
+
     curve = parse_curve(args.curve)
     if args.p is not None:
         primes = [args.p]
@@ -165,6 +146,8 @@ def _cmd_lpoly(args, cache, out) -> int:
 
 
 def _cmd_scan(args, cache, out) -> int:
+    from .twistlab import SignMatch, scan_pair
+
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
     _prime_range(args)
@@ -196,6 +179,9 @@ def _cmd_scan(args, cache, out) -> int:
 
 
 def _cmd_char_search(args, cache, out) -> int:
+    from .curvecount import odd_bad_primes, poly_discriminant
+    from .twistlab import character_search, enumerate_characters
+
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
     if args.support is not None:
@@ -235,6 +221,8 @@ def _cmd_char_search(args, cache, out) -> int:
 
 
 def _cmd_split(args, cache, out) -> int:
+    from .splitfield import default_fields, load_field_config, split_profiles
+
     fields = load_field_config(args.fields) if args.fields else default_fields()
     freq: dict[str, int] = {"i": 0, "ii": 0, "iii": 0, "violation": 0}
     for p, profile in split_profiles(fields, _prime_range(args)):
@@ -264,6 +252,8 @@ def _cmd_split(args, cache, out) -> int:
 
 
 def _cmd_lemma62(args, cache, out) -> int:
+    from .splitfield import Lemma62Violation, lemma62_check
+
     primes = _prime_range(args)
     if args.c == 0:
         raise CliError("c must be nonzero")
@@ -299,6 +289,8 @@ def _cmd_lemma62(args, cache, out) -> int:
 
 
 def _cmd_stats(args, cache, out) -> int:
+    from .twistlab import ScanReport, moment_stats, z20_statistic
+
     try:
         text = open(args.report).read()
     except OSError as exc:
@@ -337,8 +329,10 @@ def _cmd_stats(args, cache, out) -> int:
 
 
 def _cmd_verify(args, cache, out) -> int:
+    from .verify import exit_code, run_all
+
     results = run_all(budget=args.budget, cache=cache, echo=lambda s: print(s, file=out))
-    return verify_exit_code(results)
+    return exit_code(results)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +351,8 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .curvecount import DEFAULT_BUDGET
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                         help="max field evaluations per prime (default 2e8)")
@@ -430,7 +426,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    from .errors import BudgetExceededError, TwistscopeError
+
     try:
+        if args.command not in _COUNTING:
+            return args.fn(args, None, sys.stdout)
+        from .cache import LPolyCache, resolve_cache_dir
+
         with LPolyCache(resolve_cache_dir(args.cache_dir), jobs=args.jobs) as cache:
             return args.fn(args, cache, sys.stdout)
     except CliError as exc:
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (BadReductionError, TwistscopeError) as exc:
+    except TwistscopeError as exc:  # BadReductionError among them
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # input the library rejects: a usage error, not a finding

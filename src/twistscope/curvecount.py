@@ -23,33 +23,32 @@ first count, so commands that count nothing never load numpy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .algebra import FieldSpec, PolyModP, build_extension, is_prime
 from .errors import BadReductionError, InconsistentCountsError
+from .values import FrozenValue
 
 DEFAULT_BUDGET = 200_000_000  # field evaluations per prime
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(FrozenValue):
     """Monic odd-degree hyperelliptic model y^2 = f(x) over Q."""
 
-    label: str
-    f_coeffs: tuple[int, ...]
-    genus: int
+    __slots__ = ("label", "f_coeffs", "genus")
 
-    def __post_init__(self):
-        deg = len(self.f_coeffs) - 1
+    def __init__(self, label: str, f_coeffs: tuple[int, ...], genus: int):
+        deg = len(f_coeffs) - 1
         if deg < 3 or deg % 2 == 0:
             raise ValueError(f"f must have odd degree >= 3, got degree {deg}")
-        if self.f_coeffs[-1] != 1:
+        if f_coeffs[-1] != 1:
             raise ValueError("f must be monic")
-        if self.genus != (deg - 1) // 2:
+        if genus != (deg - 1) // 2:
             raise ValueError("genus must equal (deg f - 1)/2")
-        if poly_discriminant(self.f_coeffs) == 0:
+        if poly_discriminant(f_coeffs) == 0:
             raise ValueError("f has a repeated root over Q")
+        self._set(label, f_coeffs, genus)
 
 
 def canonical_label(f_coeffs: tuple[int, ...]) -> str:
@@ -155,27 +154,21 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
     return out
 
 
-@dataclass(frozen=True)
-class BadReduction:
-    """Marker value: f mod p is not squarefree, the reduction is singular."""
-
-    label: str
-    p: int
+BadReduction = namedtuple("BadReduction", "label p")
+BadReduction.__doc__ = "Marker value: f mod p is not squarefree, the reduction is singular."
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(FrozenValue):
     """L-polynomial at p: integer coefficients a_0..a_{2g}, a_0 = 1."""
 
-    p: int
-    g: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "g", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.g + 1:
+    def __init__(self, p: int, g: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != 2 * g + 1:
             raise ValueError("an L-polynomial of genus g has 2g+1 coefficients")
-        if self.coeffs[0] != 1:
+        if coeffs[0] != 1:
             raise ValueError("L-polynomial must have constant term 1")
+        self._set(p, g, coeffs)
 
     def sign_flipped(self) -> "LPolynomial":
         """The polynomial L(-T): odd coefficients negated."""

@@ -5,14 +5,6 @@ class TwistscopeError(Exception):
     """Base class for all twistscope-specific failures."""
 
 
-class NotSquarefreeError(TwistscopeError):
-    """A polynomial expected to be squarefree mod p has a repeated factor.
-
-    Residue-degree code never meets it: a prime dividing the polynomial
-    discriminant is guarded before any factoring.
-    """
-
-
 class BadReductionError(TwistscopeError):
     """A count or L-polynomial was requested at a prime of bad reduction."""
 

@@ -19,45 +19,40 @@ reported as a violation value rather than an exception.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .algebra import equal_factor_degrees
-from .cache import UNCACHED, LPolyCache
 from .curvecount import DEFAULT_BUDGET, CurveModel, curve_from_coeffs, poly_discriminant
 from .errors import NotGaloisConsistentError, RamifiedPrimeError
+from .values import FrozenValue
 
 FIELDS_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class NumberFieldSpec:
+class NumberFieldSpec(FrozenValue):
     """A Galois number field given by a monic squarefree integer polynomial.
 
     Residue degrees are only computed at primes not dividing the
     polynomial discriminant.  The galois flag is configuration-asserted;
     consumers validate it statistically by checking equal factor degrees
-    across many primes.
+    across many primes.  ``role`` is "base", "cover-a" or "cover-b".
     """
 
-    name: str
-    role: str  # "base" | "cover-a" | "cover-b"
-    defining_poly: tuple[int, ...]
-    degree: int
-    galois: bool
-    provenance: str = ""
+    __slots__ = ("name", "role", "defining_poly", "degree", "galois", "provenance")
 
-    def __post_init__(self):
-        if self.defining_poly[-1] != 1:
-            raise ValueError(f"field {self.name}: defining polynomial must be monic")
-        if len(self.defining_poly) - 1 != self.degree or self.degree < 1:
-            raise ValueError(f"field {self.name}: degree must be >= 1 and match the polynomial")
-        if poly_discriminant(self.defining_poly) == 0:
-            raise ValueError(f"field {self.name}: defining polynomial is not squarefree over Q")
+    def __init__(self, name: str, role: str, defining_poly: tuple[int, ...], degree: int,
+                 galois: bool, provenance: str = ""):
+        if defining_poly[-1] != 1:
+            raise ValueError(f"field {name}: defining polynomial must be monic")
+        if len(defining_poly) - 1 != degree or degree < 1:
+            raise ValueError(f"field {name}: degree must be >= 1 and match the polynomial")
+        if poly_discriminant(defining_poly) == 0:
+            raise ValueError(f"field {name}: defining polynomial is not squarefree over Q")
+        self._set(name, role, defining_poly, degree, galois, provenance)
 
 
 class SplitCase(Enum):
@@ -67,15 +62,8 @@ class SplitCase(Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class SplitProfile:
-    """Residue degrees of p in the base field (r) and the two covers (s, s')."""
-
-    p: int
-    r: int
-    s: int
-    s_prime: int
-    case: SplitCase
+SplitProfile = namedtuple("SplitProfile", "p r s s_prime case")
+SplitProfile.__doc__ = "Residue degrees of p in the base field (r) and the two covers (s, s')."
 
 
 def residue_degree_galois(field: NumberFieldSpec, p: int) -> int:
@@ -187,11 +175,7 @@ def _field_by_role(fields: dict[str, NumberFieldSpec], role: str) -> NumberField
     return hits[0]
 
 
-@dataclass(frozen=True)
-class TraceVanishing:
-    ok: bool
-    a: int
-    a_prime: int
+TraceVanishing = namedtuple("TraceVanishing", "ok a a_prime")
 
 
 def verify_trace_vanishing(
@@ -200,7 +184,7 @@ def verify_trace_vanishing(
     p: int,
     profile: SplitProfile,
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache = UNCACHED,
+    cache: LPolyCache | None = None,
 ) -> TraceVanishing:
     """Check that both Frobenius traces vanish at a case ii/iii prime.
 
@@ -212,6 +196,8 @@ def verify_trace_vanishing(
         raise ValueError("trace vanishing is only asserted for cases ii and iii")
     if profile.p != p:
         raise ValueError("profile belongs to a different prime")
+    if cache is None:
+        from .cache import UNCACHED as cache  # only commands that count load the cache
     a, b = cache.traces([curve_a, curve_b], p, budget)
     return TraceVanishing(a == 0 and b == 0, a, b)
 
@@ -221,19 +207,16 @@ def verify_trace_vanishing(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lemma62Violation:
-    """The computed L-polynomial does not have the 1 + s T^4 + p^4 T^8 shape.
+Lemma62Violation = namedtuple("Lemma62Violation", "lpoly")
+Lemma62Violation.__doc__ = """The computed L-polynomial does not have the 1 + s T^4 + p^4 T^8 shape.
 
-    Such a value would point at a counting bug, so callers should treat it
-    as an implementation alarm, not as number theory.
-    """
-
-    lpoly: object
+Such a value would point at a counting bug, so callers should treat it
+as an implementation alarm, not as number theory.
+"""
 
 
 def lemma62_check(
-    c: int, p: int, budget: int = DEFAULT_BUDGET, cache: LPolyCache = UNCACHED
+    c: int, p: int, budget: int = DEFAULT_BUDGET, cache: LPolyCache | None = None
 ):
     """For y^2 = x^9 + c x at p = 3, 5 mod 8: extract s from L = 1 + s T^4 + p^4 T^8.
 
@@ -247,6 +230,8 @@ def lemma62_check(
         raise ValueError("c must be nonzero")
     if p % 8 not in (3, 5):
         raise ValueError(f"p={p} is not 3 or 5 mod 8")
+    if cache is None:
+        from .cache import UNCACHED as cache
     curve = curve_from_coeffs((0, c) + (0,) * 7 + (1,))
     L = cache.lpoly(curve, p, budget)
     a = L.coeffs
@@ -313,6 +298,8 @@ def load_field_config(path: str | Path) -> dict[str, NumberFieldSpec]:
 
 def default_fields() -> dict[str, NumberFieldSpec]:
     """The built-in degree 4/8/8 triple shipped with the package."""
+    import importlib.resources
+
     text = (
         importlib.resources.files("twistscope").joinpath("data/fields.cfg").read_text()
     )

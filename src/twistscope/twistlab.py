@@ -27,12 +27,11 @@ runs and worker counts for equal inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .algebra import is_prime, kronecker, odd_primes
-from .cache import UNCACHED, LPolyCache
 from .curvecount import (
     BadReduction,
     CurveModel,
@@ -40,6 +39,7 @@ from .curvecount import (
     LPolynomial,
     reduce_curve,
 )
+from .values import FrozenValue, Value
 
 REPORT_FORMAT_VERSION = 1
 
@@ -51,27 +51,27 @@ class SignMatch(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class TwistCharacter:
+class TwistCharacter(FrozenValue):
     """Quadratic character of Q encoded by a squarefree nonzero integer d.
 
     The character value at an odd prime p is the Kronecker symbol (d/p);
     d = 1 is the trivial character.
     """
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d == 0:
+    def __init__(self, d: int):
+        if d == 0:
             raise ValueError("twist character needs a nonzero integer")
-        n = abs(self.d)
+        n = abs(d)
         q = 2
         while q * q <= n:
             if n % (q * q) == 0:
-                raise ValueError(f"d={self.d} is not squarefree")
+                raise ValueError(f"d={d} is not squarefree")
             while n % q == 0:
                 n //= q
             q += 1
+        self._set(d)
 
     def value_at(self, p: int) -> int:
         return kronecker(self.d, p)
@@ -84,7 +84,7 @@ def _known_squarefree(d: int) -> TwistCharacter:
     of reach.
     """
     ch = object.__new__(TwistCharacter)
-    object.__setattr__(ch, "d", d)
+    ch._set(d)
     return ch
 
 
@@ -126,26 +126,30 @@ def even_coeff_invariant(L: LPolynomial, Lp: LPolynomial, verdict: SignMatch) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    p: int
-    status: str  # "ok" | "bad-reduction" | "budget-exceeded"
-    a: int | None = None
-    a_prime: int | None = None
-    lpoly_a: LPolynomial | None = None
-    lpoly_b: LPolynomial | None = None
-    verdict: SignMatch | None = None
+ScanRecord = namedtuple(
+    "ScanRecord", "p status a a_prime lpoly_a lpoly_b verdict", defaults=(None,) * 5
+)
+ScanRecord.__doc__ = """One prime of a scan: status "ok", "bad-reduction" or "budget-exceeded".
+
+Traces, L-polynomials and the verdict are None where the scan did not
+compute them.
+"""
 
 
-@dataclass
-class ScanReport:
-    label_a: str
-    label_b: str
-    pmin: int
-    pmax: int
-    depth: str  # "traces" | "full"
-    genus: int
-    records: list[ScanRecord] = field(default_factory=list)
+class ScanReport(Value):
+    """A scan's records in prime order; ``depth`` is "traces" or "full"."""
+
+    __slots__ = ("label_a", "label_b", "pmin", "pmax", "depth", "genus", "records")
+
+    def __init__(self, label_a: str, label_b: str, pmin: int, pmax: int, depth: str,
+                 genus: int, records: list[ScanRecord] | None = None):
+        self.label_a = label_a
+        self.label_b = label_b
+        self.pmin = pmin
+        self.pmax = pmax
+        self.depth = depth
+        self.genus = genus
+        self.records = [] if records is None else records
 
     @property
     def good_records(self) -> list[ScanRecord]:
@@ -158,6 +162,8 @@ class ScanReport:
         return out
 
     def none_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         good = self.good_records
         if not good:
             raise ValueError("scan produced no evaluated primes")
@@ -199,8 +205,9 @@ class ScanReport:
         lines.append(f"#skipped-budget\t{skipped_budget}")
         for v in SignMatch:
             lines.append(f"#verdict-{v.value}\t{counts[v]}")
-        nf = self.none_fraction() if good else Fraction(0, 1)
-        lines.append(f"#none-fraction\t{nf.numerator}/{nf.denominator}")
+        # none_fraction() in lowest terms, and 0/1 when nothing was evaluated
+        none, k = counts[SignMatch.NONE], math.gcd(counts[SignMatch.NONE], good)
+        lines.append(f"#none-fraction\t{none // k}/{good // k}" if good else "#none-fraction\t0/1")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -245,7 +252,7 @@ def scan_pair(
     pmax: int,
     depth: str = "traces",
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache = UNCACHED,
+    cache: LPolyCache | None = None,
 ) -> ScanReport:
     """Scan every odd prime in [pmin, pmax] and record the twist verdicts.
 
@@ -262,6 +269,8 @@ def scan_pair(
         raise ValueError("depth must be 'traces' or 'full'")
     if curve_a.genus != curve_b.genus:
         raise ValueError("cannot scan curves of different genus")
+    if cache is None:
+        from .cache import UNCACHED as cache  # only commands that count load the cache
     report = ScanReport(curve_a.label, curve_b.label, pmin, pmax, depth, curve_a.genus)
     primes = odd_primes(pmin, pmax)
     bad = {p for p in primes if _bad_pair(curve_a, curve_b, p)}
@@ -314,22 +323,19 @@ def enumerate_characters(
     return [_known_squarefree(d) for d in ds]
 
 
-@dataclass(frozen=True)
-class CharSearchResult:
-    """Outcome of a finite character search.
+CharSearchResult = namedtuple(
+    "CharSearchResult", "certified survivors witnesses primes_checked finite_evidence",
+    defaults=(True,),
+)
+CharSearchResult.__doc__ = """Outcome of a finite character search.
 
-    certified=True means every tested prime is consistent with at least
-    one candidate; that is finite evidence only, never a proof, and
-    ``finite_evidence`` stays True to keep reports honest.  survivors are
-    ordered by |d|.  When nothing survives, witnesses maps each candidate
-    d to the first prime refuting it.
-    """
-
-    certified: bool
-    survivors: tuple[TwistCharacter, ...]
-    witnesses: tuple[tuple[int, int], ...]  # (d, witness prime)
-    primes_checked: tuple[int, ...]
-    finite_evidence: bool = True
+certified=True means every tested prime is consistent with at least
+one candidate; that is finite evidence only, never a proof, and
+``finite_evidence`` stays True to keep reports honest.  survivors are
+the surviving TwistCharacters ordered by |d|.  witnesses holds a
+(d, witness prime) pair for each candidate d refuted, the first prime
+refuting it; primes_checked the primes tested, ascending.
+"""
 
 
 def character_search(
@@ -338,7 +344,7 @@ def character_search(
     candidates: list[TwistCharacter],
     primes: list[int],
     budget: int = DEFAULT_BUDGET,
-    cache: LPolyCache = UNCACHED,
+    cache: LPolyCache | None = None,
 ) -> CharSearchResult:
     """Test L'_p(T) = L_p(chi_d(p) T) for each candidate d over the primes.
 
@@ -350,6 +356,8 @@ def character_search(
     """
     if not candidates:
         raise ValueError("need at least one candidate character")
+    if cache is None:
+        from .cache import UNCACHED as cache
     alive: dict[int, TwistCharacter] = {c.d: c for c in candidates}
     witnesses: dict[int, int] = {}
     checked: list[int] = []
@@ -383,6 +391,8 @@ def character_search(
 
 def z20_statistic(report: ScanReport, coeff_index: int = 2) -> Fraction:
     """Fraction of evaluated primes whose T^2 coefficient vanishes (exact)."""
+    from fractions import Fraction
+
     if report.depth != "full":
         raise ValueError("statistic needs a full-depth report")
     good = [r for r in report.good_records if r.lpoly_a is not None]

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import product
 
 from .algebra import build_extension, legendre, odd_primes
@@ -53,6 +51,7 @@ from .twistlab import (
     local_twist_sign,
     scan_pair,
 )
+from .values import Value
 
 GENUS2_A = curve_from_coeffs((0, -1, 0, 0, 0, 1))  # x^5 - x
 GENUS2_B = curve_from_coeffs((0, 4, 0, 0, 0, 1))  # x^5 + 4x
@@ -61,14 +60,19 @@ GENUS4_B = curve_from_coeffs((0, 16, 0, 0, 0, 0, 0, 0, 0, 1))  # x^9 + 16x
 GENUS1_REF = curve_from_coeffs((0, -1, 0, 1))  # x^3 - x, oracle-check curve
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
-    elapsed: float = 0.0
-    blocked_by_budget: bool = False
+class CriterionResult(Value):
+    """One criterion's outcome and the line ``verify-paper`` prints for it."""
+
+    __slots__ = ("number", "title", "passed", "detail", "elapsed", "blocked_by_budget")
+
+    def __init__(self, number: int, title: str, passed: bool, detail: str,
+                 elapsed: float = 0.0, blocked_by_budget: bool = False):
+        self.number = number
+        self.title = title
+        self.passed = passed
+        self.detail = detail
+        self.elapsed = elapsed
+        self.blocked_by_budget = blocked_by_budget
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -77,13 +81,18 @@ class CriterionResult:
         return f"{status} criterion {self.number} [{self.elapsed:.1f}s] {self.title}: {self.detail}"
 
 
-@dataclass
-class _Context:
-    budget: int
-    cache: LPolyCache
-    lpolys: list[LPolynomial] = dataclass_field(default_factory=list)
-    reports: list[ScanReport] = dataclass_field(default_factory=list)
-    genus4_full: ScanReport | None = None
+class _Context(Value):
+    """What the criteria share: the budget, the cache, and what earlier ones produced."""
+
+    __slots__ = ("budget", "cache", "lpolys", "reports", "genus4_full")
+
+    def __init__(self, budget: int, cache: LPolyCache, lpolys: list[LPolynomial] | None = None,
+                 reports: list[ScanReport] | None = None, genus4_full: ScanReport | None = None):
+        self.budget = budget
+        self.cache = cache
+        self.lpolys = [] if lpolys is None else lpolys
+        self.reports = [] if reports is None else reports
+        self.genus4_full = genus4_full
 
     def lpoly(self, curve: CurveModel, p: int) -> LPolynomial:
         L = self.cache.lpoly(curve, p, self.budget)
@@ -303,6 +312,8 @@ def _c7_case_table(ctx: _Context):
 
 
 def _c8_split_density(ctx: _Context):
+    from fractions import Fraction
+
     primes = odd_primes(3, 100_000)
     split = sum(1 for p in primes if cyclotomic_residue_degree(8, p) == 1)
     frac = Fraction(split, len(primes))

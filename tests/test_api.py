@@ -1,0 +1,174 @@
+"""The package's public surface: lazy re-exports and the value classes."""
+
+import importlib
+import pickle
+
+import pytest
+
+import twistscope
+from twistscope.algebra import FieldSpec, PolyModP
+from twistscope.cache import _Entry
+from twistscope.curvecount import BadReduction, LPolynomial, curve_from_coeffs
+from twistscope.splitfield import (
+    Lemma62Violation,
+    NumberFieldSpec,
+    SplitCase,
+    SplitProfile,
+    TraceVanishing,
+)
+from twistscope.twistlab import (
+    CharSearchResult,
+    ScanRecord,
+    ScanReport,
+    SignMatch,
+    TwistCharacter,
+)
+from twistscope.verify import CriterionResult, _Context
+
+from test_cli import run_python
+
+# every name the package exported when it imported its modules eagerly, by
+# defining module; NotSquarefreeError, which nothing raised, is gone since
+EXPORTED = {
+    "algebra": "FieldSpec PolyModP build_extension kronecker legendre",
+    "curvecount": "BadReduction CurveModel LPolynomial affine_char_sum canonical_label "
+    "curve_from_coeffs frobenius_trace log_derivative_counts lpoly lpoly_from_counts "
+    "point_count reduce_curve validate_weil",
+    "errors": "BadReductionError BudgetExceededError InconsistentCountsError "
+    "NotGaloisConsistentError RamifiedPrimeError TwistscopeError",
+    "splitfield": "NumberFieldSpec SplitCase SplitProfile case_classify cyclotomic_residue_degree "
+    "default_fields lemma62_check residue_degree_galois split_profile split_profiles "
+    "verify_trace_vanishing",
+    "twistlab": "CharSearchResult ScanRecord ScanReport SignMatch TwistCharacter character_search "
+    "enumerate_characters even_coeff_invariant local_twist_sign moment_stats scan_pair "
+    "trace_sign_match z20_statistic",
+}
+NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("module,name", NAMES)
+    def test_every_exported_name_imports(self, module, name):
+        namespace = {}
+        exec(f"from twistscope import {name}", namespace)
+        defining = importlib.import_module(f"twistscope.{module}")
+        assert namespace[name] is getattr(defining, name)
+        assert name in dir(twistscope)
+
+    def test_version_and_unknown_names(self):
+        assert twistscope.__version__ == "0.1.0"
+        for name in ("NotSquarefreeError", "no_such_name"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(twistscope, name)
+            with pytest.raises(ImportError):
+                exec(f"from twistscope import {name}", {})
+
+    def test_importing_the_cli_loads_no_other_module(self):
+        done = run_python(
+            "-c", "import sys, twistscope.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('twistscope'))))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["twistscope", "twistscope.cli"]
+
+
+def _curve():
+    return curve_from_coeffs((0, -1, 0, 0, 0, 1))
+
+
+def _lpoly(a1=0):
+    return LPolynomial(3, 1, (1, a1, 3))
+
+
+# (make a value, make an unequal value of the class, frozen); each call makes a fresh object
+VALUES = {
+    "PolyModP": (lambda: PolyModP(5, (6, 0, 10)), lambda: PolyModP(5, (2,)), True),
+    "FieldSpec": (lambda: FieldSpec(5, 2, PolyModP(5, (2, 0, 1))), lambda: FieldSpec(5, 1), True),
+    "CurveModel": (_curve, lambda: curve_from_coeffs((0, 4, 0, 0, 0, 1)), True),
+    "BadReduction": (lambda: BadReduction("x^5 - x", 3), lambda: BadReduction("x^5 - x", 5), True),
+    "LPolynomial": (_lpoly, lambda: _lpoly(1), True),
+    "_Entry": (lambda: _Entry(_curve(), 3, [4], None), lambda: _Entry(_curve(), 3, [4], _lpoly()), False),
+    "NumberFieldSpec": (
+        lambda: NumberFieldSpec("i", "base", (1, 0, 1), 2, True),
+        lambda: NumberFieldSpec("i", "base", (1, 0, 1), 2, True, "Q(i)"),
+        True,
+    ),
+    "SplitProfile": (
+        lambda: SplitProfile(3, 1, 1, 2, SplitCase.I),
+        lambda: SplitProfile(3, 2, 2, 4, SplitCase.II),
+        True,
+    ),
+    "TraceVanishing": (lambda: TraceVanishing(True, 0, 0), lambda: TraceVanishing(False, 2, 0), True),
+    "Lemma62Violation": (lambda: Lemma62Violation(_lpoly()), lambda: Lemma62Violation(_lpoly(1)), True),
+    "TwistCharacter": (lambda: TwistCharacter(-3), lambda: TwistCharacter(5), True),
+    "ScanRecord": (
+        lambda: ScanRecord(3, "bad-reduction"),
+        lambda: ScanRecord(3, "ok", 0, 0, None, None, SignMatch.BOTH),
+        True,
+    ),
+    "ScanReport": (
+        lambda: ScanReport("x^5 - x", "x^5 + 4x", 3, 13, "traces", 2, [ScanRecord(3, "bad-reduction")]),
+        lambda: ScanReport("x^5 - x", "x^5 + 4x", 3, 13, "traces", 2),
+        False,
+    ),
+    "CharSearchResult": (
+        lambda: CharSearchResult(False, (), ((1, 3),), (3,)),
+        lambda: CharSearchResult(True, (TwistCharacter(1),), (), (3,)),
+        True,
+    ),
+    "CriterionResult": (
+        lambda: CriterionResult(1, "traces", True, "ok"),
+        lambda: CriterionResult(1, "traces", False, "ok"),
+        False,
+    ),
+    "_Context": (lambda: _Context(budget=10, cache=None), lambda: _Context(budget=20, cache=None), False),
+}
+
+
+class TestValueClasses:
+    def test_sixteen_classes_none_a_dataclass(self):
+        assert len(VALUES) == 16
+        for name, (make, _, _) in VALUES.items():
+            cls = type(make())
+            assert cls.__name__ == name and not hasattr(cls, "__dataclass_fields__")
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_equality_hash_immutability_pickle(self, name):
+        make, make_other, frozen = VALUES[name]
+        value = make()
+        assert value == make() and not value != make()
+        assert value != make_other()
+        field = value._fields[0] if isinstance(value, tuple) else value.__slots__[0]
+        if frozen:
+            assert hash(value) == hash(make())
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+            setattr(value, field, 0)
+            assert getattr(value, field) == 0
+            value = make()
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_defaults_and_normal_forms(self):
+        assert PolyModP(5, (6, 0, 10, 0, 0)).coeffs == (1,)
+        assert FieldSpec(5, 1).modulus is None
+        assert NumberFieldSpec("i", "base", (1, 0, 1), 2, True).provenance == ""
+        assert ScanRecord(3, "bad-reduction").verdict is None
+        assert CharSearchResult(False, (), (), ()).finite_evidence is True
+        assert ScanReport("a", "b", 3, 5, "full", 1).records == []
+        assert ScanReport("a", "b", 3, 5, "full", 1).records is not ScanReport("a", "b", 3, 5, "full", 1).records
+        assert CriterionResult(1, "t", True, "d").elapsed == 0.0
+        assert repr(_lpoly()) == "LPolynomial(p=3, g=1, coeffs=(1, 0, 3))"
+
+    def test_pool_unit_and_lpolynomial_pickle(self):
+        # the pool sends (CurveModel, p, i) units to its workers
+        unit = (_curve(), 7, 2)
+        back = pickle.loads(pickle.dumps(unit))
+        assert back == unit and back[0].genus == 2 and hash(back[0]) == hash(unit[0])
+        L = _lpoly()
+        assert pickle.loads(pickle.dumps(L)) == L
+        assert pickle.loads(pickle.dumps(L)).sign_flipped() == L.sign_flipped()

@@ -9,6 +9,7 @@ import pytest
 
 import twistscope
 from twistscope import cache as cache_module
+from twistscope.algebra import odd_primes
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
@@ -27,6 +28,11 @@ def reopened(cache):
 
 def lines(cache, curve):
     return cache._path(curve).read_text().splitlines()
+
+
+def served(cache, curve):
+    """What ``get`` serves at every prime the curve's file has a line for."""
+    return {p: cache.get(curve, p) for p in cache._records(curve)}
 
 
 class TestBasics:
@@ -154,6 +160,62 @@ class TestBasics:
         cache.put(curve, 3, counts=[4])
         assert cache.get(alias, 3)[0] == [4]
         assert "label" not in json.loads(lines(cache, curve)[0])
+
+
+class TestLinesCheckedOnDemand:
+    """A read parses lines and checks their key fields; counts are checked per prime, on demand."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        checked = []
+        take = cache_module._take
+
+        def counting(curve, p, counts):
+            checked.append(p)
+            return take(curve, p, counts)
+
+        monkeypatch.setattr(cache_module, "_take", counting)
+        return checked
+
+    def test_one_get_checks_one_prime(self, cache, genus2_pair, monkeypatch):
+        curve = genus2_pair[0]
+        primes = odd_primes(3, 1300)[:200]
+        for p in primes:
+            cache.put(curve, p, counts=[p + 1])  # trace 0: a valid one-count prefix
+        checked = self.count_checks(monkeypatch)
+        again = reopened(cache)
+        p = primes[100]
+        assert again.get(curve, p) == ([p + 1], None)
+        assert again.get(curve, p) == ([p + 1], None)  # kept, not checked again
+        assert checked == [p]
+        assert len(again._records(curve)) == 200
+
+    def test_invalid_newest_line_falls_back_with_warning(self, cache, genus2_pair, caplog, monkeypatch):
+        curve = genus2_pair[0]  # x^5 - x: N_1 = 4 and N_2 = 6 at p = 3
+        cache.put(curve, 3, counts=[4])
+        cache.put(curve, 5, counts=[6])
+        newest = json.loads(lines(cache, curve)[0])
+        newest["counts"] = [4, 100]  # N_2 violates the Weil bound at p = 3
+        with open(cache._path(curve), "a") as fh:
+            fh.write(json.dumps(newest) + "\n")
+        checked = self.count_checks(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            again = reopened(cache)
+            assert again.get(curve, 5) == ([6], None)
+            assert "failed validation" not in caplog.text  # reading checked no counts
+            assert again.get(curve, 3) == ([4], None)
+        assert "line 3 failed validation" in caplog.text
+        assert checked == [5, 3, 3]  # newest first: line 3, then line 1
+
+    def test_undecodable_line_warned_on_read(self, cache, genus2_pair, caplog):
+        curve = genus2_pair[0]
+        cache.put(curve, 3, counts=[4])
+        cache.put(curve, 5, counts=[6])
+        path = cache._path(curve)
+        path.write_bytes(path.read_bytes() + b'{"p": 7, "counts": [\xff]}\n')
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            assert reopened(cache).get(curve, 5) == ([6], None)
+        assert "line 3 unreadable" in caplog.text
 
 
 class TestComputeThrough:
@@ -314,7 +376,7 @@ class TestConcurrentCommands:
         assert [(proc.returncode, out) for proc, (out, _) in zip(procs, outs)] == [(0, want)] * 2
         assert len(list(serial.iterdir())) == len(list(shared.iterdir())) == 2  # one file per curve
         for curve in genus2_pair:
-            assert LPolyCache(shared)._records(curve) == LPolyCache(serial)._records(curve)
+            assert served(LPolyCache(shared), curve) == served(LPolyCache(serial), curve)
         sizes = {f.name: f.stat().st_size for f in shared.iterdir()}
 
         def no_counting(curve, p, i):

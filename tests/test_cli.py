@@ -70,18 +70,36 @@ class TestTracerNames:
         assert missing == ["tracer: algebra.ddf_degrees not found; its metrics stay 0"], done.stderr
 
 
-# a CLI run that reports on stderr whether numpy was imported: in each forked
-# pool worker as it starts, and in the command's process at the end.  Each
-# report is one write(2), so the lines of concurrent workers cannot interleave.
-NUMPY_PROBE = (
+# a CLI run that reports on stderr whether numpy is loaded in each forked pool
+# worker as it starts, and, at the end, every module the command loaded beyond
+# what the interpreter had before it imported the package.  Each report is
+# one write(2), so the lines of concurrent workers cannot interleave.
+MODULES_PROBE = (
     "import os, sys\n"
+    "before = set(sys.modules)\n"
     "from twistscope.cli import main\n"
-    "report = lambda what: os.write(2, f'{what}: {\"numpy\" in sys.modules}\\n'.encode())\n"
-    "os.register_at_fork(after_in_child=lambda: report('numpy at fork'))\n"
-    "rc = main(sys.argv[1:])\n"
-    "report('numpy loaded')\n"
+    "os.register_at_fork(after_in_child=lambda: os.write(\n"
+    "    2, f'numpy at fork: {\"numpy\" in sys.modules}\\n'.encode()))\n"
+    "try:\n"
+    "    rc = main(sys.argv[1:])\n"
+    "except SystemExit as exc:  # --version exits from the parser\n"
+    "    rc = exc.code\n"
+    "os.write(2, ('loaded: ' + ' '.join(sorted(set(sys.modules) - before)) + '\\n').encode())\n"
     "sys.exit(rc)\n"
 )
+
+
+def probe(*argv):
+    """Run one CLI command in a fresh interpreter.
+
+    Returns the completed process, the set of modules the command loaded,
+    and the "numpy at fork" lines of its pool workers.
+    """
+    done = run_python("-c", MODULES_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    *rest, last = done.stderr.splitlines()
+    assert last.startswith("loaded:"), done.stderr
+    return done, set(last.split()[1:]), [line for line in rest if line.startswith("numpy at fork")]
 
 
 class TestNumpyOnlyWhenCounting:
@@ -94,12 +112,39 @@ class TestNumpyOnlyWhenCounting:
             (("split", "--pmax", "50", "--format", "records", "--cache-dir", str(tmp_path)), False),
         ]
         for argv, loaded in runs:
-            done = run_python("-c", NUMPY_PROBE, *argv)
-            assert done.returncode == 0, done.stderr
-            assert done.stderr.splitlines()[-1] == f"numpy loaded: {loaded}", argv
-            forks = [line for line in done.stderr.splitlines() if line.startswith("numpy at fork")]
+            _, modules, forks = probe(*argv)
+            assert ("numpy" in modules) == loaded, argv
             # the parent loads numpy before the pool forks, so no worker imports it again
-            assert forks == ["numpy at fork: True"] * (2 if loaded else 0), done.stderr
+            assert forks == ["numpy at fork: True"] * (2 if loaded else 0), argv
+
+
+class TestEachCommandLoadsItsPath:
+    # standard-library and third-party modules that no command below runs
+    UNUSED = {"numpy", "concurrent.futures", "logging", "dataclasses", "fractions"}
+    NO_CACHE = {"twistscope.cache", "json", "hashlib"}
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        common = ("--format", "records", "--cache-dir", str(tmp_path))
+        scan = ("scan", "x^9 + x", "x^9 + 16x", "--pmax", "13", "--depth", "full", "--jobs", "2")
+        cold, _, _ = probe(*scan, *common)
+        # the cold scan leaves every count that lemma62 and char-search need
+        report = tmp_path / "report.txt"
+        report.write_text(cold.stdout)
+        runs = [
+            (("--version",), self.UNUSED | self.NO_CACHE),
+            (("split", "--pmax", "50", *common),
+             self.UNUSED | self.NO_CACHE | {"twistscope.twistlab", "twistscope.verify"}),
+            (("stats", str(report), "--format", "records"),
+             self.UNUSED - {"fractions"} | self.NO_CACHE),  # z20 is an exact Fraction
+            (("lemma62", "--c", "16", "--pmax", "13", *common), self.UNUSED),
+            (("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "13", *common), self.UNUSED),
+            ((*scan, *common), self.UNUSED | {"twistscope.splitfield", "twistscope.verify"}),
+        ]
+        for argv, unused in runs:
+            done, modules, forks = probe(*argv)
+            assert not modules & unused, (argv, modules & unused)
+            assert forks == [], argv
+        assert done.stdout == cold.stdout  # the warm scan agrees with the cold one
 
 
 class TestParseCurve:
