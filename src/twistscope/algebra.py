@@ -380,11 +380,10 @@ class FieldSpec(FrozenValue):
             if modulus is not None:
                 raise ValueError("prime fields carry no modulus")
         else:
-            m = modulus
-            if m is None or m.p != p or m.degree != degree or not m.is_monic:
+            if modulus is None or modulus.p != p or modulus.degree != degree or not modulus.is_monic:
                 raise ValueError("modulus must be monic of the stated degree")
-            if not is_irreducible(m):
-                raise ValueError(f"modulus {m.coeffs} is reducible mod {p}")
+            if not is_irreducible(modulus):
+                raise ValueError(f"modulus {modulus.coeffs} is reducible mod {p}")
         self._set(p, degree, modulus)
 
     @property
