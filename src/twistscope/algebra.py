@@ -3,11 +3,14 @@
 Polynomials over F_p are coefficient lists in ascending degree with
 coefficients reduced to [0, p) and no trailing zeros ([] is the zero
 polynomial).  ``equal_factor_degrees`` gives the common degree of the
-irreducible factors of one integer polynomial mod each of many primes,
-computing x^p for a block of primes modulo their product.  Extension
-fields F_{p^i} are F_p[t]/(m(t)) for a monic irreducible m found by a
-deterministic scan, so equal (p, i) always produce the same field and all
-derived output is reproducible.
+irreducible factors of one integer polynomial h mod each of many primes.
+For a block of primes with product M it lifts their x^p mod (h, p) to one
+X over Z/M by the Chinese remainder theorem, so one Frobenius matrix over
+Z/M serves every prime of the block: its powers give the degree, and
+their traces (a gcd at p <= deg h) show that the degrees are equal.
+Extension fields F_{p^i} are F_p[t]/(m(t)) for a monic irreducible m
+found by a deterministic scan, so equal (p, i) always produce the same
+field and all derived output is reproducible.
 
 Everything here is pure and exact; p = 2 is rejected throughout because
 the curve-counting layer assumes odd characteristic.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import NotGaloisConsistentError
 from .values import FrozenValue
@@ -133,8 +136,8 @@ def kronecker(d: int, n: int) -> int:
 # coefficient sequences with entries in [0, p) and return fresh canonical
 # lists; is_irreducible runs them on the coefficients of a PolyModP, the
 # checked (p, coefficients) value the package passes around.  Nothing in
-# them needs p to be prime except _monic and _gcd (which invert), so
-# _divmod and _powmod also work modulo a product of primes.
+# them needs p to be prime except _monic and _gcd (which invert), so the
+# others also work modulo a product of primes.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -259,59 +262,110 @@ class PolyModP(FrozenValue):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
 
-# Primes per block in _xp_by_blocks.  One powmod modulo the product M of a
-# block replaces one powmod per prime; larger blocks make the coefficients
-# (about 17 * _XP_BLOCK bits near p = 10^5) and each gap step dearer.
+# Primes per block in equal_factor_degrees.  One powmod and one Frobenius
+# matrix modulo the product M of a block replace one of each per prime;
+# larger blocks make the coefficients (about 17 * _XP_BLOCK bits near
+# p = 10^5) and each gap step dearer.
 _XP_BLOCK = 32
 
 
-def _xp_by_blocks(h, primes: Sequence[int]) -> Iterator[list[int]]:
-    """x^p mod (h, p) for each of the ascending primes, for a monic integer h.
+def _ascending_odd_primes(primes: Iterable[int]) -> list[int]:
+    """``primes`` as a list, or ValueError unless they are ascending odd primes."""
+    primes = list(primes)
+    for p, prev in zip(primes, [2, *primes]):
+        _require_odd_prime(p)
+        if p <= prev:
+            raise ValueError("primes must be ascending")
+    return primes
 
-    For each block of consecutive primes with product M, one powmod gives
-    x^(p_first) mod (h, M); each next prime follows from the one before
-    by multiplying by x^gap and reducing by h mod M.  Division by a monic
-    h is exact over Z/M, and reducing mod p is a ring map from Z/M to F_p,
-    so reducing the coefficients mod p gives x^p mod (h, p).  Lazy: a
-    block is computed when its first prime is reached.
+
+def _lifted_xp(hM, block: Sequence[int], M: int) -> list[int]:
+    """X mod a monic hM over Z/M with X = x^p mod (h, p) for each p of the block.
+
+    M is the product of the block's distinct primes.  One powmod gives
+    x^(p_first) mod (h, M); each next prime follows from the one before by
+    multiplying by x^gap and reducing by h mod M.  Division by a monic h is
+    exact over Z/M and reducing mod p is a ring map from Z/M to F_p, so each
+    of these reduces mod its own p to x^p mod (h, p); the Chinese remainder
+    theorem combines those residues into X.
     """
+    r = _powmod([0, 1], block[0], hM, M)
+    X = [0] * (len(hM) - 1)
+    prev = block[0]
+    for p in block:
+        if p != prev:
+            r = _divmod([0] * (p - prev) + r, hM, M)[1]
+            prev = p
+        rest = M // p
+        unit = rest * pow(rest, -1, p)  # 1 mod p, 0 mod the block's other primes
+        for k, c in enumerate(r):
+            X[k] += c % p * unit
+    return _trim([c % M for c in X])
+
+
+def _block_degrees(h, block: Sequence[int]) -> list[int | None]:
+    """The common factor degree of a monic h at each prime of a block, None where mixed.
+
+    The columns X^m mod (h, M), m < n = deg h, form a matrix Q over Z/M,
+    and Q reduces mod each prime p of the block to the Frobenius (Berlekamp
+    Q) matrix of h mod p, so Q^k gives x^(p^k) mod (h, p) for all of them
+    at once.  x^(p^k) = x mod (h, p) exactly when every factor degree
+    divides k, so the least such divisor f of n is the common degree when
+    the degrees are equal, and when no divisor fits they are not.  On
+    F_p[x]/(h), a product of fields F_(p^d_i), the trace of Frobenius^k
+    is the sum of the d_i dividing k, an integer in [0, n].  So for p > n
+    the degrees all equal f exactly when tr(Q^(f/l)) = 0 mod p for each
+    prime l | f; for p <= n, gcd(h, x^(p^(f/l)) - x) = 1 decides instead.
+    """
+    n = len(h) - 1
+    if n == 1:
+        return [1] * len(block)
+    M = math.prod(block)
+    hM = [c % M for c in h]
+    Q = _frobenius_columns(_lifted_xp(hM, block, M), hM, M)
+    x = [0, 1]
+    frob = [x, Q[1]]  # frob[k] = x^(p^k), lifted: column 1 of Q^k
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    traces: dict[int, int] = {}
+
+    def trace(k):  # tr(Q^k); the columns of Q^k are the powers of x^(p^k)
+        if k not in traces:
+            cols = _frobenius_columns(frob[k], hM, M) if k > 1 else Q
+            traces[k] = sum(col[m] for m, col in enumerate(cols) if m < len(col)) % M
+        return traces[k]
+
+    degrees: list[int | None] = []
+    for p in block:
+        for f in divisors:
+            while len(frob) <= f:
+                frob.append(_frobenius(frob[-1], Q, M))
+            if _trim([c % p for c in frob[f]]) == x:
+                break
+        else:
+            degrees.append(None)
+            continue
+        if p > n:
+            equal = all(trace(f // ell) % p == 0 for ell in prime_divisors(f))
+        else:
+            hp = [c % p for c in h]
+            equal = all(
+                len(_gcd(hp, _addmul([c % p for c in frob[f // ell]], x, p - 1, p), p)) == 1
+                for ell in prime_divisors(f)
+            )
+        degrees.append(f if equal else None)
+    return degrees
+
+
+def _equal_degrees(h: tuple[int, ...], primes: list[int]) -> Iterator[int]:
+    """``equal_factor_degrees`` for a monic h and ascending odd primes already checked."""
     for lo in range(0, len(primes), _XP_BLOCK):
         block = primes[lo : lo + _XP_BLOCK]
-        M = math.prod(block)
-        hM = [c % M for c in h]
-        r = _powmod([0, 1], block[0], hM, M)
-        prev = block[0]
-        for p in block:
-            if p != prev:
-                r = _divmod([0] * (p - prev) + r, hM, M)[1]
-                prev = p
-            yield _trim([c % p for c in r])
-
-
-def _frobenius_order(hc, xp, p: int) -> int | None:
-    """The common degree of the irreducible factors of a monic h, squarefree mod p.
-
-    ``xp`` is x^p mod h.  The least j with x^(p^j) = x mod h is the least
-    common multiple of the factor degrees, so it is the common degree f
-    when they are equal, and then gcd(h, x^(p^(f/l)) - x) = 1 for every
-    prime l | f.  Each x^(p^j) mod h follows from the previous one through
-    the Frobenius matrix of h.  Returns None when no j <= deg h fits or a
-    gcd is nontrivial: the degrees are unequal.
-    """
-    x = _divmod([0, 1], hc, p)[1]  # x itself once deg h >= 2
-    if xp == x:
-        return 1
-    cols = _frobenius_columns(xp, hc, p)
-    frob = [x, xp]  # frob[j] = x^(p^j) mod h
-    while frob[-1] != x and len(frob) < len(hc):
-        frob.append(_frobenius(frob[-1], cols, p))
-    f = len(frob) - 1
-    # frob[f] != x here means no j <= deg h fits: the lcm exceeds deg h
-    if frob[f] != x or any(
-        len(_gcd(hc, _addmul(frob[f // ell], x, p - 1, p), p)) != 1 for ell in prime_divisors(f)
-    ):
-        return None
-    return f
+        for p, f in zip(block, _block_degrees(h, block)):
+            if f is None:
+                raise NotGaloisConsistentError(
+                    f"polynomial {h} has irreducible factors of unequal degrees mod {p}"
+                )
+            yield f
 
 
 def equal_factor_degrees(h: Sequence[int], primes: Sequence[int]) -> Iterator[int]:
@@ -320,24 +374,15 @@ def equal_factor_degrees(h: Sequence[int], primes: Sequence[int]) -> Iterator[in
     ``h`` is a monic integer polynomial of degree >= 1 (ascending
     coefficients) and ``primes`` are ascending odd primes at which h is
     squarefree mod p; callers rule out the primes dividing disc(h) first.
-    One value is yielded per prime, lazily, so everything yielded before a
-    failure stands.  Raises NotGaloisConsistentError at the first prime
-    where the factor degrees are not all equal.
+    Degrees are computed a block of primes at a time and yielded one per
+    prime, so everything yielded before a failure stands.  Raises
+    NotGaloisConsistentError at the first prime where the factor degrees
+    are not all equal.
     """
     h = tuple(h)
     if len(h) < 2 or h[-1] != 1:
         raise ValueError(f"polynomial {h} must be monic of degree >= 1")
-    for p, prev in zip(primes, [2, *primes]):
-        _require_odd_prime(p)
-        if p <= prev:
-            raise ValueError("primes must be ascending")
-    for p, xp in zip(primes, _xp_by_blocks(h, primes)):
-        f = _frobenius_order([c % p for c in h], xp, p)
-        if f is None:
-            raise NotGaloisConsistentError(
-                f"polynomial {h} has irreducible factors of unequal degrees mod {p}"
-            )
-        yield f
+    return _equal_degrees(h, _ascending_odd_primes(primes))
 
 
 def is_irreducible(h: PolyModP) -> bool:

@@ -4,12 +4,14 @@ For a Galois number field with monic defining polynomial h and an odd
 prime p not dividing disc(h), h mod p is squarefree, every irreducible
 factor of h mod p has the same degree, and that common degree is the
 residue degree of p.  It is the order of Frobenius on x in F_p[x]/(h),
-computed for all primes of a range in one ascending pass per field
-(``algebra.equal_factor_degrees``), and the degrees are checked to be
-equal at every computed prime.  The primes dividing disc(h) are guarded:
-there the factor degrees of h mod p need not reflect the splitting of p
-(ramification or index divisors), so such primes are skipped, never
-guessed.  The guard is computed from the polynomials, never configured.
+computed for all primes of a range in one ascending pass per field, a
+block of primes at a time (``algebra.equal_factor_degrees``), and the
+degrees are checked to be equal at every computed prime.  The primes are
+checked once per pass, not once per field.  The primes dividing disc(h)
+are guarded: there the factor degrees of h mod p need not reflect the
+splitting of p (ramification or index divisors), so such primes are
+skipped, never guessed.  The guard is computed from the polynomials,
+never configured.
 
 The built-in configuration describes three fields of degrees 4, 8, 8
 (see data/fields.cfg); their residue degrees (r, s, s') at a prime are
@@ -25,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from pathlib import Path
 
-from .algebra import equal_factor_degrees
+from .algebra import _ascending_odd_primes, _equal_degrees
 from .curvecount import DEFAULT_BUDGET, CurveModel, curve_from_coeffs, poly_discriminant
 from .errors import NotGaloisConsistentError, RamifiedPrimeError
 from .values import FrozenValue
@@ -75,15 +77,15 @@ def residue_degree_galois(field: NumberFieldSpec, p: int) -> int:
     """
     if poly_discriminant(field.defining_poly) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides the polynomial discriminant of {field.name}")
-    return next(_residue_degrees(field, [p]))
+    return next(_residue_degrees(field, _ascending_odd_primes([p])))
 
 
 def _residue_degrees(field: NumberFieldSpec, primes: list[int]) -> Iterator[int]:
-    """Residue degrees of ``field`` at ascending primes none of which is guarded; lazy."""
+    """Residue degrees of ``field`` at checked ascending primes none of which is guarded; lazy."""
     if not field.galois:
         raise ValueError(f"field {field.name} is not flagged Galois")
     try:
-        yield from equal_factor_degrees(field.defining_poly, primes)
+        yield from _equal_degrees(field.defining_poly, primes)
     except NotGaloisConsistentError as exc:
         raise NotGaloisConsistentError(f"field {field.name}: {exc}; equal degrees expected") from None
 
@@ -127,11 +129,13 @@ def split_profiles(
 
     Residue degrees of the base/cover-a/cover-b triple come from one pass
     over the unguarded primes per field; guarded primes are never
-    computed.  Lazy, so every pair yielded before an error stands.
+    computed.  The unguarded primes are checked to be ascending odd primes
+    once, for all three fields.  Lazy, so every pair yielded before an
+    error stands.
     """
     primes = list(primes)
     guarded = [is_guarded(fields, p) for p in primes]
-    computed = [p for p, g in zip(primes, guarded) if not g]
+    computed = _ascending_odd_primes(p for p, g in zip(primes, guarded) if not g)
     triples = _degree_triples(fields, computed)
     for p, g in zip(primes, guarded):
         if g:

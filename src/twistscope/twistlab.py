@@ -32,13 +32,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .algebra import is_prime, kronecker, odd_primes
-from .curvecount import (
-    BadReduction,
-    CurveModel,
-    DEFAULT_BUDGET,
-    LPolynomial,
-    reduce_curve,
-)
+from .curvecount import CurveModel, DEFAULT_BUDGET, LPolynomial, poly_discriminant
 from .values import FrozenValue, Value
 
 REPORT_FORMAT_VERSION = 1
@@ -242,7 +236,8 @@ class ScanReport(Value):
 
 
 def _bad_pair(curve_a: CurveModel, curve_b: CurveModel, p: int) -> bool:
-    return any(isinstance(reduce_curve(c, p), BadReduction) for c in (curve_a, curve_b))
+    """Whether an odd prime p divides disc(f) for either curve: bad reduction."""
+    return any(poly_discriminant(c.f_coeffs) % p == 0 for c in (curve_a, curve_b))
 
 
 def scan_pair(
@@ -364,8 +359,8 @@ def character_search(
     for p in sorted(primes):
         if not alive:
             break
-        if p < 3 or p % 2 == 0:
-            raise ValueError("character search tests odd primes only")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"character search tests odd primes only, got {p}")
         if _bad_pair(curve_a, curve_b, p):
             raise ValueError(f"p={p} is a bad prime for the pair; filter it out first")
         La, Lb = cache.lpolys([curve_a, curve_b], p, budget)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -29,9 +30,9 @@ from twistscope.algebra import (
     odd_primes,
     prime_divisors,
 )
-from twistscope.algebra import _XP_BLOCK, _divmod, _gcd, _powmod, _xp_by_blocks
+from twistscope.algebra import _XP_BLOCK, _divmod, _equal_degrees, _gcd, _lifted_xp, _powmod
 from twistscope.errors import NotGaloisConsistentError
-from twistscope.splitfield import default_fields, is_guarded
+from twistscope.splitfield import cyclotomic_residue_degree, default_fields, is_guarded
 
 
 class TestLegendre:
@@ -140,9 +141,19 @@ class TestDDF:
     @pytest.mark.parametrize(
         "p,factors",
         [
-            (3, [(0, 1), (1, 0, 1)]),  # x (x^2+1): lcm 2 <= 3, a gcd finds the linear factor
+            (3, [(0, 1), (1, 0, 1)]),  # x (x^2+1): lcm 2 divides no divisor of degree 3
             (3, [(1, 0, 1), (1, 2, 0, 1)]),  # quadratic times cubic: lcm 6 exceeds degree 5
+            # from here the lcm f divides deg h, so x^(p^f) = x and only the
+            # trace (p > deg h) or the gcd (p <= deg h) sees the mix
             (5, [(2, 1), (2, 0, 1), (1, 1, 0, 1)]),  # degrees 1, 2, 3: lcm 6 = degree 6
+            (11, [(0, 1), (1, 1), (1, 0, 1)]),  # degrees 1, 1, 2
+            (11, [(0, 1), (1, 0, 1), (1, 0, 4, 1)]),  # degrees 1, 2, 3
+            (13, [(11, 0, 1), (8, 0, 1), (11, 0, 0, 0, 1)]),  # x^2 - 2, x^2 - 5, x^4 - 2
+            (13, [(0, 1), (1, 1), (2, 1), (11, 0, 0, 1)]),  # degrees 1, 1, 1, 3
+            (3, [(0, 1), (1, 1), (1, 0, 1)]),  # degrees 1, 1, 2
+            (5, [(3, 0, 1), (2, 0, 1), (3, 0, 0, 0, 1)]),  # x^2 - 2, x^2 - 3, x^4 - 2
+            # the trace of Frobenius is 1 + 1 + 1 = 0 mod 3 here: only the gcd sees it
+            (3, [(0, 1), (1, 1), (2, 1), (2, 2, 0, 1)]),
         ],
     )
     def test_mixed_degrees_raise(self, p, factors):
@@ -184,8 +195,23 @@ def monic_irreducibles(d, p):
     return [g for g in monic_polys(d, p) if naive_factor_degrees(g, p) == [d]]
 
 
+def lifted_xp(h, primes):
+    """x^p mod (h, p) for each prime, read off the lifted X of each block."""
+    out = []
+    for lo in range(0, len(primes), _XP_BLOCK):
+        block = primes[lo : lo + _XP_BLOCK]
+        M = math.prod(block)
+        X = _lifted_xp([c % M for c in h], block, M)
+        for p in block:
+            r = [c % p for c in X]
+            while r and r[-1] == 0:
+                r.pop()
+            out.append(r)
+    return out
+
+
 class TestXpBlocks:
-    """x^p mod (h, p) from block products against one powmod per prime."""
+    """The lifted x^p of each block, reduced mod each prime, against one powmod per prime."""
 
     @staticmethod
     def per_prime(h, primes):
@@ -195,7 +221,7 @@ class TestXpBlocks:
         fields = default_fields()
         primes = [p for p in odd_primes(3, 10_000) if not is_guarded(fields, p)]
         for f in fields.values():
-            assert list(_xp_by_blocks(f.defining_poly, primes)) == self.per_prime(f.defining_poly, primes), f.name
+            assert lifted_xp(f.defining_poly, primes) == self.per_prime(f.defining_poly, primes), f.name
 
     def test_random_polynomials(self):
         rng = random.Random(11)
@@ -207,12 +233,95 @@ class TestXpBlocks:
             n = lengths[trial % len(lengths)]
             # the first trials start at 3, below deg h, where x^p needs no reduction
             primes = pool[:n] if trial < len(lengths) else sorted(rng.sample(pool, n))
-            assert list(_xp_by_blocks(h, primes)) == self.per_prime(h, primes), (h, primes)
+            assert lifted_xp(h, primes) == self.per_prime(h, primes), (h, primes)
 
     def test_lazy(self):
-        # one block is computed when its first prime is reached, not before
-        blocks = _xp_by_blocks((1, 0, 1), odd_primes(3, 10**6))
-        assert next(blocks) == [0, 2]  # x^3 = -x mod (x^2 + 1, 3)
+        # a block is computed when its first prime is reached, not before
+        class FirstBlockOnly(list):
+            def __getitem__(self, key):
+                if isinstance(key, slice) and key.start:
+                    raise AssertionError("a later block was computed")
+                return super().__getitem__(key)
+
+        degrees = _equal_degrees((1, 0, 1), FirstBlockOnly(odd_primes(3, 10**4)))
+        first = [next(degrees) for _ in range(_XP_BLOCK)]
+        assert first[:3] == [2, 1, 2]  # x^2 + 1 is inert at 3 and 7, split at 5
+        with pytest.raises(AssertionError, match="later block"):
+            next(degrees)
+
+
+def crt_poly(residues):
+    """The monic integer polynomial congruent to each (p, monic h_p) of equal degree."""
+    M = math.prod(p for p, _ in residues)
+    out = [0] * len(residues[0][1])
+    for p, hp in residues:
+        unit = M // p * pow(M // p, -1, p)
+        out = [c + a * unit for c, a in zip(out, hp)]
+    return tuple(c % M for c in out)
+
+
+class TestLiftedDegrees:
+    """Prescribed factor degrees mod p, through the trace rule (p > deg h) and the gcd (p <= deg h)."""
+
+    @staticmethod
+    def product(p, degrees, data):
+        # distinct monic irreducibles, so the product is squarefree mod p
+        factors = []
+        for d in sorted(set(degrees)):
+            k = degrees.count(d)
+            factors += data.draw(
+                st.lists(st.sampled_from(monic_irreducibles(d, p)), min_size=k, max_size=k, unique=True)
+            )
+        return functools.reduce(lambda a, b: poly_mul(a, b, p), factors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([11, 13, 3, 5]), st.data())
+    def test_one_degree(self, p, data):
+        # deg h <= 10 < p for 11 and 13; p = 3 and 5 reach deg h >= p
+        d = data.draw(st.integers(1, 3 if p > 5 else 4))
+        k = data.draw(st.integers(1, min(10 // d, len(monic_irreducibles(d, p)))))
+        h = self.product(p, [d] * k, data)
+        assert factor_degree(h, p) == d
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([11, 13, 3, 5]), st.data())
+    def test_mixed_degrees(self, p, data):
+        pair = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+        more = data.draw(st.lists(st.sampled_from(pair), max_size=(10 - sum(pair)) // max(pair)))
+        degrees = pair + more  # deg h <= 10
+        if any(degrees.count(d) > len(monic_irreducibles(d, p)) for d in pair):
+            return  # not enough distinct irreducibles of that degree mod p
+        h = self.product(p, degrees, data)
+        with pytest.raises(NotGaloisConsistentError, match=f"unequal degrees mod {p}$"):
+            factor_degree(h, p)
+
+    def test_several_primes_in_one_block(self):
+        # one integer h with equal degrees 2 at 11, mixed degrees at 13 and
+        # equal degrees 4 at 17: the block yields 2, then raises at 13
+        h11 = poly_mul(monic_irreducibles(2, 11)[0], monic_irreducibles(2, 11)[1], 11)
+        h13 = poly_mul(monic_irreducibles(1, 13)[0], monic_irreducibles(3, 13)[0], 13)
+        h17 = (3, 0, 0, 0, 1)  # x^4 + 3 is irreducible mod 17
+        h = crt_poly([(11, h11), (13, h13), (17, h17)])
+        assert list(equal_factor_degrees(h, [11, 17])) == [2, 4]
+        degrees = equal_factor_degrees(h, [11, 13, 17])
+        assert next(degrees) == 2
+        with pytest.raises(NotGaloisConsistentError, match="mod 13$"):
+            next(degrees)
+
+    @pytest.mark.parametrize("length", [1, _XP_BLOCK - 1, _XP_BLOCK, _XP_BLOCK + 1])
+    def test_mixed_prime_mid_block_yields_every_earlier_degree(self, length):
+        # h = x^4 + 1 mod every prime but q, where h = (x - 1)(x - 2)(x^2 - c):
+        # the degrees before q are the orders of p mod 8
+        primes = odd_primes(3, 1000)[:length]
+        for q in sorted({primes[length // 2], primes[-1]}):
+            c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+            target = poly_mul(poly_mul((q - 1, 1), (q - 2, 1), q), (-c % q, 0, 1), q)
+            h = crt_poly([(p, target if p == q else (1, 0, 0, 0, 1)) for p in primes])
+            got = []
+            with pytest.raises(NotGaloisConsistentError, match=f"mod {q}$"):
+                for f in equal_factor_degrees(h, primes):
+                    got.append(f)
+            assert got == [cyclotomic_residue_degree(8, p) for p in primes[: primes.index(q)]]
 
 
 class TestExtensions:

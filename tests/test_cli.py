@@ -255,6 +255,18 @@ class TestUsageErrors:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_kernel_alarm_is_exit_4_without_traceback(self, capsys, tmp_path, monkeypatch):
+        import twistscope.kernels
+
+        def alarm(fbar, spec):
+            raise ArithmeticError("norm landed outside the prime field; kernel bug")
+
+        monkeypatch.setattr(twistscope.kernels, "char_sum", alarm)
+        rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "20",
+                               "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 4 and out == ""
+        assert err == "internal error: norm landed outside the prime field; kernel bug\n"
+
 
 class TestScanCommand:
     def test_records_byte_identical_across_jobs(self, capsys, tmp_path, monkeypatch):

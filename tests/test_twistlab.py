@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from twistscope.algebra import kronecker, odd_primes
 from twistscope.cache import LPolyCache
-from twistscope.curvecount import LPolynomial, curve_from_coeffs, lpoly
+from twistscope.curvecount import BadReduction, LPolynomial, curve_from_coeffs, lpoly, reduce_curve
 from twistscope.twistlab import (
     ScanReport,
     SignMatch,
@@ -111,6 +111,15 @@ class TestScanPair:
         assert by_p[19].status == "bad-reduction"
         assert by_p[3].status == "ok"
         assert len(report.records) == len(odd_primes(3, 20))
+
+    def test_bad_primes_are_those_reduce_curve_rejects(self):
+        # the discriminant rule gives the set that reducing each curve gives
+        a = curve_from_coeffs((5, 0, 0, 0, 2, 1))  # disc 3 * 5^3 * 17 * 467
+        b = curve_from_coeffs((1, 3, 0, 0, 0, 1))  # disc 79 * 827
+        report = scan_pair(a, b, 3, 100, depth="traces")
+        want = {p for p in odd_primes(3, 100)
+                if any(isinstance(reduce_curve(c, p), BadReduction) for c in (a, b))}
+        assert {r.p for r in report.records if r.status == "bad-reduction"} == want == {3, 5, 17, 79}
 
     def test_budget_exceeded_recorded_per_prime(self, genus4_pair):
         report = scan_pair(*genus4_pair, 3, 7, depth="full", budget=100)
@@ -266,6 +275,11 @@ class TestCharacterSearch:
         bad_curve = curve_from_coeffs((3, 0, 0, 1))
         with pytest.raises(ValueError):
             character_search(bad_curve, bad_curve, [TwistCharacter(1)], [3])
+
+    @pytest.mark.parametrize("composite", [9, 15, 1])
+    def test_rejects_composite_prime(self, genus1_curve, composite):
+        with pytest.raises(ValueError, match=f"odd primes only, got {composite}$"):
+            character_search(genus1_curve, genus1_curve, [TwistCharacter(1)], [3, composite])
 
 
 class TestStatistics:
