@@ -30,7 +30,7 @@ from twistscope.algebra import (
     odd_primes,
     prime_divisors,
 )
-from twistscope.algebra import _XP_BLOCK, _divmod, _equal_degrees, _gcd, _lifted_xp, _powmod
+from twistscope.algebra import _XP_BLOCK, _divmod, _equal_degrees, _gcd, _lifted_xp, _powmod, _trim
 from twistscope.errors import NotGaloisConsistentError
 from twistscope.splitfield import cyclotomic_residue_degree, default_fields, is_guarded
 
@@ -202,11 +202,7 @@ def lifted_xp(h, primes):
         block = primes[lo : lo + _XP_BLOCK]
         M = math.prod(block)
         X = _lifted_xp([c % M for c in h], block, M)
-        for p in block:
-            r = [c % p for c in X]
-            while r and r[-1] == 0:
-                r.pop()
-            out.append(r)
+        out += [_trim([c % p for c in X]) for p in block]
     return out
 
 
