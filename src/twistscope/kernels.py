@@ -3,7 +3,10 @@
 - F_p: Horner over all x, then a character table of F_p;
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER: discrete-log tables built once
   per field (x = g^k turns each monomial into an index, terms are added
-  by Zech logarithms, and chi(y) is the parity of log y);
+  by Zech logarithms, and chi(y) is the parity of log y).  Each table
+  field has its own primitive modulus h, so g = t = x mod h, and the
+  exp table is read off one linear recurring sequence of h.  When
+  f = x^r h(x^d) on F_q^*, only (q - 1)/d exponents k are summed;
 - larger F_{p^i}: f(x) by repeated squaring in int64, then chi_p of the
   norm to F_p through Frobenius-orbit products.
 
@@ -16,17 +19,20 @@ suite checks every kernel against an independent enumeration oracle.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .algebra import FieldSpec, PolyModP, build_extension, prime_divisors
+from .algebra import FieldSpec, PolyModP, _mulmod, prime_divisors
 
 _CHUNK = 1 << 19
 # Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
 # larger extension fields go through the norm kernel.  Logs lie in
 # [0, q - 1) and are stored as int32, which needs q - 1 < 2^31.
 _TABLE_MAX_ORDER = 1 << 23
-_TABLE_BLOCK = 1 << 16  # rows per matrix step while building an exp table
+_TABLE_BLOCK = 1 << 16  # longest recurrence jump, and block length, of a table build
+_SEARCH_BATCH = 64  # counter values per batch of the primitive-modulus search
+_SUM_BLOCK = 1 << 13  # exponents per step of a log sum: 64 KB int64 temporaries stay in cache
 
 
 @functools.lru_cache(maxsize=2)
@@ -89,60 +95,118 @@ def _mul_matrix(spec: FieldSpec, a: list[int]) -> np.ndarray:
     return M
 
 
-def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(len(M), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ M % p
+def _mat_pows(M: np.ndarray, exps: list[int], p: int) -> list[np.ndarray]:
+    """M^e mod p for each e >= 1 in exps; M may be a stack of square matrices.
+
+    The exponents share one chain of squarings.
+    """
+    out: list[np.ndarray | None] = [None] * len(exps)
+    for bit in range(max(exps).bit_length()):
+        for n, e in enumerate(exps):
+            if e >> bit & 1:
+                out[n] = M if out[n] is None else out[n] @ M % p
         M = M @ M % p
-        e >>= 1
     return out
 
 
-def _primitive_matrix(spec: FieldSpec) -> np.ndarray:
-    """Multiplication matrix of the first primitive element in base-p counter order.
+def _primitive_modulus(p: int, i: int) -> tuple[int, ...]:
+    """Low coefficients (h_0, ..., h_(i-1)) of the first primitive monic h of degree i >= 2.
 
-    a generates F_q^* iff a^((q-1)/r) != 1 for every prime r | q - 1, tested
-    on i x i matrix powers.  Counter values below p are F_p, never primitive
-    for i >= 2, so the scan starts at t.
+    h is primitive when t = x mod h has order q - 1: C^((q-1)/r) != I for
+    every prime r | q - 1 and C^(q-1) = I, where C is h's companion
+    matrix.  That order also proves h irreducible.  Candidates run in
+    base-p counter order over (h_0, ..., h_(i-1)), as in build_extension,
+    and are tested in batches of matrices.  Counter values below p are
+    binomials x^i + c, whose t^i lies in F_p, so the scan starts at p; and
+    a candidate whose norm N(t) = (-1)^i h_0 does not generate F_p^* is
+    dropped before any matrix power.
     """
-    p, i, q = spec.p, spec.degree, spec.order
-    one, primes = np.eye(i, dtype=np.int64), prime_divisors(q - 1)
-    for v in range(p, q):
-        M = _mul_matrix(spec, [(v // p**j) % p for j in range(i)])
-        if all(not np.array_equal(_mat_pow(M, (q - 1) // r, p), one) for r in primes):
-            return M
-    raise ArithmeticError(f"no primitive element in F_{p}^{i}; field data corrupt")
+    q = p**i
+    rs_p, rs = prime_divisors(p - 1), prime_divisors(q - 1)  # rs[0] = 2: q is odd
+
+    def norm_generates(v: int) -> bool:  # v % p is h_0
+        n = (-1) ** i * v % p
+        return n != 0 and all(pow(n, (p - 1) // r, p) != 1 for r in rs_p)
+
+    one = np.eye(i, dtype=np.int64)
+    digits = p ** np.arange(i, dtype=np.int64)
+    for lo in range(p, q, _SEARCH_BATCH):
+        v = [v for v in range(lo, min(lo + _SEARCH_BATCH, q)) if norm_generates(v)]
+        low = (np.array(v, dtype=np.int64)[:, None] // digits) % p
+        C = np.zeros((len(low), i, i), dtype=np.int64)
+        C[:, np.arange(1, i), np.arange(i - 1)] = 1
+        C[:, :, i - 1] = -low % p
+        pows = _mat_pows(C, [(q - 1) // r for r in rs], p)
+        ok = (pows[0] @ pows[0] % p == one).all(axis=(1, 2))
+        for P in pows:
+            ok &= (P != one).any(axis=(1, 2))
+        if ok.any():
+            return tuple(int(c) for c in low[ok.argmax()])
+    raise ArithmeticError(f"no primitive modulus of degree {i} mod {p}; search bug")
 
 
-def _exp_log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """exp[k] = code of g^k for k < q - 1, and log with log[exp[k]] = k, log[0] = -1.
+def _recurring_sequence(low: tuple[int, ...], p: int, n: int) -> np.ndarray:
+    """s_k = coordinate 0 of t^k mod h = x^i + sum_j low_j x^j, for k < n, as int32.
 
-    g is the first primitive element; the code of a field element is its
-    coordinate vector read as a base-p number (base-p counter order).  The rows g^0..g^(n-1) are built by doubling,
-    then each next block of n is the last one times g^n, as one matrix
-    product, so memory beyond the two int32 tables stays at one block.
+    s starts 1, 0, ..., 0 and obeys h's recurrence.  With w the coordinates
+    of t^D, s[k + D] = sum_j w_j s[k + j], so a jump D >= i gives the next
+    D - i + 1 terms from known ones: i multiply-adds and one reduction per
+    term.  D doubles up to _TABLE_BLOCK.  Every product is below p^2 and
+    every sum below i*p^2 <= 2q, inside int32 for q < 2^30.
     """
-    p, i, q = spec.p, spec.degree, spec.order
-    g = _primitive_matrix(spec)
-    codes = p ** np.arange(i, dtype=np.int64)
-    block = np.zeros((1, i), dtype=np.int64)
-    block[0, 0] = 1
-    step = g  # multiplication by g^len(block)
-    while len(block) < min(_TABLE_BLOCK, q - 1):
-        block = np.vstack((block, block @ step.T % p))
-        step = step @ step % p
-    exp = np.empty(q - 1, dtype=np.int32)
-    for lo in range(0, q - 1, len(block)):
-        hi = min(lo + len(block), q - 1)
-        exp[lo:hi] = block[: hi - lo] @ codes
-        block = block @ step.T % p
+    i, h = len(low), [*low, 1]
+    s = np.empty(n, dtype=np.int32)
+    head = [1] + [0] * (i - 1)
+    while len(head) < min(n, 2 * i):
+        head.append(-sum(c * v for c, v in zip(low, head[-i:])) % p)
+    known = len(head)
+    s[:known] = head[:n]
+    acc, tmp = np.empty(_TABLE_BLOCK, dtype=np.int32), np.empty(_TABLE_BLOCK, dtype=np.int32)
+    D, w = 1, [0, 1]  # w: coordinates of t^D
+    while known < n:
+        while 2 * D <= min(known, _TABLE_BLOCK):
+            D, w = 2 * D, _mulmod(w, w, h, p)
+        hi = min(known + D - i + 1, n)
+        a, b = acc[: hi - known], tmp[: hi - known]  # preallocated: no page faults per block
+        a.fill(0)
+        for j, wj in enumerate(w):
+            if wj:
+                a += np.multiply(s[known - D + j : hi - D + j], wj, out=b)
+        np.floor_divide(a, p, out=b)
+        b *= p
+        np.subtract(a, b, out=s[known:hi])  # a mod p
+        known = hi
+    return s
+
+
+def _exp_log_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp[k] = code of t^k for k < q - 1, and log with log[exp[k]] = k, log[0] = -1.
+
+    t is x modulo the primitive modulus h = _primitive_modulus(p, i), so
+    t generates F_q^* and no search for a primitive element is needed.
+    An element y has the coordinates (L(y), L(ty), ..., L(t^(i-1) y)),
+    where L(y) is y's coordinate 0 in the power basis, and its code reads
+    them as a base-p number.  So code(t^k) = sum_j s_(k+j) p^j for the
+    sequence s of h, adding 1 changes digit 0 only, and c in F_p has code
+    c.  exp overwrites s, block by block, so the tables take 8 bytes per
+    element.
+    """
+    q = p**i
+    s = _recurring_sequence(_primitive_modulus(p, i), p, q + i - 2)
+    for lo in range(0, q - 1, _TABLE_BLOCK):  # each block reads only s[lo:], not yet overwritten
+        hi = min(lo + _TABLE_BLOCK, q - 1)
+        code = s[lo + i - 1 : hi + i - 1].copy()
+        for j in range(i - 2, -1, -1):
+            code *= p
+            code += s[lo + j : hi + j]
+        s[lo:hi] = code
+    exp = s[: q - 1]
     log = np.full(q, -1, dtype=np.int32)
-    for lo in range(0, q - 1, _CHUNK):
-        hi = min(lo + _CHUNK, q - 1)
-        log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+    for lo in range(0, q - 1, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, q - 1)
+        np.put(log, exp[lo:hi], np.arange(lo, hi, dtype=np.int32))
     if log[0] != -1 or (log[1:] < 0).any():
-        raise ArithmeticError(f"powers of g miss part of F_{p}^{i}; table bug")
+        raise ArithmeticError(f"powers of t miss part of F_{p}^{i}; modulus not primitive")
     return exp, log
 
 
@@ -150,14 +214,14 @@ def _exp_log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Zech logs of F_{p^i} and the logs of F_p's elements, built once per field.
 
-    zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.  The two most recent
-    fields stay in memory: both curves of a pair count over one table.
+    zech[n] = log(1 + t^n), or -1 where 1 + t^n = 0, for the generator t
+    of _exp_log_tables; it overwrites exp.  The two most recent fields stay
+    in memory: both curves of a pair count over one table.
     """
-    exp, log = _exp_log_tables(build_extension(p, i))
-    zech = np.empty_like(exp)
-    for lo in range(0, len(exp), _CHUNK):
-        e = exp[lo : lo + _CHUNK]
-        zech[lo : lo + _CHUNK] = log[e + np.where(e % p == p - 1, 1 - p, 1)]  # +1 on digit 0
+    zech, log = _exp_log_tables(p, i)
+    for lo in range(0, len(zech), _TABLE_BLOCK):
+        e = zech[lo : lo + _TABLE_BLOCK]
+        np.take(log, e + np.where(e % p == p - 1, 1 - p, 1), out=e)  # +1 on digit 0
     log_fp = log[:p].astype(np.int64)
     zech.flags.writeable = log_fp.flags.writeable = False  # shared by every caller
     return zech, log_fp
@@ -170,6 +234,13 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
     is (-1)^n; q - 1 is even, so the parity survives reduction mod q - 1.
     Exponents are reduced mod q - 1 first, so e*k < q^2 <= 2^46 in int64.
+
+    Only k < D = (q-1)/d is summed, where r is the least exponent of f and
+    d = gcd(q - 1, e - r over its exponents e): then f = x^r u(x^d) on
+    F_q^*, so f(g^(k+D)) = g^(rD) f(g^k) and the step k -> k + D
+    multiplies chi by (-1)^(rD).  The d shifted copies add up to the
+    partial sum times d if rD is even, and times d mod 2 if it is odd.
+    A dense f has d = 1.
     """
     p, m = spec.p, spec.order - 1
     zech, log_fp = _field_tables(p, spec.degree)
@@ -179,8 +250,14 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     if not terms:
         return total
     (e0, l0), rest = terms[0], terms[1:]
-    for lo in range(0, m, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, m), dtype=np.int64)
+    d = functools.reduce(math.gcd, (e - e0 for e, _ in rest), m)
+    period = m // d
+    copies = d if e0 * period % 2 == 0 else d % 2
+    if not copies:
+        return total
+    partial = 0
+    for lo in range(0, period, _SUM_BLOCK):
+        k = np.arange(lo, min(lo + _SUM_BLOCK, period), dtype=np.int64)
         acc = e0 * k + l0  # a log of the partial sum, unreduced
         zero = np.zeros(len(k), dtype=bool)  # the partial sum is 0
         for e, l in rest:
@@ -188,8 +265,8 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
             z = zech[(b - acc) % m]
             acc = np.where(zero, b, acc + z)
             zero = (z < 0) & ~zero
-        total += len(k) - int(zero.sum()) - 2 * int((acc[~zero] & 1).sum())
-    return total
+        partial += len(k) - int(zero.sum()) - 2 * int((acc[~zero] & 1).sum())
+    return total + copies * partial
 
 
 def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +279,7 @@ def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     p, i = spec.p, spec.degree
     e = np.eye(i, dtype=np.int64)
     red = _mul_matrix(spec, e[i - 1])[:, 1:].T
-    tp = _mat_pow(_mul_matrix(spec, e[1]), p, p)  # multiplication by t^p
+    (tp,) = _mat_pows(_mul_matrix(spec, e[1]), [p], p)  # multiplication by t^p
     frob = np.empty((i, i), dtype=np.int64)
     col = e[0]
     for j in range(i):

@@ -268,6 +268,19 @@ class TestUsageErrors:
         assert err == "internal error: norm landed outside the prime field; kernel bug\n"
 
 
+    def test_non_primitive_modulus_is_exit_4(self, capsys, tmp_path, monkeypatch, fresh_tables):
+        # x^2 + 1 is irreducible mod 3 but not primitive: the table build for
+        # F_9 must refuse it, and the scan must stop with one line
+        import twistscope.kernels
+
+        real = twistscope.kernels._primitive_modulus
+        monkeypatch.setattr(twistscope.kernels, "_primitive_modulus",
+                            lambda p, i: (1, 0) if (p, i) == (3, 2) else real(p, i))
+        rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "7", "--depth", "full",
+                               "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 4 and out == ""
+        assert err == "internal error: powers of t miss part of F_3^2; modulus not primitive\n"
+
 class TestScanCommand:
     def test_records_byte_identical_across_jobs(self, capsys, tmp_path, monkeypatch):
         # jobs in {1, 2} x {cold, warm}; each warm run reads the cache the

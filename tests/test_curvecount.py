@@ -1,11 +1,23 @@
+import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twistscope import kernels
-from twistscope.algebra import PolyModP, build_extension, odd_primes
+from twistscope.algebra import (
+    FieldSpec,
+    PolyModP,
+    _powmod,
+    build_extension,
+    is_irreducible,
+    odd_primes,
+    prime_divisors,
+)
 from twistscope.curvecount import (
     BadReduction,
     CurveModel,
@@ -208,31 +220,153 @@ class TestLogTableKernel:
 
     @pytest.mark.parametrize("p,i", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
     def test_exp_log_inverse_bijections(self, p, i):
-        spec = build_extension(p, i)
+        # the tables live on their own field F_p[x]/(h), h the primitive
+        # modulus, in the coordinates y -> (L(y), L(ty), ..., L(t^(i-1) y)),
+        # L(y) = coordinate 0 of y; build_extension's modulus plays no part
+        spec = FieldSpec(p, i, PolyModP(p, (*kernels._primitive_modulus(p, i), 1)))
         q = spec.order
-        exp, log = kernels._exp_log_tables(spec)
+        exp, log = kernels._exp_log_tables(p, i)
         assert exp.dtype == log.dtype == np.int32
         assert sorted(exp.tolist()) == list(range(1, q))  # exp: Z/(q-1) -> F_q^*, onto
         assert (log[exp] == np.arange(q - 1)).all()
         assert (exp[log[1:]] == np.arange(1, q)).all()
         assert log[0] == -1
 
-        def element(code):
-            return oracles.element(spec, [(int(code) // p**j) % p for j in range(i)])
+        t = oracles.element(spec, [0, 1])
+        t_pows = [t**j for j in range(i)]
 
-        g = element(exp[1])
-        for k in range(q - 2):  # exp[k] really is g^k
-            assert element(exp[k + 1]) == element(exp[k]) * g
+        def code(y):
+            return sum((tj * y).coeffs[0] * p**j for j, tj in enumerate(t_pows))
+
+        y = oracles.one(spec)
+        for k in range(q - 1):  # exp[k] is t^k, so exp[k + 1] = exp[k] * t
+            assert exp[k] == code(y), k
+            y = y * t
+        assert y == oracles.one(spec)
+        assert [code(oracles.element(spec, [c])) for c in range(p)] == list(range(p))
 
     def test_table_ranges_fit_their_dtypes(self):
-        # logs are int32 in [0, q - 1); a term's exponent e*k, with e reduced
-        # mod q - 1, plus a log stays below q^2 in int64
+        # logs are int32 in [0, q - 1); the recurrence sums i products below
+        # p^2, under i*p^2 <= 2q, in int32; a term's exponent e*k, with e
+        # reduced mod q - 1, plus a log stays below q^2 in int64
         cap = kernels._TABLE_MAX_ORDER
-        assert cap - 1 <= np.iinfo(np.int32).max
+        assert 2 * cap <= np.iinfo(np.int32).max
+        for p in odd_primes(3, math.isqrt(cap)):
+            for i in range(2, 23):
+                if p**i <= cap:
+                    assert i * (p - 1) ** 2 <= 2 * p**i, (p, i)
         assert cap * cap <= np.iinfo(np.int64).max
+
+    def test_largest_table_field_of_degree_2(self):
+        # p = 2887 is the largest prime with p^2 <= the cap, where the
+        # recurrence's int32 sums come closest to overflow; the build's own
+        # permutation check runs, and a few codes are recomputed from t^n
+        p = 2887
+        assert p**2 <= kernels._TABLE_MAX_ORDER < 2897**2  # 2897: the next prime
+        h = [*kernels._primitive_modulus(p, 2), 1]
+        exp, _ = kernels._exp_log_tables(p, 2)
+
+        def coord0(n):
+            return (_powmod([0, 1], n, h, p) or [0])[0]
+
+        for k in (0, 1, 2, 12345, p**2 - 3, p**2 - 2):
+            assert exp[k] == coord0(k) + coord0(k + 1) * p, k
+
+    def test_non_primitive_modulus_is_an_arithmetic_error(self, monkeypatch, fresh_tables):
+        # x^2 + 1 is irreducible mod 3 but t^4 = 1: the powers of t cover
+        # 4 of the 8 units, and the permutation check must see it
+        assert is_irreducible(PolyModP(3, (1, 0, 1)))
+        monkeypatch.setattr(kernels, "_primitive_modulus", lambda p, i: (1, 0))
+        with pytest.raises(ArithmeticError, match="modulus not primitive"):
+            kernels._field_tables(3, 2)
 
     def test_genus4_count_at_47(self, genus4_pair):
         assert point_count(genus4_pair[0], 47, 4) == 4862010
+
+
+def first_primitive_modulus(p, i):
+    """Oracle: the first monic h in base-p counter order whose root has order q - 1."""
+    q = p**i
+    for high_first in product(range(p), repeat=i):
+        low = high_first[::-1]  # (h_0, ..., h_(i-1)), h_0 running fastest
+        if oracles.naive_factor_degrees(low + (1,), p) != [i]:
+            continue
+        spec = FieldSpec(p, i, PolyModP(p, low + (1,)))
+        t = y = oracles.element(spec, [0, 1])
+        order = 1
+        while y != oracles.one(spec):
+            y, order = y * t, order + 1
+        if order == q - 1:
+            return low
+    raise AssertionError("no primitive modulus")
+
+
+class TestPrimitiveModulus:
+    @pytest.mark.parametrize("p,i", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
+    def test_first_in_counter_order(self, p, i):
+        h = kernels._primitive_modulus(p, i)
+        assert h == first_primitive_modulus(p, i)
+        assert kernels._primitive_modulus(p, i) == h  # deterministic
+
+    @pytest.mark.parametrize(
+        "p,i", [(p, i) for p in (3, 5, 7, 11, 13, 17, 19, 23) for i in (2, 3, 4)]
+        + [(47, 4), (53, 4), (2027, 2), (3, 12), (3, 14)],
+    )
+    def test_irreducible_and_t_primitive(self, p, i):
+        # every field of a genus-4 scan to 23, and the extremes of the cap;
+        # t's order is checked by polynomial powers, not by matrices
+        low = kernels._primitive_modulus(p, i)
+        assert is_irreducible(PolyModP(p, (*low, 1)))
+        h, q = [*low, 1], p**i
+        assert _powmod([0, 1], q - 1, h, p) == [1]
+        for r in prime_divisors(q - 1):
+            assert _powmod([0, 1], (q - 1) // r, h, p) != [1], r
+
+
+def symmetry(f, q):
+    """(d, rD mod 2) of the x^r h(x^d) rule for f over F_q."""
+    support = [e for e, c in enumerate(f) if c]
+    d = math.gcd(q - 1, *(e - support[0] for e in support))
+    return d, support[0] * ((q - 1) // d) % 2
+
+
+class TestLogSumSymmetry:
+    @pytest.mark.parametrize(
+        "f,p,i,d,odd",
+        [
+            ((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7, 2, 8, 0),  # x^9 + x: d > 1, rD even
+            ((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3, 3, 2, 1),  # d even, rD odd: only x = 0
+            ((0, 1, 0, 1), 3, 3, 2, 1),  # x^3 + x
+            ((0, 1, 0, 2, 0, 0, 0, 1), 7, 3, 2, 1),  # x^7 + 2x^3 + x
+            ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 7, 2, 3, 0),  # x^9 + 1: r = 0
+            ((3, 0, 0, 0, 0, 0, 0, 0, 2), 5, 2, 8, 0),  # 2x^8 + 3: r = 0
+            ((0, 0, 0, 0, 0, 1), 3, 2, 8, 1),  # x^5: a monomial, rD odd
+            ((0, 0, 0, 0, 3), 5, 2, 24, 0),  # 3x^4
+            ((2,), 3, 3, 26, 0),  # a constant
+            ((3, 1, 4, 1, 5, 9, 2, 6, 5, 1), 5, 2, 1, 0),  # dense
+            ((3, 1, 4, 1, 5, 9, 2, 6, 5, 1), 3, 4, 1, 0),
+        ],
+    )
+    def test_cases_match_enumeration_oracle(self, f, p, i, d, odd):
+        assert symmetry(f, p**i) == (d, odd)
+        got = p**i + 1 + affine_char_sum(PolyModP(p, f), build_extension(p, i))
+        assert got == oracles.count_points(f, p, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(p, i) for p in (3, 5, 7, 11, 13) for i in (2, 3, 4) if p**i <= 625]),
+        st.integers(0, 3),
+        st.integers(1, 12),
+        st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    )
+    def test_structured_f_matches_enumeration_oracle(self, field, r, s, h):
+        # f = x^r h(x^s) with h monic of degree 1..3
+        p, i = field
+        f = [0] * (r + s * len(h) + 1)
+        for j, c in enumerate([*h, 1]):
+            f[r + s * j] = c
+        got = p**i + 1 + affine_char_sum(PolyModP(p, tuple(f)), build_extension(p, i))
+        assert got == oracles.count_points(f, p, i)
 
 
 # the largest prime below MAX_FIELD_CHAR = 2^25, where int64 headroom is tightest;
