@@ -238,9 +238,9 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     Only k < D = (q-1)/d is summed, where r is the least exponent of f and
     d = gcd(q - 1, e - r over its exponents e): then f = x^r u(x^d) on
     F_q^*, so f(g^(k+D)) = g^(rD) f(g^k) and the step k -> k + D
-    multiplies chi by (-1)^(rD).  The d shifted copies add up to the
-    partial sum times d if rD is even, and times d mod 2 if it is odd.
-    A dense f has d = 1.
+    multiplies chi by (-1)^(rD).  If rD is even, the d shifted copies add
+    up to the partial sum times d.  If rD is odd, D is odd, so d = m/D is
+    even and the copies cancel in pairs.  A dense f has d = 1.
     """
     p, m = spec.p, spec.order - 1
     zech, log_fp = _field_tables(p, spec.degree)
@@ -252,8 +252,7 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     (e0, l0), rest = terms[0], terms[1:]
     d = functools.reduce(math.gcd, (e - e0 for e, _ in rest), m)
     period = m // d
-    copies = d if e0 * period % 2 == 0 else d % 2
-    if not copies:
+    if e0 * period % 2:
         return total
     partial = 0
     for lo in range(0, period, _SUM_BLOCK):
@@ -266,7 +265,7 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
             acc = np.where(zero, b, acc + z)
             zero = (z < 0) & ~zero
         partial += len(k) - int(zero.sum()) - 2 * int((acc[~zero] & 1).sum())
-    return total + copies * partial
+    return total + d * partial
 
 
 def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -267,7 +267,6 @@ class TestUsageErrors:
         assert rc == 4 and out == ""
         assert err == "internal error: norm landed outside the prime field; kernel bug\n"
 
-
     def test_non_primitive_modulus_is_exit_4(self, capsys, tmp_path, monkeypatch, fresh_tables):
         # x^2 + 1 is irreducible mod 3 but not primitive: the table build for
         # F_9 must refuse it, and the scan must stop with one line
@@ -280,6 +279,7 @@ class TestUsageErrors:
                                "--format", "records", "--cache-dir", str(tmp_path))
         assert rc == 4 and out == ""
         assert err == "internal error: powers of t miss part of F_3^2; modulus not primitive\n"
+
 
 class TestScanCommand:
     def test_records_byte_identical_across_jobs(self, capsys, tmp_path, monkeypatch):

@@ -1,20 +1,23 @@
+import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 BENCH_LAYERS = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_layers_writes_its_json(tmp_path):
+    bench_layers = _load(BENCH_LAYERS)
     out = tmp_path / "BENCH_layers.json"
-    proc = subprocess.run(
-        [sys.executable, str(BENCH_LAYERS), "--fields", "3^2", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    text = bench_layers.write([(3, 2)], out)
     data = json.loads(out.read_text())
-    assert json.loads(proc.stdout) == data
+    assert json.loads(text) == data
     assert data["repeats"] == 5 and data["machine"]["python"]
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)

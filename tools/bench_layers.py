@@ -9,7 +9,7 @@ Each figure is the median of 5 runs in this one process.
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
     python tools/bench_layers.py                        # F_17^4, F_23^4, F_47^4
-    python tools/bench_layers.py --fields 3^2 --out /tmp/layers.json
+    python tools/bench_layers.py --out /tmp/layers.json
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from twistscope import kernels  # noqa: E402
 from twistscope.algebra import PolyModP, build_extension  # noqa: E402
 
 REPEATS = 5
+FIELDS = [(17, 4), (23, 4), (47, 4)]
 POLYS = {
     "x^9 + x": (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     "dense degree 9": (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
@@ -61,25 +62,8 @@ def measure_field(p: int, i: int) -> dict:
     return row
 
 
-def parse_field(text: str) -> tuple[int, int]:
-    """'p^i' for a log-table field: i >= 2 and p^i <= kernels._TABLE_MAX_ORDER."""
-    p, _, i = text.partition("^")
-    try:
-        p, i = int(p), int(i)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not p^i") from None
-    if i < 2 or p**i > kernels._TABLE_MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"{text} is not a log-table field")
-    build_extension(p, i)  # ValueError for a p that is not an odd prime
-    return p, i
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fields", nargs="+", type=parse_field, default=[(17, 4), (23, 4), (47, 4)],
-                    help="log-table fields as p^i")
-    ap.add_argument("--out", default="BENCH_layers.json", help="output path")
-    args = ap.parse_args(argv)
+def write(fields: list[tuple[int, int]], out: Path) -> str:
+    """Measure each log-table field (p, i) and write the JSON text to out."""
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -87,11 +71,18 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
         },
         "repeats": REPEATS,
-        "fields": [measure_field(p, i) for p, i in args.fields],
+        "fields": [measure_field(p, i) for p, i in fields],
     }
     text = json.dumps(result, indent=2) + "\n"
-    Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    Path(out).write_text(text)
+    return text
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default="BENCH_layers.json", help="output path")
+    args = ap.parse_args(argv)
+    sys.stdout.write(write(FIELDS, args.out))
     return 0
 
 
