@@ -6,7 +6,8 @@ only parses input, hands every point count to one ``LPolyCache`` per
 command, and formats output.
 
 Exit codes: 0 success, 1 mathematical finding/criterion failure,
-2 configuration or I/O error, 3 work budget exceeded.
+2 configuration or I/O error, 3 work budget exceeded, 4 a kernel
+self-check failed (an ArithmeticError, reported as ``internal error: ...``).
 
 The cache directory is taken from --cache-dir, else the environment
 variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs sizes the
@@ -23,6 +24,7 @@ command loads only its own path: ``split`` and ``stats`` open no cache.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -110,16 +112,16 @@ def _cmd_lpoly(args, cache, out) -> int:
     from .errors import BadReductionError
 
     curve = parse_curve(args.curve)
-    if args.p is not None:
-        primes = [args.p]
-    else:
-        if args.pmax is None:
-            raise CliError("give --p or a --pmin/--pmax range")
-        primes = _prime_range(args)
     single = args.p is not None
+    if single:
+        if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
+            raise CliError(f"p must be an odd prime, got {args.p}")
+        primes = [args.p]
+    elif args.pmax is None:
+        raise CliError("give --p or a --pmin/--pmax range")
+    else:
+        primes = _prime_range(args)  # sieve output: prime by construction
     for p in primes:
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise CliError(f"p must be an odd prime, got {p}")
         try:
             L = cache.lpoly(curve, p, args.budget)
         except BadReductionError:
@@ -424,6 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the kernels are integer-only, so BLAS threads would only cost numpy start-up time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     from .errors import BudgetExceededError, TwistscopeError

@@ -26,7 +26,7 @@ import functools
 from collections import namedtuple
 from math import comb
 
-from .algebra import FieldSpec, PolyModP, build_extension, is_prime
+from .algebra import FieldSpec, PolyModP, is_prime
 from .errors import BadReductionError, InconsistentCountsError
 from .values import FrozenValue
 
@@ -199,13 +199,14 @@ def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
 
     The field picks the kernel in ``kernels``: Horner plus the F_p
     character table for i = 1, per-field log tables for i >= 2 with
-    q <= 2^23, and the norm kernel for larger q.
+    q <= 2^23, and the norm kernel for larger q.  S does not depend on
+    the field's modulus, so the kernels choose their own.
     """
     if spec.p != fbar.p:
         raise ValueError("field and polynomial have different characteristic")
     from . import kernels  # numpy loads on the first count, not on import
 
-    return kernels.char_sum(fbar, spec)
+    return kernels.char_sum(fbar, spec.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,9 @@ def point_count(curve: CurveModel, p: int, i: int) -> int:
     fbar = reduce_curve(curve, p)
     if isinstance(fbar, BadReduction):
         raise BadReductionError(curve.label, p)
-    return p**i + 1 + affine_char_sum(fbar, build_extension(p, i))
+    from . import kernels  # no FieldSpec: only the norm kernel reads a modulus
+
+    return p**i + 1 + kernels.char_sum(fbar, i)
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:

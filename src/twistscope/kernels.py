@@ -11,9 +11,10 @@
   norm to F_p through Frobenius-orbit products.
 
 The field alone picks the kernel (``char_sum``), and every kernel works
-in chunks of x.  This is the package's only numpy user, and
-``curvecount.affine_char_sum`` imports it on the first count.  The test
-suite checks every kernel against an independent enumeration oracle.
+in chunks of x.  Only the norm kernel reads a modulus, build_extension's.
+This is the package's only numpy user, and ``curvecount`` imports it on
+the first count.  The test suite checks every kernel against an
+independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .algebra import FieldSpec, PolyModP, _mulmod, prime_divisors
+from .algebra import FieldSpec, PolyModP, _mulmod, build_extension, prime_divisors
 
 _CHUNK = 1 << 19
 # Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
@@ -227,8 +228,8 @@ def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return zech, log_fp
 
 
-def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
-    """sum_x chi(f(x)) over F_q, i >= 2, by discrete logs.
+def _char_sum_logs(fbar: PolyModP, i: int) -> int:
+    """sum_x chi(f(x)) over F_q, q = p^i, i >= 2, by discrete logs.
 
     With x = g^k, each term c_e x^e is g^(log c_e + e*k).  Terms are added
     in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
@@ -242,8 +243,8 @@ def _char_sum_logs(fbar: PolyModP, spec: FieldSpec) -> int:
     up to the partial sum times d.  If rD is odd, D is odd, so d = m/D is
     even and the copies cancel in pairs.  A dense f has d = 1.
     """
-    p, m = spec.p, spec.order - 1
-    zech, log_fp = _field_tables(p, spec.degree)
+    p, m = fbar.p, fbar.p**i - 1
+    zech, log_fp = _field_tables(p, i)
     terms = [(e % m, int(log_fp[c])) for e, c in enumerate(fbar.coeffs) if c]
     c0 = fbar.coeffs[0] if fbar.coeffs else 0
     total = 1 - 2 * (int(log_fp[c0]) & 1) if c0 else 0  # x = 0
@@ -356,10 +357,11 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
     return total
 
 
-def char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
-    """sum_x chi(f(x)) over spec's field; fbar has spec's characteristic."""
-    if spec.degree == 1:
-        return _char_sum_prime(fbar, spec.p)
-    if spec.order <= _TABLE_MAX_ORDER:
-        return _char_sum_logs(fbar, spec)
-    return _char_sum_norm(fbar, spec)
+def char_sum(fbar: PolyModP, i: int) -> int:
+    """sum_x chi(f(x)) over F_{p^i}, p = fbar.p; the sum does not depend on the modulus."""
+    p = fbar.p
+    if i == 1:
+        return _char_sum_prime(fbar, p)
+    if p**i <= _TABLE_MAX_ORDER:
+        return _char_sum_logs(fbar, i)
+    return _char_sum_norm(fbar, build_extension(p, i))

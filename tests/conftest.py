@@ -1,6 +1,16 @@
+import os
+from unittest import mock
+
 import pytest
 
 from twistscope import curve_from_coeffs
+
+
+@pytest.fixture(autouse=True)
+def restore_environment():
+    """Undo what an in-process cli.main leaves in os.environ (OPENBLAS_NUM_THREADS)."""
+    with mock.patch.dict(os.environ):
+        yield
 
 
 @pytest.fixture(scope="session")

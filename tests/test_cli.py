@@ -147,6 +147,33 @@ class TestEachCommandLoadsItsPath:
         assert done.stdout == cold.stdout  # the warm scan agrees with the cold one
 
 
+class TestBlasThreads:
+    # the kernels are integer-only: a counting command starts numpy with one
+    # BLAS thread unless the user chose a number; the library leaves it alone
+    def test_counting_command_sets_one_thread(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        rc, _, _ = run_cli(capsys, "lpoly", "x^5-x", "--p", "3", "--cache-dir", str(tmp_path))
+        assert rc == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_user_value_wins(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        rc, _, _ = run_cli(capsys, "lpoly", "x^5-x", "--p", "3", "--cache-dir", str(tmp_path))
+        assert rc == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_library_call_leaves_environment_alone(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code = (
+            "import os, sys, twistscope\n"
+            "L = twistscope.lpoly(twistscope.curve_from_coeffs((0, -1, 0, 0, 0, 1)), 3)\n"
+            "print(L.coeffs, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{lpoly(curve_from_coeffs((0, -1, 0, 0, 0, 1)), 3).coeffs} True None\n"
+
+
 class TestParseCurve:
     def test_examples(self):
         c = parse_curve("x^5 - x")
@@ -190,6 +217,28 @@ class TestLpolyCommand:
         )
         assert rc == 2
         assert "odd prime" in err
+
+    def test_composite_prime_rejected(self, capsys, tmp_path):
+        rc, _, err = run_cli(
+            capsys, "lpoly", "x^5-x", "--p", "9", "--cache-dir", str(tmp_path)
+        )
+        assert rc == 2
+        assert err == "error: p must be an odd prime, got 9\n"
+
+    def test_warm_range_checks_no_sieve_prime(self, capsys, tmp_path, monkeypatch):
+        # --p is checked where it enters; the primes of --pmin/--pmax come
+        # from the sieve, and a warm run must not test them again
+        args = ("lpoly", "x^5-x", "--pmax", "60", "--format", "records",
+                "--cache-dir", str(tmp_path))
+        rc_cold, cold, _ = run_cli(capsys, *args)
+        real, checked = twistscope.algebra.is_prime, []
+        monkeypatch.setattr("twistscope.algebra.is_prime", lambda n: checked.append(n) or real(n))
+        rc_warm, warm, _ = run_cli(capsys, *args)
+        assert rc_cold == rc_warm == 0 and warm == cold
+        assert len(cold.splitlines()) == 16  # the odd primes 3..59
+        assert checked == []
+        run_cli(capsys, "lpoly", "x^5-x", "--p", "59", "--cache-dir", str(tmp_path))
+        assert checked == [59]  # the spy sees the one check of --p
 
     def test_bad_reduction_exit(self, capsys, tmp_path):
         rc, _, err = run_cli(
@@ -258,7 +307,7 @@ class TestUsageErrors:
     def test_kernel_alarm_is_exit_4_without_traceback(self, capsys, tmp_path, monkeypatch):
         import twistscope.kernels
 
-        def alarm(fbar, spec):
+        def alarm(fbar, i):
             raise ArithmeticError("norm landed outside the prime field; kernel bug")
 
         monkeypatch.setattr(twistscope.kernels, "char_sum", alarm)

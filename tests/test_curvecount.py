@@ -210,7 +210,7 @@ class TestLogTableKernel:
             for f in KERNEL_POLYS
         }
 
-        def no_tables(fbar, spec):
+        def no_tables(fbar, i):
             raise AssertionError("log tables used above the cap")
 
         monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
@@ -282,6 +282,33 @@ class TestLogTableKernel:
 
     def test_genus4_count_at_47(self, genus4_pair):
         assert point_count(genus4_pair[0], 47, 4) == 4862010
+
+    def test_point_count_builds_no_modulus(self, monkeypatch, fresh_tables):
+        # the F_p and log-table kernels read only p and i, so counting over
+        # table fields builds no FieldSpec and tests no modulus
+        f = KERNEL_POLYS[4]  # x^9 + 35x + 1
+
+        def refuse(*args):
+            raise AssertionError("a modulus was built for a table field")
+
+        monkeypatch.setattr("twistscope.algebra.build_extension", refuse)
+        monkeypatch.setattr("twistscope.algebra.is_irreducible", refuse)
+        monkeypatch.setattr(kernels, "build_extension", refuse)
+        for i in (1, 2, 3, 4):
+            assert point_count(curve_from_coeffs(f), 7, i) == oracles.count_points(f, 7, i), i
+
+    def test_point_count_through_the_norm_kernel(self, monkeypatch, fresh_tables):
+        # a lowered cap sends these fields to the norm kernel, which builds
+        # build_extension's modulus; the counts must not move
+        curve = curve_from_coeffs(KERNEL_POLYS[4])
+        want = [point_count(curve, 7, i) for i in (1, 2, 3, 4)]
+
+        def no_tables(fbar, i):
+            raise AssertionError("log tables used above the cap")
+
+        monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
+        monkeypatch.setattr(kernels, "_char_sum_logs", no_tables)
+        assert [point_count(curve, 7, i) for i in (1, 2, 3, 4)] == want
 
 
 def first_primitive_modulus(p, i):

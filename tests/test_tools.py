@@ -19,6 +19,8 @@ def test_bench_layers_writes_its_json(tmp_path):
     data = json.loads(out.read_text())
     assert json.loads(text) == data
     assert data["repeats"] == 5 and data["machine"]["python"]
+    assert data["startup"]["command"] == "lpoly 'x^5 - x' --p 3"
+    assert data["startup"]["wall_s"] > 0
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
     assert row["table_build_s"] > 0

@@ -4,7 +4,10 @@ For each field F_{p^i} it records the seconds to build the field's log
 tables (``kernels._field_tables`` from an empty memo) and the throughput
 of ``kernels.char_sum`` over the built tables, in field elements per
 second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
-Each figure is the median of 5 runs in this one process.
+Each figure is the median of 5 runs in this one process.  One start-up
+row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
+an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
+the interpreter, numpy's import and the kernels.
 
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
@@ -18,17 +21,21 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
 from twistscope import kernels  # noqa: E402
-from twistscope.algebra import PolyModP, build_extension  # noqa: E402
+from twistscope.algebra import PolyModP  # noqa: E402
 
 REPEATS = 5
 FIELDS = [(17, 4), (23, 4), (47, 4)]
@@ -36,6 +43,7 @@ POLYS = {
     "x^9 + x": (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     "dense degree 9": (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
 }
+STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 
 
 def _median_seconds(fn) -> float:
@@ -53,13 +61,24 @@ def measure_field(p: int, i: int) -> dict:
         kernels._field_tables(p, i)
 
     row = {"p": p, "i": i, "q": p**i, "table_build_s": _median_seconds(build)}
-    spec = build_extension(p, i)
     for name, coeffs in POLYS.items():
         fbar = PolyModP(p, coeffs)
-        kernels.char_sum(fbar, spec)  # tables built, outside the timing
-        seconds = _median_seconds(lambda: kernels.char_sum(fbar, spec))
+        kernels.char_sum(fbar, i)  # tables built, outside the timing
+        seconds = _median_seconds(lambda: kernels.char_sum(fbar, i))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
+
+
+def measure_startup() -> dict:
+    """Wall seconds of STARTUP_COMMAND in a fresh interpreter, on an empty cache."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run():
+        with tempfile.TemporaryDirectory() as cache_dir:
+            argv = [sys.executable, "-m", "twistscope", *STARTUP_COMMAND, "--cache-dir", cache_dir]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+
+    return {"command": shlex.join(STARTUP_COMMAND), "wall_s": _median_seconds(run)}
 
 
 def write(fields: list[tuple[int, int]], out: Path) -> str:
@@ -69,8 +88,10 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "repeats": REPEATS,
+        "startup": measure_startup(),
         "fields": [measure_field(p, i) for p, i in fields],
     }
     text = json.dumps(result, indent=2) + "\n"
