@@ -386,23 +386,12 @@ def equal_factor_degrees(h: Sequence[int], primes: Sequence[int]) -> Iterator[in
 
 
 def is_irreducible(h: PolyModP) -> bool:
-    """Rabin's irreducibility test for monic h of degree >= 1."""
-    n = h.degree
-    if n < 1 or not h.is_monic:
-        return False
-    if n == 1:
-        return True
-    p, hc = h.p, h.coeffs
-    cols = _frobenius_columns(_powmod([0, 1], p, hc, p), hc, p)
-    x = [0, 1]
-    frob = [x]  # frob[j] = x^(p^j) mod h
-    for _ in range(n):
-        frob.append(_frobenius(frob[-1], cols, p))
-    if frob[n] != x:
-        return False
-    return all(
-        len(_gcd(hc, _addmul(frob[n // t], x, p - 1, p), p)) == 1 for t in prime_divisors(n)
-    )
+    """Whether h is monic, of degree n >= 1, and irreducible mod p.
+
+    That is, all of its factors have degree n: a repeated factor makes
+    x^(p^f) != x mod h for every f, so ``_block_degrees`` gives it None.
+    """
+    return h.is_monic and h.degree >= 1 and _block_degrees(h.coeffs, [h.p]) == [h.degree]
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,21 @@ by ``close``.  Units of one field always run back to back in one process,
 so they share that field's tables.  A disabled cache (``UNCACHED``)
 stores nothing but counts the same way.
 
-Records live in one append-only JSON-lines file per (coefficients, tool
-version, record format), named by their SHA-256, so every spelling of a
-curve shares its records.  A line is one prime's record: the key fields
-(format, tool version, coefficients, p) and the count prefix N_1.., so a
-larger budget extends a partial computation.  The count prefix is the
-only stored value: L_p follows from N_1..N_g, and it is derived when a
-line is taken in.  A cache object reads a curve's file once, keeping the
-count lists of the lines whose key fields match, by p in file order.  The
-first request for p takes the newest of them that is valid, and keeps
-(counts, L) for it, L None below g counts, so a later valid line for p
-wins.  A line is valid when its counts are integers within the Weil
-bounds and, once there are g of them, ``lpoly_from_counts`` accepts them;
-a line that fails to parse, or this validation, is a warned miss,
-recomputed on demand.
+Records live in one append-only file per curve, named by the SHA-256
+of the curve's key (record format, tool version, coefficients), so every
+spelling of a curve shares its records.  A line is one prime's record,
+tab-separated: the key, p, the count prefix N_1.., so a larger budget
+extends a partial computation, and an empty end field, which a line torn
+before its end lacks, so it never reads as a shorter prefix.  The counts
+are the only stored value: L_p follows from N_1..N_g, and it is derived
+when a line is taken in.  A cache object reads a curve's file once,
+keeping the count lists of the lines that hold the key and the end
+field, by p in file order.  The first request for p takes the newest of
+them that is valid, and keeps (counts, L) for it, L None below g counts,
+so a later valid line for p wins.  A line is valid when its counts lie within
+the Weil bounds and, once there are g of them, ``lpoly_from_counts``
+accepts them; a line that fails to parse, or this validation, is a
+warned miss, recomputed on demand.
 Workers only count.  The owning process appends each finished (curve, p)
 at once, in one write under O_APPEND, so an interrupted run keeps what it
 finished and several commands may append to one directory.  After a line
@@ -34,7 +35,6 @@ rewritten: a (curve, p) gains a line only when a request adds degrees.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -53,7 +53,7 @@ from .values import Value
 
 ENV_CACHE_DIR = "TWISTSCOPE_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".twistscope-cache"
-RECORD_FORMAT = 4  # part of the key: bump when the key or the record layout changes
+RECORD_FORMAT = 5  # part of the key: bump when the key or the record layout changes
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -62,6 +62,11 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
         return Path(flag_value)
     env = os.environ.get(ENV_CACHE_DIR)
     return Path(env) if env else Path(DEFAULT_CACHE_DIR)
+
+
+def _key(curve: CurveModel) -> str:
+    """The curve's cache key: it names the curve's file and starts every line in it."""
+    return f"{RECORD_FORMAT}\t{__version__}\t{','.join(map(str, curve.f_coeffs))}\t"
 
 
 def _warn(msg: str, *args) -> None:
@@ -98,10 +103,8 @@ def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | Non
     return lpoly_from_counts(counts[:g], p, g, curve.label) if len(counts) >= g else None
 
 
-def _take(curve: CurveModel, p: int, counts: list) -> tuple[list[int], LPolynomial | None] | None:
+def _take(curve: CurveModel, p: int, counts: list[int]) -> tuple[list[int], LPolynomial | None] | None:
     """(counts, L) for a stored count prefix, or None when the counts fail validation."""
-    if not all(isinstance(n, int) for n in counts):
-        return None
     try:
         return counts, _lpoly_of(curve, p, counts)
     except InconsistentCountsError:
@@ -134,7 +137,7 @@ class LPolyCache:
         self.jobs = jobs
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         # coefficients -> {p: [(line number, counts), ...]}, in file order
-        self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list]]]] = {}
+        self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list[int]]]]] = {}
         # (coefficients, p) -> what get serves there: the valid (counts, L), or None
         self._taken: dict[tuple[tuple[int, ...], int], tuple[list[int], LPolynomial | None] | None] = {}
         self._torn: set[tuple[int, ...]] = set()  # files read without a final newline
@@ -152,14 +155,13 @@ class LPolyCache:
             self._pool = None
 
     def _path(self, curve: CurveModel) -> Path:
-        raw = f"{RECORD_FORMAT}|{__version__}|{','.join(map(str, curve.f_coeffs))}"
-        return self.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.jsonl"
+        return self.directory / f"{hashlib.sha256(_key(curve).encode()).hexdigest()}.tsv"
 
-    def _records(self, curve: CurveModel) -> dict[int, list[tuple[int, list]]]:
+    def _records(self, curve: CurveModel) -> dict[int, list[tuple[int, list[int]]]]:
         """The curve's lines by p, as (line number, counts) in file order, read on first use.
 
-        A line enters when it parses and its key fields match; its counts
-        are checked only when ``get`` first asks for its prime.
+        A line enters when it is the key, p, the counts and the empty end
+        field; its counts are checked only when ``get`` first asks for p.
         """
         if curve.f_coeffs in self._files:
             return self._files[curve.f_coeffs]
@@ -174,27 +176,16 @@ class LPolyCache:
             return records
         if data and not data.endswith(b"\n"):
             self._torn.add(curve.f_coeffs)
+        key = _key(curve).encode()
         for n, line in enumerate(data.split(b"\n"), start=1):
             if not line:
                 continue
+            ended = line.startswith(key) and line.endswith(b"\t")
             try:
-                record = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                _warn("cache file %s line %d unreadable (%s); recomputing", path.name, n, exc)
-                continue
-            try:
-                p, counts = record["p"], record["counts"]
-                keyed = (
-                    (record["format"], record["tool_version"]) == (RECORD_FORMAT, __version__)
-                    and isinstance(p, int) and isinstance(counts, list)
-                    and tuple(record["f_coeffs"]) == curve.f_coeffs
-                )
-            except (KeyError, TypeError):
-                keyed = False
-            if keyed:
-                records.setdefault(p, []).append((n, counts))
-            else:
-                _warn("cache file %s line %d failed validation; recomputing", path.name, n)
+                p, counts = line[len(key) : -1].split(b"\t") if ended else ()
+                records.setdefault(int(p), []).append((n, [int(c) for c in counts.split(b",")]))
+            except ValueError:
+                _warn("cache file %s line %d unreadable; recomputing", path.name, n)
         return records
 
     def get(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
@@ -231,13 +222,12 @@ class LPolyCache:
         """
         if not self.enabled:
             return
-        record = {"format": RECORD_FORMAT, "tool_version": __version__,
-                  "f_coeffs": list(curve.f_coeffs), "p": p, "counts": list(counts)}
+        counts = list(counts)
         self._records(curve)  # read the file, and see a torn last line, before appending
-        taken = _take(curve, p, record["counts"])
+        taken = _take(curve, p, counts)
         if taken is not None:
             self._taken[(curve.f_coeffs, p)] = taken
-        line = json.dumps(record) + "\n"
+        line = f"{_key(curve)}{p}\t{','.join(map(str, counts))}\t\n"
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
             self._torn.discard(curve.f_coeffs)

@@ -121,10 +121,13 @@ def poly_discriminant(coeffs: tuple[int, ...]) -> int:
     return res if (n * (n - 1) // 2) % 2 == 0 else -res
 
 
-def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int]:
+_TRIAL_BOUND = 1_000_000  # odd_bad_primes divides disc(f) by the odd numbers up to this
+
+
+def odd_bad_primes(curve: "CurveModel") -> set[int]:
     """Odd primes of bad reduction: odd prime factors of disc(f).
 
-    Factoring runs trial division up to ``trial_bound`` and accepts a
+    Factoring runs trial division up to ``_TRIAL_BOUND`` and accepts a
     remaining prime cofactor; a cofactor that is composite, or too large
     for ``is_prime`` to decide, raises, since the support would be
     incomplete.
@@ -134,7 +137,7 @@ def odd_bad_primes(curve: "CurveModel", trial_bound: int = 1_000_000) -> set[int
     while d % 2 == 0:
         d //= 2
     q = 3
-    while q * q <= d and q <= trial_bound:
+    while q * q <= d and q <= _TRIAL_BOUND:
         if d % q == 0:
             out.add(q)
             while d % q == 0:

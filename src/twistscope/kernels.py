@@ -24,7 +24,17 @@ import math
 
 import numpy as np
 
-from .algebra import FieldSpec, PolyModP, _mulmod, build_extension, prime_divisors
+from .algebra import (
+    MAX_FIELD_CHAR,
+    FieldSpec,
+    PolyModP,
+    _divmod,
+    _frobenius_columns,
+    _mulmod,
+    _powmod,
+    build_extension,
+    prime_divisors,
+)
 
 _CHUNK = 1 << 19
 # Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
@@ -83,17 +93,6 @@ def _char_sum_prime(fbar: PolyModP, p: int) -> int:
             acc = (acc * xs + c) % p
         total += int(chi[acc].sum())
     return total
-
-
-def _mul_matrix(spec: FieldSpec, a: list[int]) -> np.ndarray:
-    """Matrix of y -> a*y on the power basis; column j holds a*t^j."""
-    p, low = spec.p, np.array(spec.modulus.coeffs[:-1], dtype=np.int64)
-    M = np.empty((spec.degree, spec.degree), dtype=np.int64)
-    col = np.array(a, dtype=np.int64)
-    for j in range(spec.degree):
-        M[:, j] = col
-        col = (np.concatenate(([0], col[:-1])) - col[-1] * low) % p  # times t, folded
-    return M
 
 
 def _mat_pows(M: np.ndarray, exps: list[int], p: int) -> list[np.ndarray]:
@@ -272,20 +271,18 @@ def _char_sum_logs(fbar: PolyModP, i: int) -> int:
 def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """The norm kernel's constants for F_{p^i}, i >= 2: (red, frob).
 
-    red[j] = t^(i+j) mod the modulus for j = 0..i-2: columns 1..i-1 of
-    multiplication by t^(i-1).  frob is the matrix of the (F_p-linear)
-    p-power map; its column j is sigma(t^j) = (t^p)^j.
+    red[j] = t^(i+j) mod the modulus h for j = 0..i-2.  frob is the matrix
+    of the (F_p-linear) p-power map; its column j is sigma(t^j) = (t^p)^j,
+    h's Frobenius column.
     """
-    p, i = spec.p, spec.degree
-    e = np.eye(i, dtype=np.int64)
-    red = _mul_matrix(spec, e[i - 1])[:, 1:].T
-    (tp,) = _mat_pows(_mul_matrix(spec, e[1]), [p], p)  # multiplication by t^p
-    frob = np.empty((i, i), dtype=np.int64)
-    col = e[0]
-    for j in range(i):
-        frob[:, j] = col
-        col = tp @ col % p
-    return red, frob
+    p, i, h = spec.p, spec.degree, spec.modulus.coeffs
+
+    def coords(a: list[int]) -> list[int]:
+        return a + [0] * (i - len(a))
+
+    red = [coords(_divmod([0] * (i + j) + [1], h, p)[1]) for j in range(i - 1)]
+    cols = _frobenius_columns(_powmod([0, 1], p, h, p), h, p)
+    return np.array(red, dtype=np.int64), np.array([coords(c) for c in cols], dtype=np.int64).T
 
 
 def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
@@ -358,8 +355,14 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
 
 
 def char_sum(fbar: PolyModP, i: int) -> int:
-    """sum_x chi(f(x)) over F_{p^i}, p = fbar.p; the sum does not depend on the modulus."""
+    """sum_x chi(f(x)) over F_{p^i}, p = fbar.p; the sum does not depend on the modulus.
+
+    Every count passes here, so this is where p < MAX_FIELD_CHAR, which
+    the kernels' int64 headroom needs, is enforced (ValueError).
+    """
     p = fbar.p
+    if p >= MAX_FIELD_CHAR:
+        raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
     if i == 1:
         return _char_sum_prime(fbar, p)
     if p**i <= _TABLE_MAX_ORDER:

@@ -384,7 +384,7 @@ def character_search(
 # ---------------------------------------------------------------------------
 
 
-def z20_statistic(report: ScanReport, coeff_index: int = 2) -> Fraction:
+def z20_statistic(report: ScanReport) -> Fraction:
     """Fraction of evaluated primes whose T^2 coefficient vanishes (exact)."""
     from fractions import Fraction
 
@@ -393,7 +393,7 @@ def z20_statistic(report: ScanReport, coeff_index: int = 2) -> Fraction:
     good = [r for r in report.good_records if r.lpoly_a is not None]
     if not good:
         raise ValueError("report has no full L-polynomial records")
-    zero = sum(1 for r in good if r.lpoly_a.coeffs[coeff_index] == 0)
+    zero = sum(1 for r in good if r.lpoly_a.coeffs[2] == 0)
     return Fraction(zero, len(good))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -30,6 +31,11 @@ def lines(cache, curve):
     return cache._path(curve).read_text().splitlines()
 
 
+def append(cache, curve, text):
+    with open(cache._path(curve), "a") as fh:
+        fh.write(text)
+
+
 def served(cache, curve):
     """What ``get`` serves at every prime the curve's file has a line for."""
     return {p: cache.get(curve, p) for p in cache._records(curve)}
@@ -44,11 +50,11 @@ class TestBasics:
         cache.put(curve, 3, counts=[4, 6])
         assert cache.get(curve, 3) == ([4, 6], lpoly(curve, 3))
         assert reopened(cache).get(curve, 3) == ([4, 6], lpoly(curve, 3))
-        # a line holds the key fields and the counts; L is derived on read
-        assert json.loads(lines(cache, curve)[0]) == {
-            "format": cache_module.RECORD_FORMAT, "tool_version": twistscope.__version__,
-            "f_coeffs": list(curve.f_coeffs), "p": 3, "counts": [4, 6],
-        }
+        # a line is the key, p, the counts and an empty end field; L is derived on read
+        key = f"5\t{twistscope.__version__}\t0,-1,0,0,0,1\t"
+        assert cache_module.RECORD_FORMAT == 5 and cache_module._key(curve) == key
+        assert lines(cache, curve) == [f"{key}3\t4,6\t"]
+        assert cache._path(curve).name == hashlib.sha256(key.encode()).hexdigest() + ".tsv"
         cache.put(curve, 5, counts=[6])  # below g counts: no L-polynomial yet
         assert reopened(cache).get(curve, 5) == ([6], None)
 
@@ -61,7 +67,8 @@ class TestBasics:
     def test_undecodable_line_is_miss(self, cache, genus2_pair, caplog):
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
-        cache._path(curve).write_bytes(b'{"label": "\xff"}\n' + cache._path(curve).read_bytes())
+        key = cache_module._key(curve).encode()
+        cache._path(curve).write_bytes(key + b"3\t\xff\t\n" + cache._path(curve).read_bytes())
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 3)[0] == [4]
         assert "line 1 unreadable" in caplog.text
@@ -97,9 +104,9 @@ class TestBasics:
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
         path = cache._path(curve)
-        record = json.loads(path.read_text())
-        record["tool_version"] = "0.0.0-old"
-        path.write_text(json.dumps(record) + "\n")
+        path.write_text(path.read_text().replace(f"\t{twistscope.__version__}\t", "\t0.0.0-old\t"))
+        assert reopened(cache).get(curve, 3) is None
+        path.write_text(f"4{cache_module._key(curve)[1:]}3\t4\t\n")  # an older record format
         assert reopened(cache).get(curve, 3) is None
 
     def test_one_file_per_curve_one_line_per_put(self, cache, genus2_pair):
@@ -107,9 +114,9 @@ class TestBasics:
             for p in (3, 7, 11):
                 cache.put(curve, p, counts=[p + 1])
         files = sorted(cache.directory.iterdir())
-        assert [f.suffix for f in files] == [".jsonl", ".jsonl"]
+        assert [f.suffix for f in files] == [".tsv", ".tsv"]
         assert sorted(files) == sorted(cache._path(c) for c in genus2_pair)
-        assert [json.loads(line)["p"] for line in lines(cache, genus2_pair[0])] == [3, 7, 11]
+        assert [line.split("\t")[3] for line in lines(cache, genus2_pair[0])] == ["3", "7", "11"]
 
     def test_later_line_replaces_earlier(self, cache, genus2_pair, caplog):
         curve = genus2_pair[0]
@@ -120,10 +127,7 @@ class TestBasics:
         assert len(lines(cache, curve)) == 2
         assert reopened(cache).get(curve, 3)[0] == [4, 6]
         # a still later line that fails validation does not displace it
-        bad = json.loads(lines(cache, curve)[0])
-        bad["counts"] = ["4"]
-        with open(cache._path(curve), "a") as fh:
-            fh.write(json.dumps(bad) + "\n")
+        append(cache, curve, f"{cache_module._key(curve)}3\t4,100\t\n")  # N_2 breaks a Weil bound
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 3) == ([4, 6], L)
         assert "line 3 failed validation" in caplog.text
@@ -146,6 +150,45 @@ class TestBasics:
         assert again.get(curve, 5)[0] == [6] and again.get(curve, 7)[0] == [8]
         assert len(lines(cache, curve)) == 4
 
+    def test_torn_record_is_never_served(self, tmp_path, genus2_pair):
+        # a record cut at any length, then ended by the next append's newline
+        # or run into the next line, lacks the end field: its prime is a miss,
+        # though [4] would be a valid count prefix at p = 3
+        curve = genus2_pair[0]
+        whole = LPolyCache(tmp_path / "whole")
+        whole.put(curve, 3, counts=[4, 6])
+        whole.put(curve, 5, counts=[6])
+        line, later = [f"{text}\n" for text in lines(whole, curve)]
+        for k in range(len(line) - 1):  # every strict prefix of the record
+            for n, text in enumerate([line[:k], line[:k] + later]):
+                cache = LPolyCache(tmp_path / f"cut{k}-{n}")
+                cache.directory.mkdir()
+                cache._path(curve).write_text(text)
+                cache.put(curve, 5, counts=[6])
+                again = reopened(cache)
+                assert again.get(curve, 3) is None, (k, n)
+                assert again.get(curve, 5) == ([6], None), (k, n)
+        # a line that lost only its newline holds the whole record
+        cache = LPolyCache(tmp_path / "newline")
+        cache.directory.mkdir()
+        cache._path(curve).write_text(line[:-1])
+        cache.put(curve, 5, counts=[6])
+        assert reopened(cache).get(curve, 3) == ([4, 6], lpoly(curve, 3))
+
+    def test_format4_file_is_ignored(self, cache, genus2_pair):
+        # the JSON-lines file of record format 4 is never read, nor written
+        curve = genus2_pair[0]
+        raw = f"4|{twistscope.__version__}|{','.join(map(str, curve.f_coeffs))}"
+        old = cache.directory / f"{hashlib.sha256(raw.encode()).hexdigest()}.jsonl"
+        cache.directory.mkdir()
+        text = json.dumps({"format": 4, "tool_version": twistscope.__version__,
+                           "f_coeffs": list(curve.f_coeffs), "p": 3, "counts": [4, 6]}) + "\n"
+        old.write_text(text)
+        assert reopened(cache).get(curve, 3) is None
+        cache.put(curve, 3, counts=[4])
+        assert old.read_text() == text
+        assert sorted(cache.directory.iterdir()) == sorted([old, cache._path(curve)])
+
     def test_disabled_cache_never_stores(self, genus2_pair):
         cache = LPolyCache("", enabled=False)
         cache.put(genus2_pair[0], 3, counts=[4])
@@ -159,7 +202,8 @@ class TestBasics:
         alias = CurveModel("alias", curve.f_coeffs, curve.genus)
         cache.put(curve, 3, counts=[4])
         assert cache.get(alias, 3)[0] == [4]
-        assert "label" not in json.loads(lines(cache, curve)[0])
+        assert cache_module._key(alias) == cache_module._key(curve)
+        assert lines(cache, curve) == [f"{cache_module._key(curve)}3\t4\t"]
 
 
 class TestLinesCheckedOnDemand:
@@ -194,10 +238,7 @@ class TestLinesCheckedOnDemand:
         curve = genus2_pair[0]  # x^5 - x: N_1 = 4 and N_2 = 6 at p = 3
         cache.put(curve, 3, counts=[4])
         cache.put(curve, 5, counts=[6])
-        newest = json.loads(lines(cache, curve)[0])
-        newest["counts"] = [4, 100]  # N_2 violates the Weil bound at p = 3
-        with open(cache._path(curve), "a") as fh:
-            fh.write(json.dumps(newest) + "\n")
+        append(cache, curve, f"{cache_module._key(curve)}3\t4,100\t\n")  # N_2 breaks a Weil bound
         checked = self.count_checks(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             again = reopened(cache)
@@ -212,7 +253,7 @@ class TestLinesCheckedOnDemand:
         cache.put(curve, 3, counts=[4])
         cache.put(curve, 5, counts=[6])
         path = cache._path(curve)
-        path.write_bytes(path.read_bytes() + b'{"p": 7, "counts": [\xff]}\n')
+        path.write_bytes(path.read_bytes() + cache_module._key(curve).encode() + b"7\t\xff\t\n")
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 5) == ([6], None)
         assert "line 3 unreadable" in caplog.text

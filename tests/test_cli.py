@@ -120,8 +120,8 @@ class TestNumpyOnlyWhenCounting:
 
 class TestEachCommandLoadsItsPath:
     # standard-library and third-party modules that no command below runs
-    UNUSED = {"numpy", "concurrent.futures", "logging", "dataclasses", "fractions"}
-    NO_CACHE = {"twistscope.cache", "json", "hashlib"}
+    UNUSED = {"numpy", "concurrent.futures", "logging", "dataclasses", "fractions", "json"}
+    NO_CACHE = {"twistscope.cache", "hashlib"}
 
     def test_commands_load_only_what_they_run(self, tmp_path):
         common = ("--format", "records", "--cache-dir", str(tmp_path))
@@ -145,6 +145,17 @@ class TestEachCommandLoadsItsPath:
             assert not modules & unused, (argv, modules & unused)
             assert forks == [], argv
         assert done.stdout == cold.stdout  # the warm scan agrees with the cold one
+
+
+def test_characteristic_above_cap_is_usage_error(capsys, tmp_path, monkeypatch):
+    def never(fbar, p):
+        raise AssertionError(f"counted over F_{p}, above the cap")
+
+    monkeypatch.setattr("twistscope.kernels._char_sum_prime", never)
+    # 33554467 is the least prime above MAX_FIELD_CHAR = 2^25
+    rc, _, err = run_cli(capsys, "lpoly", "x^3 - x + 1", "--p", "33554467", "--cache-dir", str(tmp_path))
+    assert rc == 2
+    assert "exceeds the supported cap" in err
 
 
 class TestBlasThreads:

@@ -429,6 +429,16 @@ class TestNormKernelHeadroom:
             assert tuple(got.tolist()) == (x**EDGE_P).coeffs
 
 
+def test_point_count_rejects_characteristic_above_cap(monkeypatch):
+    def never(fbar, p):
+        raise AssertionError(f"counted over F_{p}, above the cap")
+
+    monkeypatch.setattr(kernels, "_char_sum_prime", never)
+    # 33554467 is the least prime above MAX_FIELD_CHAR = 2^25
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        point_count(curve_from_coeffs((1, -1, 0, 1)), 33554467, 1)
+
+
 class TestPointCount:
     @pytest.mark.parametrize(
         "curve_coeffs,p,i,want",

@@ -12,8 +12,9 @@ def _load(path):
     return module
 
 
-def test_bench_layers_writes_its_json(tmp_path):
+def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     bench_layers = _load(BENCH_LAYERS)
+    monkeypatch.setattr(bench_layers, "CACHE_PMAX", 30)  # 9 lines, not 9,591
     out = tmp_path / "BENCH_layers.json"
     text = bench_layers.write([(3, 2)], out)
     data = json.loads(out.read_text())
@@ -21,6 +22,9 @@ def test_bench_layers_writes_its_json(tmp_path):
     assert data["repeats"] == 5 and data["machine"]["python"]
     assert data["startup"]["command"] == "lpoly 'x^5 - x' --p 3"
     assert data["startup"]["wall_s"] > 0
+    cache = data["cache"]
+    assert (cache["curve"], cache["lines"]) == ("x^5 - x", 9) and cache["file_bytes"] > 0
+    assert cache["put_s_per_line"] > 0 and cache["first_get_s_per_line"] > 0
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
     assert row["table_build_s"] > 0

@@ -7,7 +7,12 @@ second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
 an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
-the interpreter, numpy's import and the kernels.
+the interpreter, numpy's import and the kernels.  One cache row times
+``LPolyCache`` on the file of a genus-2 trace scan: one line, N_1 = p + 1,
+for each odd prime below ``CACHE_PMAX`` (9,591 lines for 1e5).  It gives
+the seconds per line of ``put`` writing the file into an empty directory,
+and of the first ``get`` on a fresh cache object, which reads the whole
+file; each is the median of 5 runs.
 
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
@@ -35,7 +40,9 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from twistscope import kernels  # noqa: E402
-from twistscope.algebra import PolyModP  # noqa: E402
+from twistscope.algebra import PolyModP, odd_primes  # noqa: E402
+from twistscope.cache import LPolyCache  # noqa: E402
+from twistscope.curvecount import curve_from_coeffs  # noqa: E402
 
 REPEATS = 5
 FIELDS = [(17, 4), (23, 4), (47, 4)]
@@ -44,6 +51,8 @@ POLYS = {
     "dense degree 9": (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
 }
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
+CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
+CACHE_PMAX = 100_000
 
 
 def _median_seconds(fn) -> float:
@@ -81,6 +90,28 @@ def measure_startup() -> dict:
     return {"command": shlex.join(STARTUP_COMMAND), "wall_s": _median_seconds(run)}
 
 
+def measure_cache() -> dict:
+    """Seconds per line of ``put`` and of the first ``get`` over one curve's cache file."""
+    label, coeffs = CACHE_CURVE
+    curve = curve_from_coeffs(coeffs)
+    primes = odd_primes(3, CACHE_PMAX)
+
+    def put_all(directory: str) -> None:
+        cache = LPolyCache(directory)
+        for p in primes:
+            cache.put(curve, p, [p + 1])  # trace 0: a valid one-count prefix
+
+    with tempfile.TemporaryDirectory() as root:
+        put_s = _median_seconds(lambda: put_all(tempfile.mkdtemp(dir=root)))
+        full = next(Path(root).iterdir())  # one of the written directories
+        get_s = _median_seconds(lambda: LPolyCache(full).get(curve, primes[-1]))
+        size = LPolyCache(full)._path(curve).stat().st_size
+    return {
+        "curve": label, "lines": len(primes), "file_bytes": size,
+        "put_s_per_line": put_s / len(primes), "first_get_s_per_line": get_s / len(primes),
+    }
+
+
 def write(fields: list[tuple[int, int]], out: Path) -> str:
     """Measure each log-table field (p, i) and write the JSON text to out."""
     result = {
@@ -92,6 +123,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         },
         "repeats": REPEATS,
         "startup": measure_startup(),
+        "cache": measure_cache(),
         "fields": [measure_field(p, i) for p, i in fields],
     }
     text = json.dumps(result, indent=2) + "\n"
