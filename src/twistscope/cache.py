@@ -5,10 +5,11 @@ Every point count goes through ``LPolyCache``.  It serves requests
 plans the missing degrees the budget affords (degree i costs p^i field
 evaluations), and runs only those (curve, p, i) units, in process when
 ``jobs == 1`` or all of them lie in one field F_{p^i}, otherwise in
-even-cost batches on one worker pool, started on first need and shut down
-by ``close``.  Units of one field always run back to back in one process,
-so they share that field's tables.  A disabled cache (``UNCACHED``)
-stores nothing but counts the same way.
+even-cost batches on ``jobs`` helper processes, forked on first need and
+ended by ``close``.  Units of one field always run back to back in one
+process, so they share that field's tables, and the degree-1 units of a
+run go through the F_p kernel together, a block of primes at a time.  A
+disabled cache (``UNCACHED``) stores nothing but counts the same way.
 
 Records live in one append-only file per curve, named by the SHA-256
 of the curve's key (record format, tool version, coefficients), so every
@@ -25,7 +26,7 @@ so a later valid line for p wins.  A line is valid when its counts lie within
 the Weil bounds and, once there are g of them, ``lpoly_from_counts``
 accepts them; a line that fails to parse, or this validation, is a
 warned miss, recomputed on demand.
-Workers only count.  The owning process appends each finished (curve, p)
+Helpers only count.  The owning process appends each finished (curve, p)
 at once, in one write under O_APPEND, so an interrupted run keeps what it
 finished and several commands may append to one directory.  After a line
 torn by a crash, the next append starts a fresh line.  Nothing is
@@ -47,6 +48,7 @@ from .curvecount import (
     log_derivative_counts,
     lpoly_from_counts,
     point_count,
+    prime_field_counts,
 )
 from .errors import BudgetExceededError, InconsistentCountsError
 from .values import Value
@@ -111,9 +113,14 @@ def _take(curve: CurveModel, p: int, counts: list[int]) -> tuple[list[int], LPol
         return None
 
 
-def _count_all(units: list[tuple[CurveModel, int, int]]) -> list[int]:
-    # module-level so a worker can unpickle it; looks point_count up at call time
-    return [point_count(curve, p, i) for curve, p, i in units]
+def _counts(units: list[tuple[CurveModel, int, int]]):
+    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then the rest."""
+    fp = [k for k, unit in enumerate(units) if unit[2] == 1]
+    for j, n in prime_field_counts([units[k][:2] for k in fp]):
+        yield fp[j], n
+    for k, (curve, p, i) in enumerate(units):
+        if i > 1:
+            yield k, point_count(curve, p, i)
 
 
 def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[CurveModel, int, int]]]:
@@ -135,7 +142,9 @@ class LPolyCache:
         self.directory = Path(directory)
         self.enabled = enabled
         self.jobs = jobs
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._helpers = None  # the forked counting helpers, made on first need
+        self._paths: dict[tuple[int, ...], Path] = {}
+        self._made = False  # the directory exists
         # coefficients -> {p: [(line number, counts), ...]}, in file order
         self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list[int]]]]] = {}
         # (coefficients, p) -> what get serves there: the valid (counts, L), or None
@@ -149,13 +158,16 @@ class LPolyCache:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        """End and reap the counting helpers, if any were started."""
+        if self._helpers is not None:
+            self._helpers.close()
 
     def _path(self, curve: CurveModel) -> Path:
-        return self.directory / f"{hashlib.sha256(_key(curve).encode()).hexdigest()}.tsv"
+        path = self._paths.get(curve.f_coeffs)
+        if path is None:
+            name = f"{hashlib.sha256(_key(curve).encode()).hexdigest()}.tsv"
+            path = self._paths[curve.f_coeffs] = self.directory / name
+        return path
 
     def _records(self, curve: CurveModel) -> dict[int, list[tuple[int, list[int]]]]:
         """The curve's lines by p, as (line number, counts) in file order, read on first use.
@@ -231,7 +243,9 @@ class LPolyCache:
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
             self._torn.discard(curve.f_coeffs)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self._made:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._made = True
         with open(self._path(curve), "ab", buffering=0) as fh:  # O_APPEND, one write(2)
             fh.write(line.encode())
 
@@ -270,12 +284,16 @@ class LPolyCache:
                 spent += p**i
                 units.append((curve, p, i))
                 entry.pending += 1
-        for (curve, p, i), n in self._run(units):
-            entry = entries[(curve.f_coeffs, p)]
-            entry.new[i] = n
-            entry.pending -= 1
-            if not entry.pending:
-                self._finish(entry)
+        results = self._run(units)
+        try:
+            for (curve, p, i), n in results:
+                entry = entries[(curve.f_coeffs, p)]
+                entry.new[i] = n
+                entry.pending -= 1
+                if not entry.pending:
+                    self._finish(entry)
+        finally:
+            results.close()  # ends the helpers if this loop raised mid-run
         return [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
 
     def _served(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
@@ -292,27 +310,27 @@ class LPolyCache:
         self.put(entry.curve, entry.p, entry.counts)
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
-        """Yield (unit, N_i) for each (curve, p, i) unit as its batch finishes.
+        """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
 
         Units of one field (p, i) stay together, so the field's tables are
-        built once: in process, one field after another; on the pool, the
-        fields, largest first, are dealt into four batches per worker, so the
-        batches cost about the same and small units share trips.
+        built once.  In process, the degree-1 units go through the F_p
+        kernel a block of primes at a time, then the other fields one after
+        another.  With jobs > 1 the fields, largest first, are dealt into
+        four batches per helper, so the batches cost about the same and
+        small units share trips; each idle helper gets the next batch.
         """
         batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
         if len(batches) <= 1:
             for batch in batches:
-                for unit in batch:
-                    yield unit, _count_all([unit])[0]
+                for k, n in _counts(batch):
+                    yield batch[k], n
             return
-        from . import kernels  # unused name: loads numpy once, before the workers fork
-        import concurrent.futures
+        from . import kernels  # unused name: loads numpy once, before the helpers fork
+        from .helpers import Helpers
 
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
-        futures = {self._pool.submit(_count_all, batch): batch for batch in batches}
-        for future in concurrent.futures.as_completed(futures):
-            yield from zip(futures[future], future.result())
+        if self._helpers is None:
+            self._helpers = Helpers(self.jobs, _counts)
+        yield from self._helpers.run(batches)
 
     def counts(self, curve: CurveModel, p: int, upto: int, budget: int) -> list[int]:
         """N_1..N_upto, enumerating only what the cache lacks."""

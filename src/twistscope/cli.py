@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 mathematical finding/criterion failure,
 self-check failed (an ArithmeticError, reported as ``internal error: ...``).
 
 The cache directory is taken from --cache-dir, else the environment
-variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs sizes the
-cache's worker pool for every subcommand that counts points (lpoly, scan,
-char-search, lemma62, verify-paper).  All cache reads and writes happen in
-this process (workers only count).  Structured output is byte-identical
+variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs is the
+number of the cache's counting helpers for every subcommand that counts
+points (lpoly, scan, char-search, lemma62, verify-paper).  All cache reads
+and writes happen in this process (helpers only count).  Structured output is byte-identical
 for identical inputs regardless of --jobs, and of cache state when the
 budget covers every count (a warm cache serves what a tight one refuses).
 
@@ -363,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or structured tab-separated records")
     common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for point counting, in every subcommand that counts")
+                        help="helper processes for point counting, in every subcommand that counts")
 
     parser = argparse.ArgumentParser(
         prog="twistscope",

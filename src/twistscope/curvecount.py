@@ -26,7 +26,7 @@ import functools
 from collections import namedtuple
 from math import comb
 
-from .algebra import FieldSpec, PolyModP, is_prime
+from .algebra import FieldSpec, PolyModP, _require_odd_prime, is_prime
 from .errors import BadReductionError, InconsistentCountsError
 from .values import FrozenValue
 
@@ -225,6 +225,24 @@ def point_count(curve: CurveModel, p: int, i: int) -> int:
     from . import kernels  # no FieldSpec: only the norm kernel reads a modulus
 
     return p**i + 1 + kernels.char_sum(fbar, i)
+
+
+def prime_field_counts(units: list[tuple[CurveModel, int]]):
+    """Yield (k, N_1) for each units[k] = (curve, p), a block of primes at a time.
+
+    The batch form of ``point_count`` at i = 1, through the F_p kernel's
+    blocks.  Each p is checked once, and each (curve, p) by disc(f) % p,
+    before any count: BadReductionError names the first bad pair.
+    """
+    for p in dict.fromkeys(p for _, p in units):
+        _require_odd_prime(p)
+    for curve, p in units:
+        if poly_discriminant(curve.f_coeffs) % p == 0:
+            raise BadReductionError(curve.label, p)
+    from . import kernels
+
+    for k, s in kernels.prime_field_sums([(curve.f_coeffs, p) for curve, p in units]):
+        yield k, units[k][1] + 1 + s
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:

@@ -14,7 +14,7 @@ class BadReductionError(TwistscopeError):
         self.p = p
 
     def __reduce__(self):
-        # rebuilt from (label, p) when a worker process sends it back
+        # rebuilt from (label, p) when a counting helper sends it back
         return BadReductionError, (self.label, self.p)
 
 

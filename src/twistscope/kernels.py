@@ -1,6 +1,8 @@
 """Character sums sum_x chi(f(x)) over F_{p^i}: one numpy kernel per kind of field.
 
-- F_p: Horner over all x, then a character table of F_p;
+- F_p (``prime_field_sums``): many curves and primes in one batch, a
+  block of primes per numpy pass, by Horner's rule with lazy reduction,
+  then an int8 character table;
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER: discrete-log tables built once
   per field (x = g^k turns each monomial into an index, terms are added
   by Zech logarithms, and chi(y) is the parity of log y).  Each table
@@ -11,7 +13,8 @@
   norm to F_p through Frobenius-orbit products.
 
 The field alone picks the kernel (``char_sum``), and every kernel works
-in chunks of x.  Only the norm kernel reads a modulus, build_extension's.
+in chunks of x.  Batches of degree-1 counts call ``prime_field_sums``
+directly.  Only the norm kernel reads a modulus, build_extension's.
 This is the package's only numpy user, and ``curvecount`` imports it on
 the first count.  The test suite checks every kernel against an
 independent enumeration oracle.
@@ -37,6 +40,9 @@ from .algebra import (
 )
 
 _CHUNK = 1 << 19
+_BLOCK = 1 << 13  # elements of an F_p block: the x-ranges of small primes, or a chunk of one
+_HEADROOM = 1 << 62  # |f(x)| stays below this during Horner's rule, under int64's 2^63
+_RAW_COEFF = 1 << 31  # larger coefficients of f enter Horner's rule as residues mod p
 # Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
 # larger extension fields go through the norm kernel.  Logs lie in
 # [0, q - 1) and are stored as int32, which needs q - 1 < 2^31.
@@ -48,15 +54,20 @@ _SUM_BLOCK = 1 << 13  # exponents per step of a log sum: 64 KB int64 temporaries
 
 @functools.lru_cache(maxsize=2)
 def _chi_table(p: int) -> np.ndarray:
-    """chi[v] = quadratic character of v in F_p, built from one squaring pass.
+    """chi[v] = quadratic character of v in F_p, as int8, built in chunks of squares.
 
-    Memoised for the two curves of a pair, which the backend counts back
-    to back over each field; the shared table is read-only.
+    The table of the F_p kernel's primes above _BLOCK, and of the norm
+    kernel.  Memoised for curves counted one call at a time over one
+    field; the shared table is read-only.  At p near 2^25 it takes 32 MB,
+    and its build holds no more than _CHUNK int64 temporaries at once.
     """
-    chi = np.full(p, -1, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    for lo in range(1, (p + 1) // 2, _CHUNK):  # x and -x have one square
+        v = np.arange(lo, min(lo + _CHUNK, (p + 1) // 2), dtype=np.int64)
+        v *= v
+        v %= p
+        chi[v] = 1
     chi[0] = 0
-    v = np.arange(1, p, dtype=np.int64)
-    chi[(v * v) % p] = 1
     chi.flags.writeable = False
     return chi
 
@@ -82,17 +93,124 @@ def _batch_mul(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndar
     return out % p
 
 
-def _char_sum_prime(fbar: PolyModP, p: int) -> int:
-    """sum_x chi(f(x)) over F_p: chunked Horner, then the character table."""
+def _horner(coeffs: list, x: np.ndarray, mod, xmax: int) -> np.ndarray:
+    """f(x) mod p for each x, where mod is p, or an array of each element's p.
+
+    Horner's rule with lazy reduction: while |acc| <= bound and
+    0 <= x <= xmax, acc*x + c is within bound*xmax + |c|, so acc is reduced
+    only when that could pass 2^62.  A coefficient is an int below
+    _RAW_COEFF or an array of residues, and xmax < 2^25, so after a
+    reduction the next step stays below 2^51.  Most steps are one multiply
+    and one add, and f(x) takes a single final %.
+    """
+    lead, *rest = list(reversed(coeffs)) or [0]
+    bounds = [abs(c) if isinstance(c, int) else xmax for c in rest]
+    if isinstance(lead, int) and lead == 1 and rest:  # monic: acc = x + c
+        acc, bound = x + rest[0], xmax + bounds[0]
+        rest, bounds = rest[1:], bounds[1:]
+    else:
+        acc = np.zeros(x.shape, dtype=np.int64)
+        acc += lead
+        bound = abs(lead) if isinstance(lead, int) else xmax
+    for c, size in zip(rest, bounds):
+        if bound * xmax + size > _HEADROOM:
+            acc %= mod
+            bound = xmax
+        acc *= x
+        if size:
+            acc += c
+        bound = bound * xmax + size
+    acc %= mod
+    return acc
+
+
+def _terms(coeffs: tuple[int, ...], primes: list[int], lens: np.ndarray | None = None) -> list:
+    """f's coefficients for _horner over a block: small ones as they are, others mod each p.
+
+    With one prime a residue is an int; lens gives the length of each
+    prime's range when there are several.
+    """
+    if len(primes) == 1:
+        return [c if abs(c) < _RAW_COEFF else c % primes[0] for c in coeffs]
+    return [c if abs(c) < _RAW_COEFF else np.repeat([c % p for p in primes], lens) for c in coeffs]
+
+
+def _block_sums(polys: tuple[tuple[int, ...], ...], primes: list[int]) -> list[np.ndarray]:
+    """sum_x chi(f(x)) over F_p for each f of polys (rows) and each p of a block (columns).
+
+    The block concatenates the x-ranges of its primes, at most _BLOCK
+    elements, with each element's p and the offset of p's range, and one
+    int8 character table of the same layout serves every f.
+    """
+    lens = np.array(primes, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    base = np.repeat(starts, lens)
+    mod = np.repeat(lens, lens)
+    x = np.arange(len(base), dtype=np.int64) - base
+    chi = np.full(len(x), -1, dtype=np.int8)
+    sq = x * x
+    sq %= mod
+    sq += base
+    chi[sq] = 1
+    chi[starts] = 0
+    sums = []
+    for coeffs in polys:
+        v = _horner(_terms(coeffs, primes, lens), x, mod, max(primes) - 1)
+        v += base
+        sums.append(np.add.reduceat(chi[v], starts, dtype=np.int64))
+    return sums
+
+
+def _prime_sums(polys: tuple[tuple[int, ...], ...], p: int) -> list[list[int]]:
+    """sum_x chi(f(x)) over F_p for each f of polys, as [[sum]] rows; p > _BLOCK, x in chunks."""
     chi = _chi_table(p)
-    total = 0
-    for lo in range(0, p, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for c in reversed(fbar.coeffs):
-            acc = (acc * xs + c) % p
-        total += int(chi[acc].sum())
-    return total
+    terms = [_terms(coeffs, [p]) for coeffs in polys]
+    sums = [0] * len(polys)
+    for lo in range(0, p, _BLOCK):
+        x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
+        for n, t in enumerate(terms):
+            sums[n] += int(chi[_horner(t, x, p, p - 1)].sum())
+    return [[s] for s in sums]
+
+
+def _blocks(primes: list[int]):
+    """Runs of consecutive primes whose x-ranges fit in _BLOCK elements together; a larger p alone."""
+    block, size = [], 0
+    for p in primes:
+        if block and size + p > _BLOCK:
+            yield block
+            block, size = [], 0
+        block.append(p)
+        size += p
+    if block:
+        yield block
+
+
+def prime_field_sums(pairs: list[tuple[tuple[int, ...], int]]):
+    """Yield (k, sum_x chi(f(x)) over F_p) for each pairs[k] = (coefficients of f, p).
+
+    The one F_p kernel.  Primes asked for the same polynomials form one
+    group, in order of first appearance, and a group runs in blocks: the
+    consecutive primes whose x-ranges fit in _BLOCK elements together, or
+    one larger prime in chunks.  Each block is one numpy pass per f, and
+    its sums are yielded as soon as it is done.  Only the asked (f, p) are
+    counted.  p must be an odd prime; the cap p < MAX_FIELD_CHAR is
+    checked for every p before any count (ValueError).
+    """
+    asked: dict[int, list[int]] = {}
+    for k, (_, p) in enumerate(pairs):
+        asked.setdefault(p, []).append(k)
+    for p in asked:
+        _check_cap(p)
+    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for p, ks in asked.items():
+        groups.setdefault(tuple(pairs[k][0] for k in ks), []).append(p)
+    for polys, primes in groups.items():
+        for block in _blocks(primes):
+            sums = _prime_sums(polys, block[0]) if block[0] > _BLOCK else _block_sums(polys, block)
+            for j, p in enumerate(block):
+                for n, k in enumerate(asked[p]):
+                    yield k, int(sums[n][j])
 
 
 def _mat_pows(M: np.ndarray, exps: list[int], p: int) -> list[np.ndarray]:
@@ -354,17 +472,21 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
     return total
 
 
+def _check_cap(p: int) -> None:
+    """p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs (ValueError)."""
+    if p >= MAX_FIELD_CHAR:
+        raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
+
+
 def char_sum(fbar: PolyModP, i: int) -> int:
     """sum_x chi(f(x)) over F_{p^i}, p = fbar.p; the sum does not depend on the modulus.
 
-    Every count passes here, so this is where p < MAX_FIELD_CHAR, which
-    the kernels' int64 headroom needs, is enforced (ValueError).
+    Every count passes here or through ``prime_field_sums``, and both
+    enforce the cap p < MAX_FIELD_CHAR before counting.
     """
-    p = fbar.p
-    if p >= MAX_FIELD_CHAR:
-        raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
     if i == 1:
-        return _char_sum_prime(fbar, p)
-    if p**i <= _TABLE_MAX_ORDER:
+        return next(prime_field_sums([(fbar.coeffs, fbar.p)]))[1]
+    _check_cap(fbar.p)
+    if fbar.p**i <= _TABLE_MAX_ORDER:
         return _char_sum_logs(fbar, i)
-    return _char_sum_norm(fbar, build_extension(p, i))
+    return _char_sum_norm(fbar, build_extension(fbar.p, i))

@@ -22,7 +22,7 @@ Report text format (version 1, tab-separated, one record per line):
 
 L-coefficients are comma-separated ascending integers; missing fields
 (skips, trace-depth records) are "-".  Output is byte-identical across
-runs and worker counts for equal inputs.
+runs and --jobs values for equal inputs.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def scan_pair(
     ("bad-reduction" for either curve, "budget-exceeded" when the counts
     it needs cost more than ``budget``).  A scan needs every prime, so the
     counts of all good primes go to ``cache`` as one batch; with
-    ``cache.jobs > 1`` all their units share its workers.  Records are in
+    ``cache.jobs > 1`` all their units share its helpers.  Records are in
     prime order, so the report does not depend on scheduling.
     """
     if pmin < 3:

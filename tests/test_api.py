@@ -165,7 +165,7 @@ class TestValueClasses:
         assert repr(_lpoly()) == "LPolynomial(p=3, g=1, coeffs=(1, 0, 3))"
 
     def test_pool_unit_and_lpolynomial_pickle(self):
-        # the pool sends (CurveModel, p, i) units to its workers
+        # the cache pickles (CurveModel, p, i) units to its counting helpers
         unit = (_curve(), 7, 2)
         back = pickle.loads(pickle.dumps(unit))
         assert back == unit and back[0].genus == 2 and hash(back[0]) == hash(unit[0])

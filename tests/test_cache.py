@@ -16,6 +16,8 @@ from twistscope.cli import main
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError
 
+from test_cli import no_children
+
 
 @pytest.fixture
 def cache(tmp_path):
@@ -279,7 +281,7 @@ class TestComputeThrough:
 
     def test_budget_partial_progress_is_stored(self, tmp_path, genus4_pair):
         # each count the budget affords reaches the store before the error,
-        # also when the units run on workers
+        # also when the units run on helpers
         curve = genus4_pair[0]
         with LPolyCache(tmp_path / "cache", jobs=2) as cache:
             with pytest.raises(BudgetExceededError) as exc:
@@ -335,20 +337,25 @@ class TestComputeThrough:
         assert len(out) == 4
 
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
+        # the F_p kernel hands back its sums a block of primes at a time, so
+        # the blocks it finished before an interrupt are stored
+        from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
         counted = []
+        real = kernels._block_sums
 
-        def interrupted(curve, p, i):
-            if p == 31:
+        def interrupted(polys, primes):
+            if 31 in primes:
                 raise KeyboardInterrupt
-            counted.append((curve.f_coeffs, p))
-            return point_count(curve, p, i)
+            counted.extend((f, p) for p in primes for f in polys)
+            return real(polys, primes)
 
-        monkeypatch.setattr("twistscope.cache.point_count", interrupted)
+        monkeypatch.setattr(kernels, "_BLOCK", 100)  # blocks of one to three primes
+        monkeypatch.setattr(kernels, "_block_sums", interrupted)
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
-        assert counted  # fields go largest first, so the primes above 31 ran
+        assert counted  # primes go largest first, so the blocks above 31 ran
         stored = {(c.f_coeffs, p) for c in genus2_pair for p in reopened(cache)._records(c)}
         assert stored == set(counted)
 
@@ -374,7 +381,7 @@ class TestBatches:
         assert firsts == sorted(firsts, reverse=True) and firsts[0] == 11**4
 
     def test_pool_scan_builds_each_field_once(self, tmp_path, genus4_pair, monkeypatch):
-        # a --jobs 2 scan hands each field's units to one worker, and stores
+        # a --jobs 2 scan hands each field's units to one helper, and stores
         # the same records as an in-process scan
         from twistscope.twistlab import scan_pair
 
@@ -394,9 +401,54 @@ class TestBatches:
         assert all(len(batch) == 2 * len(f) for batch, f in zip(batches, fields))
         serial = LPolyCache(tmp_path / "serial")
         assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=serial).to_text() == report.to_text()
-        for curve in genus4_pair:  # the same lines; the pool finishes them in any order
+        for curve in genus4_pair:  # the same lines; the helpers finish them in any order
             assert sorted(lines(pooled, curve)) == sorted(lines(serial, curve))
             assert len(lines(serial, curve)) == 5
+
+
+class TestHelpers:
+    def test_helper_error_ends_every_helper(self, genus2_pair, monkeypatch):
+        from twistscope import kernels
+        from twistscope.twistlab import scan_pair
+
+        def alarm(pairs):
+            raise ArithmeticError("kernel bug")
+
+        with LPolyCache("", enabled=False, jobs=2) as cache:
+            monkeypatch.setattr(kernels, "prime_field_sums", alarm)  # before the helpers fork
+            with pytest.raises(ArithmeticError, match="kernel bug"):
+                scan_pair(*genus2_pair, 3, 100, cache=cache)
+            assert cache._helpers.procs == [] and no_children()
+            monkeypatch.undo()  # the next request forks new helpers
+            want = scan_pair(*genus2_pair, 3, 100).to_text()
+            assert scan_pair(*genus2_pair, 3, 100, cache=cache).to_text() == want
+        assert no_children()
+
+    def test_interrupt_in_the_parent_ends_the_helpers(self, tmp_path, genus2_pair):
+        from twistscope.twistlab import scan_pair
+
+        cache = LPolyCache(tmp_path, jobs=2)
+
+        def interrupted(curve, p, counts):
+            raise KeyboardInterrupt
+
+        cache.put = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            scan_pair(*genus2_pair, 3, 100, cache=cache)
+        assert cache._helpers.procs == [] and no_children()
+
+    def test_two_open_caches_both_close(self, genus4_pair):
+        # the second cache's helpers fork while the first cache's run
+        from twistscope.twistlab import scan_pair
+
+        want = scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
+        first, second = (LPolyCache("", enabled=False, jobs=2) for _ in range(2))
+        for cache in (first, second, first):
+            assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=cache).to_text() == want
+        assert len({pid for c in (first, second) for pid, _, _ in c._helpers.procs}) == 4
+        first.close()
+        second.close()
+        assert no_children()
 
 
 class TestConcurrentCommands:
@@ -420,10 +472,11 @@ class TestConcurrentCommands:
             assert served(LPolyCache(shared), curve) == served(LPolyCache(serial), curve)
         sizes = {f.name: f.stat().st_size for f in shared.iterdir()}
 
-        def no_counting(curve, p, i):
-            raise AssertionError(f"point_count({curve.label}, {p}, {i}) on a warm cache")
+        def no_counting(*unit):
+            raise AssertionError(f"counted {unit} on a warm cache")
 
         monkeypatch.setattr("twistscope.cache.point_count", no_counting)
+        monkeypatch.setattr("twistscope.cache.prime_field_counts", no_counting)
         assert main([*argv, "--jobs", "2", "--cache-dir", str(shared)]) == 0
         assert capsys.readouterr().out == want
         assert {f.name: f.stat().st_size for f in shared.iterdir()} == sizes

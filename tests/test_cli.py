@@ -8,7 +8,13 @@ import pytest
 
 import twistscope
 from twistscope.cli import CliError, main, parse_curve
-from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly, point_count
+from twistscope.curvecount import (
+    curve_from_coeffs,
+    frobenius_trace,
+    lpoly,
+    point_count,
+    prime_field_counts,
+)
 from twistscope.splitfield import default_fields, split_profile
 from twistscope.twistlab import ScanReport, scan_pair, z20_statistic
 
@@ -20,17 +26,33 @@ def run_cli(capsys, *argv):
 
 
 def count_only(monkeypatch, allowed=()):
-    """Let point_count run only for the listed degrees, here and in forked workers."""
-    real = point_count
+    """Let the backend count only the listed degrees, here and in forked helpers."""
+    real, real_fp = point_count, prime_field_counts
 
     def guarded(curve, p, i):
         if i not in allowed:
             raise AssertionError(f"point_count({curve.label}, {p}, {i}) was not expected")
         return real(curve, p, i)
 
+    def guarded_fp(units):
+        if units and 1 not in allowed:
+            raise AssertionError(f"F_p counts at {units[:2]}... were not expected")
+        return real_fp(units)
+
     # the backend counts through twistscope.cache; patch the defining module too
     monkeypatch.setattr("twistscope.curvecount.point_count", guarded)
     monkeypatch.setattr("twistscope.cache.point_count", guarded, raising=False)
+    monkeypatch.setattr("twistscope.curvecount.prime_field_counts", guarded_fp)
+    monkeypatch.setattr("twistscope.cache.prime_field_counts", guarded_fp, raising=False)
+
+
+def no_children():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def cache_files(directory):
@@ -70,10 +92,10 @@ class TestTracerNames:
         assert missing == ["tracer: algebra.ddf_degrees not found; its metrics stay 0"], done.stderr
 
 
-# a CLI run that reports on stderr whether numpy is loaded in each forked pool
-# worker as it starts, and, at the end, every module the command loaded beyond
+# a CLI run that reports on stderr whether numpy is loaded in each forked
+# counting helper as it starts, and, at the end, every module the command loaded beyond
 # what the interpreter had before it imported the package.  Each report is
-# one write(2), so the lines of concurrent workers cannot interleave.
+# one write(2), so the lines of concurrent helpers cannot interleave.
 MODULES_PROBE = (
     "import os, sys\n"
     "before = set(sys.modules)\n"
@@ -93,7 +115,7 @@ def probe(*argv):
     """Run one CLI command in a fresh interpreter.
 
     Returns the completed process, the set of modules the command loaded,
-    and the "numpy at fork" lines of its pool workers.
+    and the "numpy at fork" lines of its counting helpers.
     """
     done = run_python("-c", MODULES_PROBE, *argv)
     assert done.returncode == 0, done.stderr
@@ -107,26 +129,30 @@ class TestNumpyOnlyWhenCounting:
         scan = ("scan", "x^5 - x", "x^5 + 4x", "--pmax", "50", "--format", "records",
                 "--cache-dir", str(tmp_path))
         runs = [
-            ((*scan, "--jobs", "2"), True),  # cold: counts on the pool, so numpy loads
+            ((*scan, "--jobs", "2"), True),  # cold: counts on helpers, so numpy loads
             ((*scan, "--jobs", "2"), False),  # warm: counts nothing
             (("split", "--pmax", "50", "--format", "records", "--cache-dir", str(tmp_path)), False),
         ]
         for argv, loaded in runs:
             _, modules, forks = probe(*argv)
             assert ("numpy" in modules) == loaded, argv
-            # the parent loads numpy before the pool forks, so no worker imports it again
+            # the parent loads numpy before the helpers fork, so no helper imports it again
             assert forks == ["numpy at fork: True"] * (2 if loaded else 0), argv
 
 
 class TestEachCommandLoadsItsPath:
     # standard-library and third-party modules that no command below runs
-    UNUSED = {"numpy", "concurrent.futures", "logging", "dataclasses", "fractions", "json"}
+    UNUSED = {"numpy", "concurrent.futures", "multiprocessing", "twistscope.helpers", "logging",
+              "dataclasses", "fractions", "json"}
     NO_CACHE = {"twistscope.cache", "hashlib"}
 
     def test_commands_load_only_what_they_run(self, tmp_path):
         common = ("--format", "records", "--cache-dir", str(tmp_path))
         scan = ("scan", "x^9 + x", "x^9 + 16x", "--pmax", "13", "--depth", "full", "--jobs", "2")
-        cold, _, _ = probe(*scan, *common)
+        cold, modules, forks = probe(*scan, *common)
+        # the cold scan forks its two helpers itself, with no pool module
+        assert forks == ["numpy at fork: True"] * 2
+        assert not modules & {"concurrent.futures", "multiprocessing"}, modules
         # the cold scan leaves every count that lemma62 and char-search need
         report = tmp_path / "report.txt"
         report.write_text(cold.stdout)
@@ -148,10 +174,10 @@ class TestEachCommandLoadsItsPath:
 
 
 def test_characteristic_above_cap_is_usage_error(capsys, tmp_path, monkeypatch):
-    def never(fbar, p):
-        raise AssertionError(f"counted over F_{p}, above the cap")
+    def never(coeffs, x, mod, xmax):
+        raise AssertionError(f"counted over F_{xmax + 1}, above the cap")
 
-    monkeypatch.setattr("twistscope.kernels._char_sum_prime", never)
+    monkeypatch.setattr("twistscope.kernels._horner", never)
     # 33554467 is the least prime above MAX_FIELD_CHAR = 2^25
     rc, _, err = run_cli(capsys, "lpoly", "x^3 - x + 1", "--p", "33554467", "--cache-dir", str(tmp_path))
     assert rc == 2
@@ -318,14 +344,53 @@ class TestUsageErrors:
     def test_kernel_alarm_is_exit_4_without_traceback(self, capsys, tmp_path, monkeypatch):
         import twistscope.kernels
 
-        def alarm(fbar, i):
+        def alarm(pairs):
             raise ArithmeticError("norm landed outside the prime field; kernel bug")
 
-        monkeypatch.setattr(twistscope.kernels, "char_sum", alarm)
+        monkeypatch.setattr(twistscope.kernels, "prime_field_sums", alarm)
         rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "20",
                                "--format", "records", "--cache-dir", str(tmp_path))
         assert rc == 4 and out == ""
         assert err == "internal error: norm landed outside the prime field; kernel bug\n"
+
+    def test_kernel_alarm_in_a_helper_is_exit_4(self, capsys, tmp_path, monkeypatch):
+        import twistscope.kernels
+
+        def alarm(pairs):
+            raise ArithmeticError("kernel bug")
+
+        monkeypatch.setattr(twistscope.kernels, "prime_field_sums", alarm)  # before the helpers fork
+        rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "50", "--jobs", "2",
+                               "--format", "records", "--cache-dir", str(tmp_path))
+        assert (rc, out, err) == (4, "", "internal error: kernel bug\n")
+        assert no_children()
+
+    def test_killed_helper_is_an_error_exit(self, tmp_path):
+        # every helper dies on its first batch: the command ends with one error
+        # line, in the timeout, and leaves no child behind
+        code = (
+            "import os, signal, sys\n"
+            "from twistscope import kernels\n"
+            "from twistscope.cli import main\n"
+            "parent, real = os.getpid(), kernels.prime_field_sums\n"
+            "def dying(pairs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(pairs)\n"
+            "kernels.prime_field_sums = dying\n"
+            "rc = main(sys.argv[1:])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('children left', file=sys.stderr)\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "sys.exit(rc)\n"
+        )
+        done = run_python("-c", code, "scan", "x^5-x", "x^5+4x", "--pmax", "50", "--jobs", "2",
+                          "--format", "records", "--cache-dir", str(tmp_path), timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("io error: counting helper ") and "mid-batch" in done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
 
     def test_non_primitive_modulus_is_exit_4(self, capsys, tmp_path, monkeypatch, fresh_tables):
         # x^2 + 1 is irreducible mod 3 but not primitive: the table build for
@@ -359,6 +424,26 @@ class TestScanCommand:
                     for jobs, other in (("1", "2"), ("2", "1"))
                 ]
             assert {(rc, out) for rc, out, _ in runs} == {(0, runs[0][1])}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("scan", "x^5 - x", "x^5 + 4x", "--pmax", "400"),
+         ("lpoly", "x^9 + x", "--pmax", "13"),
+         ("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "13"),
+         ("lemma62", "--c", "16", "--pmax", "13")],
+    )
+    def test_cold_records_and_lines_match_across_jobs(self, capsys, tmp_path, argv):
+        # helpers finish batches in any order: the same records and the same
+        # cache lines, and no helper outlives the command
+        runs, lines = {}, {}
+        for jobs in ("1", "2"):
+            directory = tmp_path / jobs
+            runs[jobs] = run_cli(capsys, *argv, "--format", "records", "--jobs", jobs,
+                                 "--cache-dir", str(directory))
+            lines[jobs] = {f.name: sorted(f.read_text().splitlines()) for f in directory.iterdir()}
+        assert runs["1"] == runs["2"] and runs["1"][0] == 0
+        assert lines["1"] == lines["2"]
+        assert no_children()
 
     def test_warm_parallel_rerun_counts_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
         args = ("scan", "x^9+x", "x^9+16x", "--pmax", "13", "--depth", "full",

@@ -32,6 +32,7 @@ from twistscope.curvecount import (
     odd_bad_primes,
     point_count,
     poly_discriminant,
+    prime_field_counts,
     reduce_curve,
     validate_weil,
 )
@@ -429,11 +430,86 @@ class TestNormKernelHeadroom:
             assert tuple(got.tolist()) == (x**EDGE_P).coeffs
 
 
-def test_point_count_rejects_characteristic_above_cap(monkeypatch):
-    def never(fbar, p):
-        raise AssertionError(f"counted over F_{p}, above the cap")
+def random_poly(rng, degree, dense, big):
+    """f over Z of the given degree, dense or with three terms, with coefficients
+    of either sign up to 9 or up to 2^70; the leading one is random too."""
+    size = 2**70 if big else 9
+    support = range(degree + 1) if dense else [*rng.sample(range(degree), 2), degree]
+    coeffs = [0] * (degree + 1)
+    for e in support:
+        coeffs[e] = rng.randint(-size, size) or 1
+    return tuple(coeffs)
 
-    monkeypatch.setattr(kernels, "_char_sum_prime", never)
+
+def never(*args):
+    raise AssertionError("a value of f was computed")
+
+
+class TestPrimeFieldKernel:
+    @staticmethod
+    def sums(pairs):
+        out = list(kernels.prime_field_sums(pairs))
+        assert sorted(k for k, _ in out) == list(range(len(pairs)))  # each asked pair, once
+        return dict(out)
+
+    def test_random_polys_across_blocks(self, monkeypatch):
+        # with 64-element blocks, the primes below 64 share blocks and the
+        # larger ones run alone in chunks; some (f, p) pairs are not asked
+        monkeypatch.setattr(kernels, "_BLOCK", 64)
+        rng = random.Random(2024)
+        polys = [random_poly(rng, rng.randint(3, 15), dense, big)
+                 for dense in (True, False) for big in (True, False) for _ in range(3)]
+        pairs = [(f, p) for f in polys for p in odd_primes(3, 150) if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        got = self.sums(pairs)
+        for k, (f, p) in enumerate(pairs):
+            assert got[k] == oracles.count_points(f, p, 1) - p - 1, (f, p)
+
+    def test_primes_around_the_block_size(self, genus2_pair):
+        # the two primes below _BLOCK fill a block each, the two above it run
+        # in two chunks each, and 3 and 5 share a block
+        below = odd_primes(kernels._BLOCK - 100, kernels._BLOCK)[-2:]
+        above = odd_primes(kernels._BLOCK, kernels._BLOCK + 100)[:2]
+        primes = [*above, *below, 5, 3]
+        units = [(curve, p) for p in primes for curve in genus2_pair]
+        got = dict(prime_field_counts(units))
+        for k, (curve, p) in enumerate(units):
+            assert got[k] == oracles.count_points(curve.f_coeffs, p, 1), (curve.label, p)
+        assert point_count(genus2_pair[1], above[0], 1) == got[1]
+
+    def test_headroom_at_the_largest_prime(self):
+        # (x + a)^15 + b permutes F_p when gcd(15, p - 1) = 1, so its sum is 0;
+        # expanded, its coefficients are dense and reach 2^1060
+        p = EDGE_P
+        assert math.gcd(15, p - 1) == 1
+        a, b = 2**70 + 12345, -(2**69) - 7
+        f = [math.comb(15, k) * a ** (15 - k) for k in range(16)]
+        f[0] += b
+        x = np.arange(p - kernels._BLOCK, p, dtype=np.int64)  # the largest products
+        want = []
+        for v in x.tolist():
+            acc = 0
+            for c in reversed(f):
+                acc = (acc * v + c) % p
+            want.append(acc)
+        assert kernels._horner(kernels._terms(tuple(f), [p]), x, p, p - 1).tolist() == want
+        assert self.sums([(tuple(f), p)]) == {0: 0}
+
+    def test_bad_prime_in_a_batch_raises_before_counting(self, monkeypatch):
+        good, bad = curve_from_coeffs((0, -1, 0, 0, 0, 1)), curve_from_coeffs((3, 0, 0, 0, 0, 1))
+        monkeypatch.setattr(kernels, "_horner", never)  # x^5 + 3 is bad at 3 and 5
+        with pytest.raises(BadReductionError) as exc:
+            list(prime_field_counts([(good, 7), (good, 11), (bad, 7), (bad, 5)]))
+        assert (exc.value.label, exc.value.p) == (bad.label, 5)
+
+    def test_characteristic_cap_is_checked_before_counting(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_horner", never)
+        with pytest.raises(ValueError, match="exceeds the supported cap"):
+            next(kernels.prime_field_sums([((1, 1, 0, 1), 7), ((1, 1, 0, 1), 33554467)]))
+
+
+def test_point_count_rejects_characteristic_above_cap(monkeypatch):
+    monkeypatch.setattr(kernels, "_horner", never)
     # 33554467 is the least prime above MAX_FIELD_CHAR = 2^25
     with pytest.raises(ValueError, match="exceeds the supported cap"):
         point_count(curve_from_coeffs((1, -1, 0, 1)), 33554467, 1)

@@ -15,6 +15,7 @@ def _load(path):
 def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     bench_layers = _load(BENCH_LAYERS)
     monkeypatch.setattr(bench_layers, "CACHE_PMAX", 30)  # 9 lines, not 9,591
+    monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
     out = tmp_path / "BENCH_layers.json"
     text = bench_layers.write([(3, 2)], out)
     data = json.loads(out.read_text())
@@ -25,6 +26,9 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     cache = data["cache"]
     assert (cache["curve"], cache["lines"]) == ("x^5 - x", 9) and cache["file_bytes"] > 0
     assert cache["put_s_per_line"] > 0 and cache["first_get_s_per_line"] > 0
+    fp = data["prime_field"]
+    assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)
+    assert fp["elements_per_s"] == fp["elements"] / fp["s"]
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
     assert row["table_build_s"] > 0

@@ -157,7 +157,7 @@ class TestScanPair:
         assert serial.to_text() == parallel.to_text()
 
     def test_scan_counts_all_primes_in_one_batch(self, genus4_pair, monkeypatch):
-        # the workers share the units of every prime, not one prime at a time
+        # the helpers share the units of every prime, not one prime at a time
         batches = []
         run = LPolyCache._run
 

@@ -1,7 +1,10 @@
-"""Layer timings of the log-table kernel, written as one JSON file.
+"""Layer timings of the counting kernels and the cache, written as one JSON file.
 
-For each field F_{p^i} it records the seconds to build the field's log
-tables (``kernels._field_tables`` from an empty memo) and the throughput
+One F_p row times ``kernels.prime_field_sums`` on the genus-2 pair
+x^5 - x, x^5 + 4x at every odd prime up to ``FP_PMAX``, as one batch,
+largest prime first, as a trace scan asks: seconds, and field elements
+per second (the sum of the primes, twice, over the seconds).  For each
+field F_{p^i} it records the seconds to build the field's log tables (``kernels._field_tables`` from an empty memo) and the throughput
 of ``kernels.char_sum`` over the built tables, in field elements per
 second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
 Each figure is the median of 5 runs in this one process.  One start-up
@@ -50,6 +53,8 @@ POLYS = {
     "x^9 + x": (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     "dense degree 9": (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
 }
+FP_POLYS = {"x^5 - x": (0, -1, 0, 0, 0, 1), "x^5 + 4x": (0, 4, 0, 0, 0, 1)}
+FP_PMAX = 5000
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
@@ -76,6 +81,16 @@ def measure_field(p: int, i: int) -> dict:
         seconds = _median_seconds(lambda: kernels.char_sum(fbar, i))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
+
+
+def measure_prime_field() -> dict:
+    """The F_p kernel over the genus-2 pair at every odd prime up to FP_PMAX."""
+    primes = odd_primes(3, FP_PMAX)
+    pairs = [(f, p) for p in reversed(primes) for f in FP_POLYS.values()]
+    seconds = _median_seconds(lambda: list(kernels.prime_field_sums(pairs)))
+    elements = len(FP_POLYS) * sum(primes)
+    return {"curves": list(FP_POLYS), "pmax": FP_PMAX, "primes": len(primes), "elements": elements,
+            "s": seconds, "elements_per_s": elements / seconds}
 
 
 def measure_startup() -> dict:
@@ -124,6 +139,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         "repeats": REPEATS,
         "startup": measure_startup(),
         "cache": measure_cache(),
+        "prime_field": measure_prime_field(),
         "fields": [measure_field(p, i) for p, i in fields],
     }
     text = json.dumps(result, indent=2) + "\n"
