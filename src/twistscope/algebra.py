@@ -25,9 +25,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from .errors import NotGaloisConsistentError
 from .values import FrozenValue
 
-# Cap on the field characteristic accepted by FieldSpec.  The counting
-# kernels accumulate sums of up to ~8 products of residues in signed
-# 64-bit integers, so p < 2^25 keeps every intermediate below 2^54.
+# Cap on the field characteristic, checked by ``_require_below_cap`` for
+# FieldSpec and the counting kernels.  The kernels accumulate sums of up
+# to ~8 products of residues in signed 64-bit integers, so p < 2^25 keeps
+# every intermediate below 2^54.
 MAX_FIELD_CHAR = 1 << 25
 
 # Miller-Rabin to the first thirteen prime bases is exact below psi_13,
@@ -95,6 +96,11 @@ def prime_divisors(n: int) -> list[int]:
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
+
+
+def _require_below_cap(p: int) -> None:
+    if p >= MAX_FIELD_CHAR:
+        raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
 
 
 def legendre(a: int, p: int) -> int:
@@ -406,8 +412,7 @@ class FieldSpec(FrozenValue):
 
     def __init__(self, p: int, degree: int, modulus: PolyModP | None = None):
         _require_odd_prime(p)
-        if p >= MAX_FIELD_CHAR:
-            raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
+        _require_below_cap(p)
         if degree < 1:
             raise ValueError("field degree must be >= 1")
         if degree == 1:

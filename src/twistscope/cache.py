@@ -1,15 +1,15 @@
-"""On-disk cache of point counts, which give the L-polynomials, and the one way to count.
+"""On-disk cache of point counts, which give the L-polynomials, and the compute backend.
 
-Every point count goes through ``LPolyCache``.  It serves requests
+Every command counts through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
-evaluations), and runs only those (curve, p, i) units, in process when
-``jobs == 1`` or all of them lie in one field F_{p^i}, otherwise in
-even-cost batches on ``jobs`` helper processes, forked on first need and
-ended by ``close``.  Units of one field always run back to back in one
-process, so they share that field's tables, and the degree-1 units of a
-run go through the F_p kernel together, a block of primes at a time.  A
-disabled cache (``UNCACHED``) stores nothing but counts the same way.
+evaluations), and hands only those (curve, p, i) units to
+``curvecount.unit_counts``, in process when ``jobs == 1`` or all of them
+lie in one field F_{p^i}, otherwise in even-cost batches on ``jobs``
+helper processes, forked on first need and ended by ``close``.  Units of
+one field always run back to back in one process, so they share that
+field's tables.  A disabled cache (``UNCACHED``) stores nothing but
+counts the same way.
 
 Records live in one append-only file per curve, named by the SHA-256
 of the curve's key (record format, tool version, coefficients), so every
@@ -47,8 +47,7 @@ from .curvecount import (
     _check_count_bounds,
     log_derivative_counts,
     lpoly_from_counts,
-    point_count,
-    prime_field_counts,
+    unit_counts,
 )
 from .errors import BudgetExceededError, InconsistentCountsError
 from .values import Value
@@ -111,16 +110,6 @@ def _take(curve: CurveModel, p: int, counts: list[int]) -> tuple[list[int], LPol
         return counts, _lpoly_of(curve, p, counts)
     except InconsistentCountsError:
         return None
-
-
-def _counts(units: list[tuple[CurveModel, int, int]]):
-    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then the rest."""
-    fp = [k for k, unit in enumerate(units) if unit[2] == 1]
-    for j, n in prime_field_counts([units[k][:2] for k in fp]):
-        yield fp[j], n
-    for k, (curve, p, i) in enumerate(units):
-        if i > 1:
-            yield k, point_count(curve, p, i)
 
 
 def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[CurveModel, int, int]]]:
@@ -232,11 +221,14 @@ class LPolyCache:
         stored line: valid ones are what ``get`` serves from now on, and
         counts a later read would reject change nothing in memory.
         """
-        if not self.enabled:
-            return
-        counts = list(counts)
+        if self.enabled:
+            counts = list(counts)
+            self._append(curve, p, counts, _take(curve, p, counts))
+
+    def _append(self, curve: CurveModel, p: int, counts: list[int],
+                taken: tuple[list[int], LPolynomial | None] | None) -> None:
+        """Append the line of counts at (curve, p); taken, unless None, is what get serves there now."""
         self._records(curve)  # read the file, and see a torn last line, before appending
-        taken = _take(curve, p, counts)
         if taken is not None:
             self._taken[(curve.f_coeffs, p)] = taken
         line = f"{_key(curve)}{p}\t{','.join(map(str, counts))}\t\n"
@@ -305,31 +297,32 @@ class LPolyCache:
         return entries
 
     def _finish(self, entry: _Entry) -> None:
+        """Validate the entry's fresh counts once (InconsistentCountsError), then store them."""
         entry.counts = entry.counts + [entry.new[i] for i in sorted(entry.new)]
         entry.lpoly = _lpoly_of(entry.curve, entry.p, entry.counts)
-        self.put(entry.curve, entry.p, entry.counts)
+        if self.enabled:
+            self._append(entry.curve, entry.p, entry.counts, (entry.counts, entry.lpoly))
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
 
         Units of one field (p, i) stay together, so the field's tables are
-        built once.  In process, the degree-1 units go through the F_p
-        kernel a block of primes at a time, then the other fields one after
-        another.  With jobs > 1 the fields, largest first, are dealt into
+        built once.  In process, one ``unit_counts`` call counts them all.
+        With jobs > 1 the fields, largest first, are dealt into
         four batches per helper, so the batches cost about the same and
         small units share trips; each idle helper gets the next batch.
         """
         batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
         if len(batches) <= 1:
             for batch in batches:
-                for k, n in _counts(batch):
+                for k, n in unit_counts(batch):
                     yield batch[k], n
             return
         from . import kernels  # unused name: loads numpy once, before the helpers fork
         from .helpers import Helpers
 
         if self._helpers is None:
-            self._helpers = Helpers(self.jobs, _counts)
+            self._helpers = Helpers(self.jobs, unit_counts)
         yield from self._helpers.run(batches)
 
     def counts(self, curve: CurveModel, p: int, upto: int, budget: int) -> list[int]:

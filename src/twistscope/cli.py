@@ -294,7 +294,8 @@ def _cmd_stats(args, cache, out) -> int:
     from .twistlab import ScanReport, moment_stats, z20_statistic
 
     try:
-        text = open(args.report).read()
+        with open(args.report) as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read report: {exc}") from exc
     report = ScanReport.from_text(text)

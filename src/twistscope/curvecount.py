@@ -15,9 +15,11 @@ does not divide disc(f); ``poly_discriminant`` is the package's one
 squarefreeness test, for curves here and for field polynomials in
 ``splitfield``.
 
-Counting is exact integer work throughout.  The character sums come
-from ``kernels``, the one module that uses numpy; it is imported on the
-first count, so commands that count nothing never load numpy.
+Counting is exact integer work throughout, and every count goes through
+``unit_counts``: it checks each p and each (curve, p) of a batch once,
+then asks ``kernels.char_sums``, the one module that uses numpy, for
+the character sums.  ``kernels`` is imported on the first count, so
+commands that count nothing never load numpy.
 """
 
 from __future__ import annotations
@@ -198,18 +200,12 @@ def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
 
 
 def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
-    """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q].
-
-    The field picks the kernel in ``kernels``: Horner plus the F_p
-    character table for i = 1, per-field log tables for i >= 2 with
-    q <= 2^23, and the norm kernel for larger q.  S does not depend on
-    the field's modulus, so the kernels choose their own.
-    """
+    """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q], by ``kernels.char_sums``."""
     if spec.p != fbar.p:
         raise ValueError("field and polynomial have different characteristic")
     from . import kernels  # numpy loads on the first count, not on import
 
-    return kernels.char_sum(fbar, spec.degree)
+    return next(kernels.char_sums([(fbar.coeffs, spec.p, spec.degree)]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +213,28 @@ def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def point_count(curve: CurveModel, p: int, i: int) -> int:
-    """N_i = #C(F_{p^i}) including the point at infinity."""
-    fbar = reduce_curve(curve, p)
-    if isinstance(fbar, BadReduction):
-        raise BadReductionError(curve.label, p)
-    from . import kernels  # no FieldSpec: only the norm kernel reads a modulus
+def unit_counts(units: list[tuple[CurveModel, int, int]]):
+    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then the rest.
 
-    return p**i + 1 + kernels.char_sum(fbar, i)
-
-
-def prime_field_counts(units: list[tuple[CurveModel, int]]):
-    """Yield (k, N_1) for each units[k] = (curve, p), a block of primes at a time.
-
-    The batch form of ``point_count`` at i = 1, through the F_p kernel's
-    blocks.  Each p is checked once, and each (curve, p) by disc(f) % p,
-    before any count: BadReductionError names the first bad pair.
+    The one way to count.  Before any count, each distinct p is checked
+    once (ValueError unless an odd prime), and each (curve, p) by
+    disc(f) % p: BadReductionError names the first bad unit.
     """
-    for p in dict.fromkeys(p for _, p in units):
+    for p in dict.fromkeys(p for _, p, _ in units):
         _require_odd_prime(p)
-    for curve, p in units:
+    for curve, p, _ in units:
         if poly_discriminant(curve.f_coeffs) % p == 0:
             raise BadReductionError(curve.label, p)
     from . import kernels
 
-    for k, s in kernels.prime_field_sums([(curve.f_coeffs, p) for curve, p in units]):
-        yield k, units[k][1] + 1 + s
+    for k, s in kernels.char_sums([(curve.f_coeffs, p, i) for curve, p, i in units]):
+        _, p, i = units[k]
+        yield k, p**i + 1 + s
+
+
+def point_count(curve: CurveModel, p: int, i: int) -> int:
+    """N_i = #C(F_{p^i}) including the point at infinity."""
+    return next(unit_counts([(curve, p, i)]))[1]
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:

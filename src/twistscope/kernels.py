@@ -1,23 +1,24 @@
-"""Character sums sum_x chi(f(x)) over F_{p^i}: one numpy kernel per kind of field.
+"""Character sums sum_x chi(f(x)) over F_{p^i}: one entry, one numpy kernel per kind of field.
 
-- F_p (``prime_field_sums``): many curves and primes in one batch, a
-  block of primes per numpy pass, by Horner's rule with lazy reduction,
-  then an int8 character table;
-- F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER: discrete-log tables built once
-  per field (x = g^k turns each monomial into an index, terms are added
-  by Zech logarithms, and chi(y) is the parity of log y).  Each table
-  field has its own primitive modulus h, so g = t = x mod h, and the
-  exp table is read off one linear recurring sequence of h.  When
-  f = x^r h(x^d) on F_q^*, only (q - 1)/d exponents k are summed;
-- larger F_{p^i}: f(x) by repeated squaring in int64, then chi_p of the
-  norm to F_p through Frobenius-orbit products.
+``char_sums`` is the only entry.  It checks the cap p < MAX_FIELD_CHAR
+once per p of a batch, then the field alone picks the kernel:
+- F_p (``prime_field_sums``): every degree-1 unit of the batch together,
+  a block of primes per numpy pass, by Horner's rule with lazy
+  reduction, then an int8 character table;
+- F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER (``_char_sum_logs``):
+  discrete-log tables built once per field (x = g^k turns each monomial
+  into an index, terms are added by Zech logarithms, and chi(y) is the
+  parity of log y).  Each table field has its own primitive modulus h,
+  so g = t = x mod h, and the exp table is read off one linear recurring
+  sequence of h.  When f = x^r h(x^d) on F_q^*, only (q - 1)/d exponents
+  k are summed;
+- larger F_{p^i} (``_char_sum_norm``): f(x) by repeated squaring in
+  int64, then chi_p of the norm to F_p through Frobenius-orbit products.
 
-The field alone picks the kernel (``char_sum``), and every kernel works
-in chunks of x.  Batches of degree-1 counts call ``prime_field_sums``
-directly.  Only the norm kernel reads a modulus, build_extension's.
-This is the package's only numpy user, and ``curvecount`` imports it on
-the first count.  The test suite checks every kernel against an
-independent enumeration oracle.
+Every kernel works in chunks of x, and only the norm kernel reads a
+modulus, build_extension's.  This is the package's only numpy user, and
+``curvecount`` imports it on the first count.  The test suite checks
+every kernel against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import math
 import numpy as np
 
 from .algebra import (
-    MAX_FIELD_CHAR,
     FieldSpec,
-    PolyModP,
     _divmod,
     _frobenius_columns,
     _mulmod,
     _powmod,
+    _require_below_cap,
     build_extension,
     prime_divisors,
 )
@@ -194,14 +194,11 @@ def prime_field_sums(pairs: list[tuple[tuple[int, ...], int]]):
     consecutive primes whose x-ranges fit in _BLOCK elements together, or
     one larger prime in chunks.  Each block is one numpy pass per f, and
     its sums are yielded as soon as it is done.  Only the asked (f, p) are
-    counted.  p must be an odd prime; the cap p < MAX_FIELD_CHAR is
-    checked for every p before any count (ValueError).
+    counted.  p must be an odd prime below MAX_FIELD_CHAR.
     """
     asked: dict[int, list[int]] = {}
     for k, (_, p) in enumerate(pairs):
         asked.setdefault(p, []).append(k)
-    for p in asked:
-        _check_cap(p)
     groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
     for p, ks in asked.items():
         groups.setdefault(tuple(pairs[k][0] for k in ks), []).append(p)
@@ -345,8 +342,8 @@ def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return zech, log_fp
 
 
-def _char_sum_logs(fbar: PolyModP, i: int) -> int:
-    """sum_x chi(f(x)) over F_q, q = p^i, i >= 2, by discrete logs.
+def _char_sum_logs(coeffs: tuple[int, ...], p: int, i: int) -> int:
+    """sum_x chi(f(x)) over F_q, q = p^i, i >= 2, by discrete logs; coeffs reduced mod p.
 
     With x = g^k, each term c_e x^e is g^(log c_e + e*k).  Terms are added
     in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
@@ -360,10 +357,10 @@ def _char_sum_logs(fbar: PolyModP, i: int) -> int:
     up to the partial sum times d.  If rD is odd, D is odd, so d = m/D is
     even and the copies cancel in pairs.  A dense f has d = 1.
     """
-    p, m = fbar.p, fbar.p**i - 1
+    m = p**i - 1
     zech, log_fp = _field_tables(p, i)
-    terms = [(e % m, int(log_fp[c])) for e, c in enumerate(fbar.coeffs) if c]
-    c0 = fbar.coeffs[0] if fbar.coeffs else 0
+    terms = [(e % m, int(log_fp[c])) for e, c in enumerate(coeffs) if c]
+    c0 = coeffs[0] if coeffs else 0
     total = 1 - 2 * (int(log_fp[c0]) & 1) if c0 else 0  # x = 0
     if not terms:
         return total
@@ -403,14 +400,14 @@ def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(red, dtype=np.int64), np.array([coords(c) for c in cols], dtype=np.int64).T
 
 
-def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
-    """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked; i >= 2."""
-    p, i, q = spec.p, spec.degree, spec.order
+def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
+    """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked; i >= 2, coeffs reduced mod p."""
+    q = p**i
     if q >= 1 << 62:
         raise ValueError(f"field order {q} exceeds the int64 enumeration range")
     chi = _chi_table(p)
-    fc = list(fbar.coeffs)
-    red, frob = _norm_matrices(spec)
+    fc = list(coeffs)
+    red, frob = _norm_matrices(build_extension(p, i))
     # Frobenius iterates sigma^(2^k) for the pairing scheme below
     frob_pows = [frob]
     k = 1
@@ -435,7 +432,7 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
             sq[2 * b] = _batch_mul(sq[b], sq[b], red, p)
             b *= 2
         val = np.zeros_like(xs)
-        val[:, 0] = fc[0] % p
+        val[:, 0] = fc[0] if fc else 0
         for e in exponents:
             term = None
             rem, bit = e, 1
@@ -444,7 +441,7 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
                     term = sq[bit] if term is None else _batch_mul(term, sq[bit], red, p)
                 rem >>= 1
                 bit <<= 1
-            c = fc[e] % p
+            c = fc[e]
             val += term if c == 1 else (term * c) % p
         val %= p
 
@@ -472,21 +469,24 @@ def _char_sum_norm(fbar: PolyModP, spec: FieldSpec) -> int:
     return total
 
 
-def _check_cap(p: int) -> None:
-    """p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs (ValueError)."""
-    if p >= MAX_FIELD_CHAR:
-        raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
+def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
+    """Yield (k, sum_x chi(f(x)) over F_{p^i}) for each units[k] = (coefficients of f, p, i).
 
-
-def char_sum(fbar: PolyModP, i: int) -> int:
-    """sum_x chi(f(x)) over F_{p^i}, p = fbar.p; the sum does not depend on the modulus.
-
-    Every count passes here or through ``prime_field_sums``, and both
-    enforce the cap p < MAX_FIELD_CHAR before counting.
+    The kernels' one entry.  Every p must be an odd prime; the cap
+    p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs, is
+    checked for each p before any count (ValueError).  The degree-1 units
+    go through ``prime_field_sums`` together, a block of primes at a time,
+    then each other unit in order, through log tables when q <=
+    _TABLE_MAX_ORDER and the norm kernel above.  The sums do not depend on
+    a field's modulus, so the kernels choose their own.
     """
-    if i == 1:
-        return next(prime_field_sums([(fbar.coeffs, fbar.p)]))[1]
-    _check_cap(fbar.p)
-    if fbar.p**i <= _TABLE_MAX_ORDER:
-        return _char_sum_logs(fbar, i)
-    return _char_sum_norm(fbar, build_extension(fbar.p, i))
+    for p in dict.fromkeys(p for _, p, _ in units):
+        _require_below_cap(p)
+    fp = [k for k, (_, _, i) in enumerate(units) if i == 1]
+    for j, s in prime_field_sums([units[k][:2] for k in fp]):
+        yield fp[j], s
+    for k, (coeffs, p, i) in enumerate(units):
+        if i > 1:
+            reduced = tuple(c % p for c in coeffs)
+            kernel = _char_sum_logs if p**i <= _TABLE_MAX_ORDER else _char_sum_norm
+            yield k, kernel(reduced, p, i)

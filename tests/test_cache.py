@@ -13,7 +13,7 @@ from twistscope import cache as cache_module
 from twistscope.algebra import odd_primes
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
-from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
+from twistscope.curvecount import curve_from_coeffs, lpoly, point_count, unit_counts
 from twistscope.errors import BadReductionError, BudgetExceededError
 
 from test_cli import no_children
@@ -271,6 +271,21 @@ class TestComputeThrough:
         again = cache.lpoly(curve, 3, budget=0)
         assert again.coeffs == first.coeffs
 
+    def test_fresh_counts_are_assembled_once(self, cache, genus2_pair, monkeypatch):
+        # a cold request validates each (curve, p) once, and get serves that
+        assembled = []
+
+        def spy(counts, p, g, label):
+            assembled.append((label, p))
+            return real(counts, p, g, label)
+
+        real = cache_module.lpoly_from_counts
+        monkeypatch.setattr(cache_module, "lpoly_from_counts", spy)
+        L = cache.lpolys(list(genus2_pair), 7, budget=10**6)
+        assert sorted(assembled) == sorted((curve.label, 7) for curve in genus2_pair)
+        assert [cache.get(curve, 7)[1] for curve in genus2_pair] == L
+        assert len(assembled) == 2
+
     def test_budget_abort_keeps_prefix_then_resumes(self, cache, genus4_pair):
         curve = genus4_pair[0]
         with pytest.raises(BudgetExceededError):
@@ -305,11 +320,11 @@ class TestComputeThrough:
         cache.put(curve, 3, counts=[4, 10, 28])
         degrees = []
 
-        def spy(curve, p, i):
-            degrees.append(i)
-            return point_count(curve, p, i)
+        def spy(units):
+            degrees.extend(i for _, _, i in units)
+            return unit_counts(units)
 
-        monkeypatch.setattr("twistscope.cache.point_count", spy)
+        monkeypatch.setattr("twistscope.cache.unit_counts", spy)
         L = cache.lpoly(curve, 3, budget=81)
         assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
         assert degrees == [4]
@@ -429,10 +444,10 @@ class TestHelpers:
 
         cache = LPolyCache(tmp_path, jobs=2)
 
-        def interrupted(curve, p, counts):
+        def interrupted(curve, p, counts, taken):
             raise KeyboardInterrupt
 
-        cache.put = interrupted
+        cache._append = interrupted
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, cache=cache)
         assert cache._helpers.procs == [] and no_children()
@@ -472,11 +487,10 @@ class TestConcurrentCommands:
             assert served(LPolyCache(shared), curve) == served(LPolyCache(serial), curve)
         sizes = {f.name: f.stat().st_size for f in shared.iterdir()}
 
-        def no_counting(*unit):
-            raise AssertionError(f"counted {unit} on a warm cache")
+        def no_counting(units):
+            raise AssertionError(f"counted {units} on a warm cache")
 
-        monkeypatch.setattr("twistscope.cache.point_count", no_counting)
-        monkeypatch.setattr("twistscope.cache.prime_field_counts", no_counting)
+        monkeypatch.setattr("twistscope.cache.unit_counts", no_counting)
         assert main([*argv, "--jobs", "2", "--cache-dir", str(shared)]) == 0
         assert capsys.readouterr().out == want
         assert {f.name: f.stat().st_size for f in shared.iterdir()} == sizes

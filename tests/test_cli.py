@@ -8,13 +8,7 @@ import pytest
 
 import twistscope
 from twistscope.cli import CliError, main, parse_curve
-from twistscope.curvecount import (
-    curve_from_coeffs,
-    frobenius_trace,
-    lpoly,
-    point_count,
-    prime_field_counts,
-)
+from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly, unit_counts
 from twistscope.splitfield import default_fields, split_profile
 from twistscope.twistlab import ScanReport, scan_pair, z20_statistic
 
@@ -27,23 +21,14 @@ def run_cli(capsys, *argv):
 
 def count_only(monkeypatch, allowed=()):
     """Let the backend count only the listed degrees, here and in forked helpers."""
-    real, real_fp = point_count, prime_field_counts
 
-    def guarded(curve, p, i):
-        if i not in allowed:
-            raise AssertionError(f"point_count({curve.label}, {p}, {i}) was not expected")
-        return real(curve, p, i)
+    def guarded(units):
+        for curve, p, i in units:
+            if i not in allowed:
+                raise AssertionError(f"count of {curve.label} at p={p}, i={i} was not expected")
+        return unit_counts(units)
 
-    def guarded_fp(units):
-        if units and 1 not in allowed:
-            raise AssertionError(f"F_p counts at {units[:2]}... were not expected")
-        return real_fp(units)
-
-    # the backend counts through twistscope.cache; patch the defining module too
-    monkeypatch.setattr("twistscope.curvecount.point_count", guarded)
-    monkeypatch.setattr("twistscope.cache.point_count", guarded, raising=False)
-    monkeypatch.setattr("twistscope.curvecount.prime_field_counts", guarded_fp)
-    monkeypatch.setattr("twistscope.cache.prime_field_counts", guarded_fp, raising=False)
+    monkeypatch.setattr("twistscope.cache.unit_counts", guarded)
 
 
 def no_children():
@@ -690,6 +675,18 @@ class TestStatsCommand:
     def test_missing_report_is_config_error(self, capsys):
         rc, _, err = run_cli(capsys, "stats", "/nonexistent/report.tsv")
         assert rc == 2
+
+    def test_report_file_is_closed(self, capsys, tmp_path):
+        # under -X dev an unclosed file is a ResourceWarning on stderr
+        rc, out, _ = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "30", "--depth", "full",
+                             "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 0
+        report = tmp_path / "report.tsv"
+        report.write_text(out)
+        done = run_python("-X", "dev", "-W", "error::ResourceWarning", "-m", "twistscope",
+                          "stats", str(report))
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
 
 
 class TestVerifyCommand:

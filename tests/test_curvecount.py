@@ -32,8 +32,8 @@ from twistscope.curvecount import (
     odd_bad_primes,
     point_count,
     poly_discriminant,
-    prime_field_counts,
     reduce_curve,
+    unit_counts,
     validate_weil,
 )
 from twistscope.errors import (
@@ -211,7 +211,7 @@ class TestLogTableKernel:
             for f in KERNEL_POLYS
         }
 
-        def no_tables(fbar, i):
+        def no_tables(coeffs, p, i):
             raise AssertionError("log tables used above the cap")
 
         monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
@@ -304,7 +304,7 @@ class TestLogTableKernel:
         curve = curve_from_coeffs(KERNEL_POLYS[4])
         want = [point_count(curve, 7, i) for i in (1, 2, 3, 4)]
 
-        def no_tables(fbar, i):
+        def no_tables(coeffs, p, i):
             raise AssertionError("log tables used above the cap")
 
         monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
@@ -471,9 +471,9 @@ class TestPrimeFieldKernel:
         below = odd_primes(kernels._BLOCK - 100, kernels._BLOCK)[-2:]
         above = odd_primes(kernels._BLOCK, kernels._BLOCK + 100)[:2]
         primes = [*above, *below, 5, 3]
-        units = [(curve, p) for p in primes for curve in genus2_pair]
-        got = dict(prime_field_counts(units))
-        for k, (curve, p) in enumerate(units):
+        units = [(curve, p, 1) for p in primes for curve in genus2_pair]
+        got = dict(unit_counts(units))
+        for k, (curve, p, _) in enumerate(units):
             assert got[k] == oracles.count_points(curve.f_coeffs, p, 1), (curve.label, p)
         assert point_count(genus2_pair[1], above[0], 1) == got[1]
 
@@ -499,13 +499,47 @@ class TestPrimeFieldKernel:
         good, bad = curve_from_coeffs((0, -1, 0, 0, 0, 1)), curve_from_coeffs((3, 0, 0, 0, 0, 1))
         monkeypatch.setattr(kernels, "_horner", never)  # x^5 + 3 is bad at 3 and 5
         with pytest.raises(BadReductionError) as exc:
-            list(prime_field_counts([(good, 7), (good, 11), (bad, 7), (bad, 5)]))
+            list(unit_counts([(good, 7, 1), (good, 11, 1), (bad, 7, 1), (bad, 5, 1)]))
         assert (exc.value.label, exc.value.p) == (bad.label, 5)
 
     def test_characteristic_cap_is_checked_before_counting(self, monkeypatch):
         monkeypatch.setattr(kernels, "_horner", never)
         with pytest.raises(ValueError, match="exceeds the supported cap"):
-            next(kernels.prime_field_sums([((1, 1, 0, 1), 7), ((1, 1, 0, 1), 33554467)]))
+            next(kernels.char_sums([((1, 1, 0, 1), 7, 1), ((1, 1, 0, 1), 33554467, 1)]))
+
+
+class TestUnitCounts:
+    def test_each_prime_is_checked_once(self, genus2_pair, monkeypatch):
+        # a batch of degrees 1-4 over three primes: one Miller-Rabin test per p
+        import twistscope.algebra
+
+        tested = []
+
+        def spy(n):
+            tested.append(n)
+            return real(n)
+
+        real = twistscope.algebra.is_prime
+        monkeypatch.setattr(twistscope.algebra, "is_prime", spy)
+        units = [(curve, p, i) for p in (7, 3, 5) for i in (4, 1, 3, 2) for curve in genus2_pair]
+        got = dict(unit_counts(units))
+        assert sorted(tested) == [3, 5, 7]
+        for k, (curve, p, i) in enumerate(units):
+            assert got[k] == oracles.count_points(curve.f_coeffs, p, i), (curve.label, p, i)
+
+    @pytest.mark.parametrize(
+        "unit,error",
+        [(((3, 0, 0, 0, 0, 1), 5, 2), BadReductionError),  # x^5 + 3 is bad at 5
+         (((0, -1, 0, 0, 0, 1), 33554467, 2), ValueError)],  # the least prime above 2^25
+    )
+    def test_bad_unit_raises_before_any_kernel(self, monkeypatch, unit, error):
+        # the degree-1 units of the batch come first, and must not run
+        for name in ("_horner", "_field_tables", "_char_sum_norm"):
+            monkeypatch.setattr(kernels, name, never)
+        good = curve_from_coeffs((0, -1, 0, 0, 0, 1))
+        coeffs, p, i = unit
+        with pytest.raises(error):
+            next(unit_counts([(good, 7, 1), (good, 7, 2), (curve_from_coeffs(coeffs), p, i)]))
 
 
 def test_point_count_rejects_characteristic_above_cap(monkeypatch):

@@ -5,7 +5,7 @@ x^5 - x, x^5 + 4x at every odd prime up to ``FP_PMAX``, as one batch,
 largest prime first, as a trace scan asks: seconds, and field elements
 per second (the sum of the primes, twice, over the seconds).  For each
 field F_{p^i} it records the seconds to build the field's log tables (``kernels._field_tables`` from an empty memo) and the throughput
-of ``kernels.char_sum`` over the built tables, in field elements per
+of ``kernels.char_sums`` over the built tables, in field elements per
 second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
@@ -43,7 +43,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from twistscope import kernels  # noqa: E402
-from twistscope.algebra import PolyModP, odd_primes  # noqa: E402
+from twistscope.algebra import odd_primes  # noqa: E402
 from twistscope.cache import LPolyCache  # noqa: E402
 from twistscope.curvecount import curve_from_coeffs  # noqa: E402
 
@@ -76,9 +76,9 @@ def measure_field(p: int, i: int) -> dict:
 
     row = {"p": p, "i": i, "q": p**i, "table_build_s": _median_seconds(build)}
     for name, coeffs in POLYS.items():
-        fbar = PolyModP(p, coeffs)
-        kernels.char_sum(fbar, i)  # tables built, outside the timing
-        seconds = _median_seconds(lambda: kernels.char_sum(fbar, i))
+        units = [(coeffs, p, i)]
+        list(kernels.char_sums(units))  # tables built, outside the timing
+        seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
 
