@@ -33,16 +33,20 @@ MAX_FIELD_CHAR = 1 << 25
 
 # Miller-Rabin to the first thirteen prime bases is exact below psi_13,
 # the least strong pseudoprime to all of them (Sorenson and Webster,
-# Math. Comp. 86, 2017); the bases 2..37 alone are exact only below psi_12.
+# Math. Comp. 86, 2017); the bases 2..37 alone are exact only below psi_12,
+# and 2, 3, 5, 7 below psi_4 (Pomerance, Selfridge and Wagstaff, Math.
+# Comp. 35, 1980), far above every counted p.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
+_MR_PSI_4 = 3215031751  # the first four bases suffice below it
 
 
 @functools.lru_cache(maxsize=1 << 15)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
 
-    At or above psi_13 it raises ValueError instead of guessing.
+    Below psi_4 = 3215031751 it tests the bases 2, 3, 5, 7 only.  At or
+    above psi_13 it raises ValueError instead of guessing.
     """
     if n >= _MR_EXACT_BELOW:
         raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
@@ -56,7 +60,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_PSI_4 else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -11,9 +11,12 @@ one field always run back to back in one process, so they share that
 field's tables.  A disabled cache (``UNCACHED``) stores nothing but
 counts the same way.
 
-Records live in one append-only file per curve, named by the SHA-256
+Records live in one append-only file per curve, named by the CRC-32
 of the curve's key (record format, tool version, coefficients), so every
-spelling of a curve shares its records.  A line is one prime's record,
+spelling of a curve shares its records.  The name is only a bucket:
+every line starts with the full key and a read takes only the lines of
+its own curve, so two curves whose names collide share one file and each
+skips the other's lines as unreadable.  A line is one prime's record,
 tab-separated: the key, p, the count prefix N_1.., so a larger budget
 extends a partial computation, and an empty end field, which a line torn
 before its end lacks, so it never reads as a shorter prefix.  The counts
@@ -35,8 +38,8 @@ rewritten: a (curve, p) gains a line only when a request adds degrees.
 
 from __future__ import annotations
 
-import hashlib
 import os
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -154,7 +157,7 @@ class LPolyCache:
     def _path(self, curve: CurveModel) -> Path:
         path = self._paths.get(curve.f_coeffs)
         if path is None:
-            name = f"{hashlib.sha256(_key(curve).encode()).hexdigest()}.tsv"
+            name = f"{zlib.crc32(_key(curve).encode()):08x}.tsv"
             path = self._paths[curve.f_coeffs] = self.directory / name
         return path
 

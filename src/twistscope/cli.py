@@ -354,10 +354,9 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .curvecount import DEFAULT_BUDGET
-
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+    # None until main knows the command counts, so parsing loads no library module
+    common.add_argument("--budget", type=_positive_int, default=None,
                         help="max field evaluations per prime (default 2e8)")
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (default: $TWISTSCOPE_CACHE_DIR or ./.twistscope-cache)")
@@ -437,7 +436,10 @@ def main(argv=None) -> int:
         if args.command not in _COUNTING:
             return args.fn(args, None, sys.stdout)
         from .cache import LPolyCache, resolve_cache_dir
+        from .curvecount import DEFAULT_BUDGET
 
+        if args.budget is None:
+            args.budget = DEFAULT_BUDGET
         with LPolyCache(resolve_cache_dir(args.cache_dir), jobs=args.jobs) as cache:
             return args.fn(args, cache, sys.stdout)
     except CliError as exc:

@@ -397,6 +397,17 @@ class TestPrimes:
         assert not is_prime(2**31 - 3)
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
+    def test_is_prime_agrees_with_a_sieve(self):
+        # below psi_4 = 3215031751 only the bases 2, 3, 5, 7 run
+        hi = 2 * 10**5
+        assert [n for n in range(hi) if is_prime(n)] == [2, *odd_primes(3, hi - 1)]
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751])
+    def test_is_prime_strong_pseudoprimes(self, n):
+        # psi_1..psi_4, the least strong pseudoprimes to the first k prime
+        # bases; psi_4 is where the four bases alone would err, so it gets all 13
+        assert not is_prime(n)
+
     def test_is_prime_psi12_is_composite(self):
         # psi_12 is a strong pseudoprime to the bases 2..37; base 41 exposes it
         assert not is_prime(318665857834031151167461)

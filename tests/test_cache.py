@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ class TestBasics:
         key = f"5\t{twistscope.__version__}\t0,-1,0,0,0,1\t"
         assert cache_module.RECORD_FORMAT == 5 and cache_module._key(curve) == key
         assert lines(cache, curve) == [f"{key}3\t4,6\t"]
-        assert cache._path(curve).name == hashlib.sha256(key.encode()).hexdigest() + ".tsv"
+        assert cache._path(curve).name == "35dad073.tsv"  # the CRC-32 of the key
         cache.put(curve, 5, counts=[6])  # below g counts: no L-polynomial yet
         assert reopened(cache).get(curve, 5) == ([6], None)
 
@@ -206,6 +207,46 @@ class TestBasics:
         assert cache.get(alias, 3)[0] == [4]
         assert cache_module._key(alias) == cache_module._key(curve)
         assert lines(cache, curve) == [f"{cache_module._key(curve)}3\t4\t"]
+
+
+class TestFileNames:
+    """A file name is only a bucket: every line starts with its curve's key."""
+
+    def test_colliding_names_share_a_file(self, cache, genus2_pair, monkeypatch, caplog):
+        monkeypatch.setattr(cache_module, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
+        a, b = genus2_pair
+        for p in (3, 7):
+            for curve in genus2_pair:
+                cache.lpoly(curve, p, budget=10**6)
+        assert cache._path(a) == cache._path(b) == cache.directory / "00000000.tsv"
+        assert list(cache.directory.iterdir()) == [cache._path(a)]
+
+        def each_gets_its_own(cache, primes):
+            for curve in genus2_pair:
+                want = {p: ([point_count(curve, p, 1), point_count(curve, p, 2)], lpoly(curve, p))
+                        for p in primes}
+                assert served(cache, curve) == want, curve.label
+
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            again = reopened(cache)
+            each_gets_its_own(again, (3, 7))
+            for curve in genus2_pair:  # appends by either keep the other's lines
+                again.lpoly(curve, 11, budget=10**6)
+            each_gets_its_own(reopened(cache), (3, 7, 11))
+        assert len(lines(cache, a)) == 6
+        assert "line 2 unreadable" in caplog.text  # each skips the other's lines
+
+    def test_sha256_named_file_is_not_read(self, cache, genus2_pair):
+        # a file named by the SHA-256 of the key, as earlier versions wrote it, is never served
+        curve = genus2_pair[0]
+        key = cache_module._key(curve)
+        old = cache.directory / f"{hashlib.sha256(key.encode()).hexdigest()}.tsv"
+        cache.directory.mkdir()
+        old.write_text(f"{key}3\t4,6\t\n")
+        assert reopened(cache).get(curve, 3) is None
+        cache.put(curve, 3, counts=[4, 6])
+        assert old.read_text() == f"{key}3\t4,6\t\n"
+        assert sorted(cache.directory.iterdir()) == sorted([old, cache._path(curve)])
 
 
 class TestLinesCheckedOnDemand:

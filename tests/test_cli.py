@@ -127,9 +127,14 @@ class TestNumpyOnlyWhenCounting:
 
 class TestEachCommandLoadsItsPath:
     # standard-library and third-party modules that no command below runs
+    # (hashlib: the cache names its files by a CRC-32, so no command loads OpenSSL)
     UNUSED = {"numpy", "concurrent.futures", "multiprocessing", "twistscope.helpers", "logging",
-              "dataclasses", "fractions", "json"}
-    NO_CACHE = {"twistscope.cache", "hashlib"}
+              "dataclasses", "fractions", "json", "hashlib", "_hashlib"}
+    NO_CACHE = {"twistscope.cache"}
+
+    def test_version_loads_no_library_module(self):
+        _, modules, _ = probe("--version")
+        assert {m for m in modules if m.partition(".")[0] == "twistscope"} == {"twistscope", "twistscope.cli"}
 
     def test_commands_load_only_what_they_run(self, tmp_path):
         common = ("--format", "records", "--cache-dir", str(tmp_path))
