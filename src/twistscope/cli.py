@@ -3,7 +3,9 @@
 Subcommands: lpoly, scan, char-search, split, lemma62, stats, verify-paper.
 Every number printed here is produced by the library modules; this file
 only parses input, hands every point count to one ``LPolyCache`` per
-command, and formats output.
+command, and formats output.  Each per-result line goes out through
+``_emit``, which picks between --format records and table; only scan's
+report and char-search's table header make that choice themselves.
 
 Exit codes: 0 success, 1 mathematical finding/criterion failure,
 2 configuration or I/O error, 3 work budget exceeded, 4 a kernel
@@ -101,6 +103,11 @@ def _fmt_coeffs(coeffs) -> str:
     return ",".join(map(str, coeffs))
 
 
+def _emit(args, out, record: tuple, table: str) -> None:
+    """Print one result: the tab-joined ``record`` under --format records, else ``table``."""
+    print("\t".join(map(str, record)) if args.format == "records" else table, file=out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -127,23 +134,13 @@ def _cmd_lpoly(args, cache, out) -> int:
         except BadReductionError:
             if single:
                 raise
-            if args.format == "records":
-                print(f"lpoly\t{curve.label}\t{p}\tbad-reduction\t-\t-", file=out)
-            else:
-                print(f"p={p}: bad reduction", file=out)
+            _emit(args, out, ("lpoly", curve.label, p, "bad-reduction", "-", "-"),
+                  f"p={p}: bad reduction")
             continue
-        weil = validate_weil(L)
-        status = "ok" if not weil else ";".join(weil)
-        if args.format == "records":
-            print(
-                f"lpoly\t{curve.label}\t{p}\t{_fmt_coeffs(L.coeffs)}\t{L.trace}\t{status}",
-                file=out,
-            )
-        else:
-            print(f"curve {curve.label}  p={p}", file=out)
-            print(f"  L: {_fmt_coeffs(L.coeffs)}", file=out)
-            print(f"  trace: {L.trace}", file=out)
-            print(f"  weil: {status}", file=out)
+        coeffs = _fmt_coeffs(L.coeffs)
+        status = ";".join(validate_weil(L)) or "ok"
+        _emit(args, out, ("lpoly", curve.label, p, coeffs, L.trace, status),
+              f"curve {curve.label}  p={p}\n  L: {coeffs}\n  trace: {L.trace}\n  weil: {status}")
     return 0
 
 
@@ -194,31 +191,19 @@ def _cmd_char_search(args, cache, out) -> int:
     discs = [poly_discriminant(c.f_coeffs) for c in (curve_a, curve_b)]
     primes = [p for p in _prime_range(args) if all(d % p for d in discs)]
     result = character_search(curve_a, curve_b, candidates, primes, args.budget, cache)
-    if args.format == "records":
-        for d, w in result.witnesses:
-            print(f"char\t{d}\trefuted\t{w}", file=out)
-        for ch in result.survivors:
-            print(f"char\t{ch.d}\tsurvived\t-", file=out)
-        print(
-            f"char-search\t{'certified' if result.certified else 'refuted'}\t"
-            f"finite-evidence\t{len(result.primes_checked)}",
-            file=out,
-        )
-        return 0
-    print(f"char-search {curve_a.label} vs {curve_b.label}", file=out)
-    print(f"  candidates: {[c.d for c in candidates]}", file=out)
+    if args.format == "table":
+        print(f"char-search {curve_a.label} vs {curve_b.label}", file=out)
+        print(f"  candidates: {[c.d for c in candidates]}", file=out)
+    n = len(result.primes_checked)
     for d, w in result.witnesses:
-        print(f"  d={d}: refuted, witness p={w}", file=out)
+        _emit(args, out, ("char", d, "refuted", w), f"  d={d}: refuted, witness p={w}")
     for ch in result.survivors:
-        print(f"  d={ch.d}: survived all {len(result.primes_checked)} tested primes", file=out)
+        _emit(args, out, ("char", ch.d, "survived", "-"), f"  d={ch.d}: survived all {n} tested primes")
     if result.certified:
-        print(
-            "  consistent candidates found (finite evidence only, "
-            "no twist relation is proven)",
-            file=out,
-        )
+        _emit(args, out, ("char-search", "certified", "finite-evidence", n),
+              "  consistent candidates found (finite evidence only, no twist relation is proven)")
     else:
-        print("  all candidates refuted", file=out)
+        _emit(args, out, ("char-search", "refuted", "finite-evidence", n), "  all candidates refuted")
     return 0
 
 
@@ -229,27 +214,14 @@ def _cmd_split(args, cache, out) -> int:
     freq: dict[str, int] = {"i": 0, "ii": 0, "iii": 0, "violation": 0}
     for p, profile in split_profiles(fields, _prime_range(args)):
         if profile is None:
-            if args.format == "records":
-                print(f"split\t{p}\tguarded\t-\t-\t-", file=out)
-            else:
-                print(f"  p={p}: skipped (guarded prime)", file=out)
+            _emit(args, out, ("split", p, "guarded", "-", "-", "-"), f"  p={p}: skipped (guarded prime)")
             continue
-        freq[profile.case.value] += 1
-        if args.format == "records":
-            print(
-                f"split\t{p}\tok\t{profile.r}\t{profile.s}\t{profile.s_prime}\t{profile.case.value}",
-                file=out,
-            )
-        else:
-            print(
-                f"  p={p}: r={profile.r} s={profile.s} s'={profile.s_prime} case={profile.case.value}",
-                file=out,
-            )
+        r, s, s_prime, case = profile.r, profile.s, profile.s_prime, profile.case.value
+        freq[case] += 1
+        _emit(args, out, ("split", p, "ok", r, s, s_prime, case),
+              f"  p={p}: r={r} s={s} s'={s_prime} case={case}")
     summary = "\t".join(f"{k}={v}" for k, v in freq.items())
-    if args.format == "records":
-        print(f"split-summary\t{summary}", file=out)
-    else:
-        print(f"  case frequencies: {summary}", file=out)
+    _emit(args, out, ("split-summary", summary), f"  case frequencies: {summary}")
     return 0
 
 
@@ -264,29 +236,16 @@ def _cmd_lemma62(args, cache, out) -> int:
         if p % 8 not in (3, 5):
             continue
         if args.c % p == 0:
-            line = (
-                f"lemma62\t{args.c}\t{p}\tbad-reduction\t-"
-                if args.format == "records"
-                else f"  p={p}: bad reduction"
-            )
-            print(line, file=out)
+            _emit(args, out, ("lemma62", args.c, p, "bad-reduction", "-"), f"  p={p}: bad reduction")
             continue
         s = lemma62_check(args.c, p, args.budget, cache)
         if isinstance(s, Lemma62Violation):
             rc = 1
             detail = _fmt_coeffs(s.lpoly.coeffs)
-            line = (
-                f"lemma62\t{args.c}\t{p}\tviolation\t{detail}"
-                if args.format == "records"
-                else f"  p={p}: SHAPE VIOLATION L={detail}"
-            )
+            _emit(args, out, ("lemma62", args.c, p, "violation", detail),
+                  f"  p={p}: SHAPE VIOLATION L={detail}")
         else:
-            line = (
-                f"lemma62\t{args.c}\t{p}\tok\t{s}"
-                if args.format == "records"
-                else f"  p={p}: s={s}"
-            )
-        print(line, file=out)
+            _emit(args, out, ("lemma62", args.c, p, "ok", s), f"  p={p}: s={s}")
     return rc
 
 
@@ -300,34 +259,18 @@ def _cmd_stats(args, cache, out) -> int:
         raise CliError(f"cannot read report: {exc}") from exc
     report = ScanReport.from_text(text)
     z = z20_statistic(report)
-    if args.format == "records":
-        print(f"z20\t{z.numerator}/{z.denominator}", file=out)
-    else:
-        print(
-            f"T^2-coefficient vanishing fraction: {z.numerator}/{z.denominator}"
-            f" = {float(z):.4f} (finite-range observation)",
-            file=out,
-        )
-    weights = []
-    for spec_str in args.e or []:
-        weights.append(tuple(int(tk) for tk in spec_str.split(",")))
+    z_str = f"{z.numerator}/{z.denominator}"  # str(z) would drop a denominator of 1
+    _emit(args, out, ("z20", z_str),
+          f"T^2-coefficient vanishing fraction: {z_str} = {float(z):.4f} (finite-range observation)")
+    weights = [tuple(int(tk) for tk in spec.split(",")) for spec in args.e or []]
     if not weights:
         g = report.genus
         weights = [tuple([0] * g), (2,) + (0,) * (g - 1), (0, 1) + (0,) * (g - 2)]
-    rows = moment_stats(report, weights)
-    for row in rows:
+    for row in moment_stats(report, weights):
         e_str = ",".join(map(str, row["e"]))
-        if args.format == "records":
-            print(
-                f"moment\t{e_str}\t{row['mean_a']!r}\t{row['mean_b']!r}\t{row['abs_diff']!r}",
-                file=out,
-            )
-        else:
-            print(
-                f"  e=({e_str}): {row['mean_a']:.6f} vs {row['mean_b']:.6f}"
-                f"  |diff|={row['abs_diff']:.2e}",
-                file=out,
-            )
+        a, b, diff = row["mean_a"], row["mean_b"], row["abs_diff"]  # floats: str is repr
+        _emit(args, out, ("moment", e_str, a, b, diff),
+              f"  e=({e_str}): {a:.6f} vs {b:.6f}  |diff|={diff:.2e}")
     return 0
 
 

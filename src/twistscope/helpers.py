@@ -1,13 +1,14 @@
 """Forked counting helpers: the processes behind ``--jobs N``.
 
-``Helpers(n, count)`` forks n processes on first use, from the process
-that owns the cache, after numpy has loaded, so every helper shares the
-loaded modules and runs ``count`` as the parent has it.  ``run`` sends
-each idle helper the next batch, pickled on its task pipe; the helper
-answers with every (k, N) of the batch in one pickle, or with the
-exception the batch raised, and the parent reads answers as they come
-(``select``).  Helpers only count: the parent keeps every cache read and
-write.
+``Helpers(n, count)`` forks a helper for each batch of a run, up to n
+and keeping those it has, so a run of fewer batches forks fewer and later
+runs grow the set.  It forks from the process that owns the cache, after
+numpy has loaded, so every helper shares the loaded modules and runs
+``count`` as the parent has it.  ``run`` sends each idle helper the next
+batch, pickled on its task pipe; the helper answers with every (k, N) of
+the batch in one pickle, or with the exception the batch raised, and the
+parent reads answers as they come (``select``).  Helpers only count: the
+parent keeps every cache read and write.
 
 A helper closes, when it starts, every pipe end that the parent holds
 for another helper, of any cache, so no helper keeps a task pipe open
@@ -82,7 +83,7 @@ class Helpers:
     def run(self, batches: list[list]):
         """Yield (batch[k], N) for each (k, N) that count gives, a batch's answer at a time."""
         try:
-            while len(self.procs) < self.n:
+            while len(self.procs) < min(self.n, len(batches)):
                 self.procs.append(_fork(self.count))
             todo = iter(batches)
             busy = {}  # result pipe -> (helper, its batch)

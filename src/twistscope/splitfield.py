@@ -256,11 +256,11 @@ def parse_field_config(text: str, source: str = "<config>") -> dict[str, NumberF
     so older files with ``disc-primes`` lines still parse.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("twistscope-fields"):
+    head = lines[0].split() if lines else []
+    if len(head) < 2 or head[0] != "twistscope-fields":
         raise ValueError(f"{source}: missing 'twistscope-fields <version>' header")
-    version = int(lines[0].split()[1])
-    if version != FIELDS_FORMAT_VERSION:
-        raise ValueError(f"{source}: unsupported fields format version {version}")
+    if head[1] != str(FIELDS_FORMAT_VERSION):
+        raise ValueError(f"{source}: unsupported fields format version {head[1]}")
     fields: dict[str, NumberFieldSpec] = {}
     entry: dict[str, str] = {}
     for lineno, raw in enumerate(lines[1:], start=2):

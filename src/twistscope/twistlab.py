@@ -207,8 +207,8 @@ class ScanReport(Value):
     @classmethod
     def from_text(cls, text: str) -> "ScanReport":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split("\t")
-        if head[0] != "twistscope-scan" or int(head[1]) != REPORT_FORMAT_VERSION:
+        head = lines[0].split("\t") if lines else []
+        if len(head) < 8 or head[0] != "twistscope-scan" or head[1] != str(REPORT_FORMAT_VERSION):
             raise ValueError("not a twistscope scan report (or wrong version)")
         report = cls(
             label_a=head[2],

@@ -506,6 +506,22 @@ class TestHelpers:
         second.close()
         assert no_children()
 
+    def test_forks_one_helper_per_batch_up_to_jobs(self, genus2_pair, monkeypatch):
+        # each field (p, i) is one batch here: 3 fields fork 3 of the 6 helpers,
+        # and a later request of 5 fields forks 2 more
+        from twistscope import helpers
+
+        forked = []
+        fork = helpers._fork
+        monkeypatch.setattr(helpers, "_fork", lambda count: forked.append(1) or fork(count))
+        curve = genus2_pair[0]
+        with LPolyCache("", enabled=False, jobs=6) as cache:
+            assert cache.counts(curve, 3, 3, 10**6) == [point_count(curve, 3, i) for i in (1, 2, 3)]
+            assert len(forked) == len(cache._helpers.procs) == 3
+            assert cache.counts(curve, 5, 5, 10**6) == [point_count(curve, 5, i) for i in range(1, 6)]
+            assert len(forked) == len(cache._helpers.procs) == 5
+        assert no_children()
+
 
 class TestConcurrentCommands:
     def test_two_scans_share_a_directory(self, tmp_path, genus2_pair, capsys, monkeypatch):

@@ -8,7 +8,9 @@ import pytest
 
 import twistscope
 from twistscope.cli import CliError, main, parse_curve
-from twistscope.curvecount import curve_from_coeffs, frobenius_trace, lpoly, unit_counts
+from twistscope.curvecount import (
+    LPolynomial, curve_from_coeffs, frobenius_trace, lpoly, unit_counts,
+)
 from twistscope.splitfield import default_fields, split_profile
 from twistscope.twistlab import ScanReport, scan_pair, z20_statistic
 
@@ -319,14 +321,20 @@ class TestUsageErrors:
          ("char-search", "x^5-x", "x^5+4x", "--pmax", "20", "--support", "4"),
          ("scan", "x^5 - x", "x^7 + x", "--pmax", "20"),
          ("stats", "traces.tsv"),
-         ("stats", "not-a-report.txt")],
+         ("stats", "not-a-report.txt"),
+         ("stats", "empty.txt"),
+         ("stats", "short-header.txt"),
+         ("split", "--pmax", "20", "--fields", "bare-header.cfg")],
     )
     def test_exit_2_with_an_error_line(self, capsys, tmp_path, argv):
         main(["scan", "x^5-x", "x^5+4x", "--pmax", "20", "--format", "records",
               "--cache-dir", str(tmp_path)])
         (tmp_path / "traces.tsv").write_text(capsys.readouterr().out)  # a trace-depth report
         (tmp_path / "not-a-report.txt").write_text("hello\n")
-        argv = [str(tmp_path / a) if a.endswith((".tsv", ".txt")) else a for a in argv]
+        (tmp_path / "empty.txt").write_text("")
+        (tmp_path / "short-header.txt").write_text("twistscope-scan\t1\tx^5 - x\n")
+        (tmp_path / "bare-header.cfg").write_text("twistscope-fields\n")
+        argv = [str(tmp_path / a) if a.endswith((".tsv", ".txt", ".cfg")) else a for a in argv]
         rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -730,6 +738,211 @@ class TestVerifyCommand:
         assert status[1] == "FAIL(budget)"
         assert "FAIL" not in {s for s in status.values()}
         assert rc == 3
+
+
+def weil_alarm_at_7(monkeypatch):
+    """A validate_weil stand-in that finds two clauses broken at p = 7, as the CLI asks only.
+
+    The library's own check (in lpoly_from_counts) still sees the real one,
+    so the count is stored and the CLI prints what it was told.
+    """
+    real = twistscope.curvecount.validate_weil
+    broken = ["constant term is not 1", "functional equation fails at j=0"]
+
+    def check(L):
+        from_cli = sys._getframe(1).f_globals["__name__"] == "twistscope.cli"
+        return broken if from_cli and L.p == 7 else real(L)
+
+    monkeypatch.setattr("twistscope.curvecount.validate_weil", check)
+
+
+def shape_alarm_at_5(monkeypatch):
+    """A lemma62_check stand-in that returns a Lemma62Violation at p = 5 only."""
+    from twistscope.splitfield import Lemma62Violation
+
+    real = twistscope.splitfield.lemma62_check
+    wrong = Lemma62Violation(LPolynomial(5, 4, (1, 1, 0, 0, 50, 0, 0, 0, 625)))
+    monkeypatch.setattr("twistscope.splitfield.lemma62_check",
+                        lambda c, p, budget, cache: wrong if p == 5 else real(c, p, budget, cache))
+
+
+# every per-result line of each subcommand that writes one, with the stand-in
+# (if any) that makes a rare line appear; "REPORT" is a genus-2 full-depth report
+GOLDEN_COMMANDS = {
+    "lpoly-bad-and-weil": (("lpoly", "x^3+3", "--pmax", "11"), weil_alarm_at_7),
+    "char-search-refuted": (("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "23"), None),
+    "char-search-survivors": (("char-search", "x^3-x", "x^3-4x", "--pmax", "60"), None),
+    "split-guarded": (("split", "--pmax", "60"), None),
+    "lemma62-c3": (("lemma62", "--c", "3", "--pmax", "13"), None),
+    "lemma62-c16": (("lemma62", "--c", "16", "--pmax", "13"), None),
+    "lemma62-violation": (("lemma62", "--c", "16", "--pmax", "13"), shape_alarm_at_5),
+    "stats": (("stats", "REPORT", "--e", "2,0", "--e", "0,1"), None),
+}
+
+
+# the bytes each format printed when each subcommand still wrote both formats
+# in its own branches; not one may move
+GOLDEN = {
+    ('lpoly-bad-and-weil', 'records'): (0, (
+        'lpoly\tx^3 + 3\t3\tbad-reduction\t-\t-\n'
+        'lpoly\tx^3 + 3\t5\t1,0,5\t0\tok\n'
+        'lpoly\tx^3 + 3\t7\t1,5,7\t-5\tconstant term is not 1;functional equation fails at j=0\n'
+        'lpoly\tx^3 + 3\t11\t1,0,11\t0\tok\n'
+    )),
+    ('lpoly-bad-and-weil', 'table'): (0, (
+        'p=3: bad reduction\n'
+        'curve x^3 + 3  p=5\n'
+        '  L: 1,0,5\n'
+        '  trace: 0\n'
+        '  weil: ok\n'
+        'curve x^3 + 3  p=7\n'
+        '  L: 1,5,7\n'
+        '  trace: -5\n'
+        '  weil: constant term is not 1;functional equation fails at j=0\n'
+        'curve x^3 + 3  p=11\n'
+        '  L: 1,0,11\n'
+        '  trace: 0\n'
+        '  weil: ok\n'
+    )),
+    ('char-search-refuted', 'records'): (0, (
+        'char\t-2\trefuted\t17\n'
+        'char\t-1\trefuted\t17\n'
+        'char\t1\trefuted\t17\n'
+        'char\t2\trefuted\t17\n'
+        'char-search\trefuted\tfinite-evidence\t6\n'
+    )),
+    ('char-search-refuted', 'table'): (0, (
+        'char-search x^9 + x vs x^9 + 16x\n'
+        '  candidates: [1, -1, 2, -2]\n'
+        '  d=-2: refuted, witness p=17\n'
+        '  d=-1: refuted, witness p=17\n'
+        '  d=1: refuted, witness p=17\n'
+        '  d=2: refuted, witness p=17\n'
+        '  all candidates refuted\n'
+    )),
+    ('char-search-survivors', 'records'): (0, (
+        'char\t-1\trefuted\t5\n'
+        'char\t1\trefuted\t5\n'
+        'char\t2\tsurvived\t-\n'
+        'char\t-2\tsurvived\t-\n'
+        'char-search\tcertified\tfinite-evidence\t16\n'
+    )),
+    ('char-search-survivors', 'table'): (0, (
+        'char-search x^3 - x vs x^3 - 4x\n'
+        '  candidates: [1, -1, 2, -2]\n'
+        '  d=-1: refuted, witness p=5\n'
+        '  d=1: refuted, witness p=5\n'
+        '  d=2: survived all 16 tested primes\n'
+        '  d=-2: survived all 16 tested primes\n'
+        '  consistent candidates found (finite evidence only, no twist relation is proven)\n'
+    )),
+    ('split-guarded', 'records'): (0, (
+        'split\t3\tguarded\t-\t-\t-\n'
+        'split\t5\tok\t2\t4\t4\tii\n'
+        'split\t7\tok\t2\t2\t2\tii\n'
+        'split\t11\tok\t2\t2\t4\tii\n'
+        'split\t13\tok\t2\t4\t4\tii\n'
+        'split\t17\tok\t1\t2\t1\ti\n'
+        'split\t19\tok\t2\t2\t4\tii\n'
+        'split\t23\tok\t2\t2\t2\tii\n'
+        'split\t29\tok\t2\t4\t4\tii\n'
+        'split\t31\tok\t2\t2\t2\tii\n'
+        'split\t37\tok\t2\t4\t4\tii\n'
+        'split\t41\tok\t1\t2\t2\ti\n'
+        'split\t43\tok\t2\t2\t4\tii\n'
+        'split\t47\tok\t2\t2\t2\tii\n'
+        'split\t53\tok\t2\t4\t4\tii\n'
+        'split\t59\tok\t2\t2\t4\tii\n'
+        'split-summary\ti=2\tii=13\tiii=0\tviolation=0\n'
+    )),
+    ('split-guarded', 'table'): (0, (
+        '  p=3: skipped (guarded prime)\n'
+        "  p=5: r=2 s=4 s'=4 case=ii\n"
+        "  p=7: r=2 s=2 s'=2 case=ii\n"
+        "  p=11: r=2 s=2 s'=4 case=ii\n"
+        "  p=13: r=2 s=4 s'=4 case=ii\n"
+        "  p=17: r=1 s=2 s'=1 case=i\n"
+        "  p=19: r=2 s=2 s'=4 case=ii\n"
+        "  p=23: r=2 s=2 s'=2 case=ii\n"
+        "  p=29: r=2 s=4 s'=4 case=ii\n"
+        "  p=31: r=2 s=2 s'=2 case=ii\n"
+        "  p=37: r=2 s=4 s'=4 case=ii\n"
+        "  p=41: r=1 s=2 s'=2 case=i\n"
+        "  p=43: r=2 s=2 s'=4 case=ii\n"
+        "  p=47: r=2 s=2 s'=2 case=ii\n"
+        "  p=53: r=2 s=4 s'=4 case=ii\n"
+        "  p=59: r=2 s=2 s'=4 case=ii\n"
+        '  case frequencies: i=2\tii=13\tiii=0\tviolation=0\n'
+    )),
+    ('lemma62-c3', 'records'): (0, (
+        'lemma62\t3\t3\tbad-reduction\t-\n'
+        'lemma62\t3\t5\tok\t0\n'
+        'lemma62\t3\t11\tok\t242\n'
+        'lemma62\t3\t13\tok\t338\n'
+    )),
+    ('lemma62-c3', 'table'): (0, (
+        '  p=3: bad reduction\n'
+        '  p=5: s=0\n'
+        '  p=11: s=242\n'
+        '  p=13: s=338\n'
+    )),
+    ('lemma62-c16', 'records'): (0, (
+        'lemma62\t16\t3\tok\t18\n'
+        'lemma62\t16\t5\tok\t50\n'
+        'lemma62\t16\t11\tok\t242\n'
+        'lemma62\t16\t13\tok\t338\n'
+    )),
+    ('lemma62-c16', 'table'): (0, (
+        '  p=3: s=18\n'
+        '  p=5: s=50\n'
+        '  p=11: s=242\n'
+        '  p=13: s=338\n'
+    )),
+    ('lemma62-violation', 'records'): (1, (
+        'lemma62\t16\t3\tok\t18\n'
+        'lemma62\t16\t5\tviolation\t1,1,0,0,50,0,0,0,625\n'
+        'lemma62\t16\t11\tok\t242\n'
+        'lemma62\t16\t13\tok\t338\n'
+    )),
+    ('lemma62-violation', 'table'): (1, (
+        '  p=3: s=18\n'
+        '  p=5: SHAPE VIOLATION L=1,1,0,0,50,0,0,0,625\n'
+        '  p=11: s=242\n'
+        '  p=13: s=338\n'
+    )),
+    ('stats', 'records'): (0, (
+        'z20\t0/1\n'
+        'moment\t2,0\t0.9411764705882353\t0.9411764705882353\t0.0\n'
+        'moment\t0,1\t0.10380377563040098\t0.3667844596637166\t0.2629806840333156\n'
+    )),
+    ('stats', 'table'): (0, (
+        'T^2-coefficient vanishing fraction: 0/1 = 0.0000 (finite-range observation)\n'
+        '  e=(2,0): 0.941176 vs 0.941176  |diff|=0.00e+00\n'
+        '  e=(0,1): 0.103804 vs 0.366784  |diff|=2.63e-01\n'
+    )),
+}
+
+def golden_run(key, fmt, capsys, tmp_path, monkeypatch):
+    """(exit code, stdout) of one golden command in one format."""
+    argv, stand_in = GOLDEN_COMMANDS[key]
+    if "REPORT" in argv:
+        report = tmp_path / "report.tsv"
+        main(["scan", "x^5-x", "x^5+4x", "--pmax", "30", "--depth", "full",
+              "--format", "records", "--cache-dir", str(tmp_path)])
+        report.write_text(capsys.readouterr().out)
+        argv = tuple(str(report) if a == "REPORT" else a for a in argv)
+    if stand_in is not None:
+        stand_in(monkeypatch)
+    rc, out, err = run_cli(capsys, *argv, "--format", fmt, "--cache-dir", str(tmp_path))
+    assert err == ""
+    return rc, out
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    @pytest.mark.parametrize("key", list(GOLDEN_COMMANDS))
+    def test_every_byte_of_both_formats(self, key, fmt, capsys, tmp_path, monkeypatch):
+        assert golden_run(key, fmt, capsys, tmp_path, monkeypatch) == GOLDEN[key, fmt]
 
 
 class TestNumbersComeFromCore:
