@@ -11,35 +11,36 @@ one field always run back to back in one process, so they share that
 field's tables.  A disabled cache (``UNCACHED``) stores nothing but
 counts the same way.
 
-Records live in one append-only file per curve, named by the CRC-32
-of the curve's key (record format, tool version, coefficients), so every
-spelling of a curve shares its records.  The name is only a bucket:
-every line starts with the full key and a read takes only the lines of
-its own curve, so two curves whose names collide share one file and each
-skips the other's lines as unreadable.  A line is one prime's record,
-tab-separated: the key, p, the count prefix N_1.., so a larger budget
-extends a partial computation, and an empty end field, which a line torn
-before its end lacks, so it never reads as a shorter prefix.  The counts
-are the only stored value: L_p follows from N_1..N_g, and it is derived
+Records live in one append-only file per curve, whose name spells the
+curve's key: record format, tool version and coefficients, joined by
+underscores, as ``6_0.1.0_0,-1,0,0,0,1.tsv`` for x^5 - x.  Every
+spelling of a curve shares its file, and two curves never share one.  A
+name over 255 bytes is cut into directory components of at most 200
+bytes.  A line is one prime's record, each field preceded by a tab: p,
+the count prefix N_1.., so a larger budget extends a partial
+computation, then a final tab.  A valid line has exactly three tabs, so
+a fragment torn by a crash, whether the next append's newline ends it or
+the next line runs into it, never reads as a record.  The counts are
+the only stored value: L_p follows from N_1..N_g, and it is derived
 when a line is taken in.  A cache object reads a curve's file once,
-keeping the count lists of the lines that hold the key and the end
-field, by p in file order.  The first request for p takes the newest of
-them that is valid, and keeps (counts, L) for it, L None below g counts,
-so a later valid line for p wins.  A line is valid when its counts lie within
-the Weil bounds and, once there are g of them, ``lpoly_from_counts``
-accepts them; a line that fails to parse, or this validation, is a
-warned miss, recomputed on demand.
+keeping the count lists of the well-formed lines, by p in file order.
+The first request for p takes the newest of them that is valid, and
+keeps (counts, L) for it, L None below g counts, so a later valid line
+for p wins.  A line is valid when its counts lie within the Weil bounds
+and, once there are g of them, ``lpoly_from_counts`` accepts them; a
+line that fails to parse, or this validation, is a warned miss,
+recomputed on demand.
 Helpers only count.  The owning process appends each finished (curve, p)
-at once, in one write under O_APPEND, so an interrupted run keeps what it
-finished and several commands may append to one directory.  After a line
-torn by a crash, the next append starts a fresh line.  Nothing is
-rewritten: a (curve, p) gains a line only when a request adds degrees.
+at once, opening the file for one write under O_APPEND, so an
+interrupted run keeps what it finished and several commands may append
+to one directory.  After a line torn by a crash, the next append starts
+a fresh line.  Nothing is rewritten: a (curve, p) gains a line only when
+a request adds degrees.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from pathlib import Path
 
 from . import __version__
@@ -57,7 +58,9 @@ from .values import Value
 
 ENV_CACHE_DIR = "TWISTSCOPE_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".twistscope-cache"
-RECORD_FORMAT = 5  # part of the key: bump when the key or the record layout changes
+RECORD_FORMAT = 6  # part of the key: bump when the key or the record layout changes
+_NAME_MAX = 255  # the longest file name most file systems take
+_PART = 200  # the length of each component a longer name is cut into
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -68,9 +71,17 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_DIR)
 
 
-def _key(curve: CurveModel) -> str:
-    """The curve's cache key: it names the curve's file and starts every line in it."""
-    return f"{RECORD_FORMAT}\t{__version__}\t{','.join(map(str, curve.f_coeffs))}\t"
+def _name(curve: CurveModel) -> Path:
+    """The curve's file, relative to the cache directory: its key, spelled out.
+
+    The coefficients hold no letter, so no directory component ends in
+    ``.tsv`` and a cut name never meets another curve's name.
+    """
+    name = f"{RECORD_FORMAT}_{__version__}_{','.join(map(str, curve.f_coeffs))}"
+    if len(name) + len(".tsv") <= _NAME_MAX:
+        return Path(f"{name}.tsv")
+    parts = [name[k : k + _PART] for k in range(0, len(name), _PART)]
+    return Path(*parts[:-1], f"{parts[-1]}.tsv")
 
 
 def _warn(msg: str, *args) -> None:
@@ -136,7 +147,6 @@ class LPolyCache:
         self.jobs = jobs
         self._helpers = None  # the forked counting helpers, made on first need
         self._paths: dict[tuple[int, ...], Path] = {}
-        self._made = False  # the directory exists
         # coefficients -> {p: [(line number, counts), ...]}, in file order
         self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list[int]]]]] = {}
         # (coefficients, p) -> what get serves there: the valid (counts, L), or None
@@ -157,15 +167,14 @@ class LPolyCache:
     def _path(self, curve: CurveModel) -> Path:
         path = self._paths.get(curve.f_coeffs)
         if path is None:
-            name = f"{zlib.crc32(_key(curve).encode()):08x}.tsv"
-            path = self._paths[curve.f_coeffs] = self.directory / name
+            path = self._paths[curve.f_coeffs] = self.directory / _name(curve)
         return path
 
     def _records(self, curve: CurveModel) -> dict[int, list[tuple[int, list[int]]]]:
         """The curve's lines by p, as (line number, counts) in file order, read on first use.
 
-        A line enters when it is the key, p, the counts and the empty end
-        field; its counts are checked only when ``get`` first asks for p.
+        A line enters when it is a tab, p, a tab, the counts and a final
+        tab; its counts are checked only when ``get`` first asks for p.
         """
         if curve.f_coeffs in self._files:
             return self._files[curve.f_coeffs]
@@ -180,13 +189,13 @@ class LPolyCache:
             return records
         if data and not data.endswith(b"\n"):
             self._torn.add(curve.f_coeffs)
-        key = _key(curve).encode()
         for n, line in enumerate(data.split(b"\n"), start=1):
             if not line:
                 continue
-            ended = line.startswith(key) and line.endswith(b"\t")
             try:
-                p, counts = line[len(key) : -1].split(b"\t") if ended else ()
+                start, p, counts, end = line.split(b"\t")  # exactly three tabs
+                if start or end:
+                    raise ValueError
                 records.setdefault(int(p), []).append((n, [int(c) for c in counts.split(b",")]))
             except ValueError:
                 _warn("cache file %s line %d unreadable; recomputing", path.name, n)
@@ -234,14 +243,17 @@ class LPolyCache:
         self._records(curve)  # read the file, and see a torn last line, before appending
         if taken is not None:
             self._taken[(curve.f_coeffs, p)] = taken
-        line = f"{_key(curve)}{p}\t{','.join(map(str, counts))}\t\n"
+        line = f"\t{p}\t{','.join(map(str, counts))}\t\n"
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
             self._torn.discard(curve.f_coeffs)
-        if not self._made:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._made = True
-        with open(self._path(curve), "ab", buffering=0) as fh:  # O_APPEND, one write(2)
+        path = self._path(curve)
+        try:
+            fh = open(path, "ab", buffering=0)  # O_APPEND, one write(2)
+        except FileNotFoundError:  # the first line of a new directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "ab", buffering=0)
+        with fh:
             fh.write(line.encode())
 
     # ------------------------------------------------------------------

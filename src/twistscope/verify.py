@@ -74,11 +74,13 @@ class CriterionResult(Value):
         self.elapsed = elapsed
         self.blocked_by_budget = blocked_by_budget
 
-    def line(self) -> str:
+    def line(self, timed: bool = True) -> str:
+        """The printed line; ``timed`` adds the criterion's wall-clock seconds."""
         status = "PASS" if self.passed else "FAIL"
         if self.blocked_by_budget:
             status = "FAIL(budget)"
-        return f"{status} criterion {self.number} [{self.elapsed:.1f}s] {self.title}: {self.detail}"
+        clock = f" [{self.elapsed:.1f}s]" if timed else ""
+        return f"{status} criterion {self.number}{clock} {self.title}: {self.detail}"
 
 
 class _Context(Value):
@@ -383,7 +385,8 @@ def run_all(
     """Run all ten criteria in order; returns one result per criterion.
 
     A criterion that cannot run inside the budget is reported as
-    FAIL(budget) and the remaining criteria still execute.
+    FAIL(budget) and the remaining criteria still execute.  ``echo``, if
+    given, is called with each result as its criterion finishes.
     """
     ctx = _Context(budget=budget, cache=cache)
     results = []
@@ -401,7 +404,7 @@ def run_all(
         )
         results.append(result)
         if echo:
-            echo(result.line())
+            echo(result)
     return results
 
 

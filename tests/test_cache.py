@@ -4,7 +4,7 @@ import logging
 import os
 import subprocess
 import sys
-import types
+import zlib
 from pathlib import Path
 
 import pytest
@@ -53,11 +53,11 @@ class TestBasics:
         cache.put(curve, 3, counts=[4, 6])
         assert cache.get(curve, 3) == ([4, 6], lpoly(curve, 3))
         assert reopened(cache).get(curve, 3) == ([4, 6], lpoly(curve, 3))
-        # a line is the key, p, the counts and an empty end field; L is derived on read
-        key = f"5\t{twistscope.__version__}\t0,-1,0,0,0,1\t"
-        assert cache_module.RECORD_FORMAT == 5 and cache_module._key(curve) == key
-        assert lines(cache, curve) == [f"{key}3\t4,6\t"]
-        assert cache._path(curve).name == "35dad073.tsv"  # the CRC-32 of the key
+        # the file name spells the key; a line is p and the counts, each
+        # field preceded by a tab, then a final tab; L is derived on read
+        assert cache_module.RECORD_FORMAT == 6
+        assert cache._path(curve) == cache.directory / f"6_{twistscope.__version__}_0,-1,0,0,0,1.tsv"
+        assert lines(cache, curve) == ["\t3\t4,6\t"]
         cache.put(curve, 5, counts=[6])  # below g counts: no L-polynomial yet
         assert reopened(cache).get(curve, 5) == ([6], None)
 
@@ -70,8 +70,7 @@ class TestBasics:
     def test_undecodable_line_is_miss(self, cache, genus2_pair, caplog):
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
-        key = cache_module._key(curve).encode()
-        cache._path(curve).write_bytes(key + b"3\t\xff\t\n" + cache._path(curve).read_bytes())
+        cache._path(curve).write_bytes(b"\t3\t\xff\t\n" + cache._path(curve).read_bytes())
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 3)[0] == [4]
         assert "line 1 unreadable" in caplog.text
@@ -104,13 +103,16 @@ class TestBasics:
         assert capsys.readouterr().out == "lpoly\tx^5 - x\t5\t1,0,-10,0,25\t0\tok\n"
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
+        # a file named for another tool version or an older record format is
+        # never read, though its line would be valid at p = 3
         curve = genus2_pair[0]
         cache.put(curve, 3, counts=[4])
         path = cache._path(curve)
-        path.write_text(path.read_text().replace(f"\t{twistscope.__version__}\t", "\t0.0.0-old\t"))
-        assert reopened(cache).get(curve, 3) is None
-        path.write_text(f"4{cache_module._key(curve)[1:]}3\t4\t\n")  # an older record format
-        assert reopened(cache).get(curve, 3) is None
+        for name in ("6_0.0.0-old_0,-1,0,0,0,1.tsv", f"5_{twistscope.__version__}_0,-1,0,0,0,1.tsv"):
+            other = path.rename(cache.directory / name)
+            assert reopened(cache).get(curve, 3) is None, name
+            other.rename(path)
+        assert reopened(cache).get(curve, 3) == ([4], None)
 
     def test_one_file_per_curve_one_line_per_put(self, cache, genus2_pair):
         for curve in genus2_pair:
@@ -119,7 +121,7 @@ class TestBasics:
         files = sorted(cache.directory.iterdir())
         assert [f.suffix for f in files] == [".tsv", ".tsv"]
         assert sorted(files) == sorted(cache._path(c) for c in genus2_pair)
-        assert [line.split("\t")[3] for line in lines(cache, genus2_pair[0])] == ["3", "7", "11"]
+        assert [line.split("\t")[1] for line in lines(cache, genus2_pair[0])] == ["3", "7", "11"]
 
     def test_later_line_replaces_earlier(self, cache, genus2_pair, caplog):
         curve = genus2_pair[0]
@@ -130,7 +132,7 @@ class TestBasics:
         assert len(lines(cache, curve)) == 2
         assert reopened(cache).get(curve, 3)[0] == [4, 6]
         # a still later line that fails validation does not displace it
-        append(cache, curve, f"{cache_module._key(curve)}3\t4,100\t\n")  # N_2 breaks a Weil bound
+        append(cache, curve, "\t3\t4,100\t\n")  # N_2 breaks a Weil bound
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 3) == ([4, 6], L)
         assert "line 3 failed validation" in caplog.text
@@ -140,7 +142,7 @@ class TestBasics:
         cache.put(curve, 3, counts=[4])
         cache.put(curve, 5, counts=[6])
         path = cache._path(curve)
-        path.write_bytes(path.read_bytes()[:-10])  # the p = 5 line loses its end and newline
+        path.write_bytes(path.read_bytes()[:-2])  # the p = 5 line loses its final tab and newline
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             torn = reopened(cache)
             assert torn.get(curve, 5) is None
@@ -155,8 +157,8 @@ class TestBasics:
 
     def test_torn_record_is_never_served(self, tmp_path, genus2_pair):
         # a record cut at any length, then ended by the next append's newline
-        # or run into the next line, lacks the end field: its prime is a miss,
-        # though [4] would be a valid count prefix at p = 3
+        # or run into the next line, lacks its final tab or has four tabs or
+        # more: its prime is a miss, though [4] would be a valid count prefix at p = 3
         curve = genus2_pair[0]
         whole = LPolyCache(tmp_path / "whole")
         whole.put(curve, 3, counts=[4, 6])
@@ -177,6 +179,21 @@ class TestBasics:
         cache._path(curve).write_text(line[:-1])
         cache.put(curve, 5, counts=[6])
         assert reopened(cache).get(curve, 3) == ([4, 6], lpoly(curve, 3))
+
+    def test_torn_prefix_never_serves_another_prime(self, tmp_path, genus2_pair):
+        # without the leading tab, the fragment "1" of the p = 13 line run
+        # into the p = 3 line would read as N_1 = 4 at p = 13, which passes
+        # the Weil bound there; with it, every fragment adds a fourth tab
+        curve = genus2_pair[0]
+        whole = LPolyCache(tmp_path / "whole")
+        whole.put(curve, 13, counts=[point_count(curve, 13, 1)])
+        whole.put(curve, 3, counts=[4])
+        line, later = [f"{text}\n" for text in lines(whole, curve)]
+        for k in range(1, len(line) - 1):  # every nonempty strict prefix of the record
+            cache = LPolyCache(tmp_path / f"cut{k}")
+            cache.directory.mkdir()
+            cache._path(curve).write_text(line[:k] + later)
+            assert reopened(cache).get(curve, 13) is None, k
 
     def test_format4_file_is_ignored(self, cache, genus2_pair):
         # the JSON-lines file of record format 4 is never read, nor written
@@ -205,48 +222,55 @@ class TestBasics:
         alias = CurveModel("alias", curve.f_coeffs, curve.genus)
         cache.put(curve, 3, counts=[4])
         assert cache.get(alias, 3)[0] == [4]
-        assert cache_module._key(alias) == cache_module._key(curve)
-        assert lines(cache, curve) == [f"{cache_module._key(curve)}3\t4\t"]
+        assert cache._path(alias) == cache._path(curve)
+        assert lines(cache, curve) == ["\t3\t4\t"]
 
 
 class TestFileNames:
-    """A file name is only a bucket: every line starts with its curve's key."""
+    """A file name spells its curve's key, so two curves never share a file."""
 
-    def test_colliding_names_share_a_file(self, cache, genus2_pair, monkeypatch, caplog):
-        monkeypatch.setattr(cache_module, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
-        a, b = genus2_pair
-        for p in (3, 7):
-            for curve in genus2_pair:
-                cache.lpoly(curve, p, budget=10**6)
-        assert cache._path(a) == cache._path(b) == cache.directory / "00000000.tsv"
-        assert list(cache.directory.iterdir()) == [cache._path(a)]
+    BIG = 10**299 + 1  # 300 digits; x^5 + BIG x has good reduction at 3 and 7
 
-        def each_gets_its_own(cache, primes):
-            for curve in genus2_pair:
-                want = {p: ([point_count(curve, p, 1), point_count(curve, p, 2)], lpoly(curve, p))
-                        for p in primes}
-                assert served(cache, curve) == want, curve.label
+    def test_distinct_curves_never_share_a_file(self, cache, genus2_pair):
+        curves = [*genus2_pair, *(curve_from_coeffs((0, c, 0, 0, 0, 1)) for c in (1, 11, self.BIG, self.BIG + 2))]
+        for curve in curves:
+            cache.lpoly(curve, 3, budget=10**6)
+        assert len({cache._path(curve) for curve in curves}) == len(curves)
+        again = reopened(cache)
+        for curve in curves:
+            assert served(again, curve) == {3: ([point_count(curve, 3, 1), point_count(curve, 3, 2)],
+                                                lpoly(curve, 3))}, curve.label
 
-        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
-            again = reopened(cache)
-            each_gets_its_own(again, (3, 7))
-            for curve in genus2_pair:  # appends by either keep the other's lines
-                again.lpoly(curve, 11, budget=10**6)
-            each_gets_its_own(reopened(cache), (3, 7, 11))
-        assert len(lines(cache, a)) == 6
-        assert "line 2 unreadable" in caplog.text  # each skips the other's lines
+    def test_long_coefficient_stays_cached(self, cache):
+        # a name over 255 bytes is cut into directory components of at most 200 bytes
+        curve = curve_from_coeffs((0, self.BIG, 0, 0, 0, 1))
+        L = cache.lpoly(curve, 7, budget=10**6)
+        parts = cache._path(curve).relative_to(cache.directory).parts
+        name = f"6_{twistscope.__version__}_0,{self.BIG},0,0,0,1.tsv"
+        assert len(name) > 255 and "".join(parts) == name
+        assert len(parts) == 2 and all(len(part) <= 204 for part in parts)  # the last adds .tsv
+        assert all(len(part) == 200 for part in parts[:-1])
+        assert reopened(cache).get(curve, 7) == ([point_count(curve, 7, 1), point_count(curve, 7, 2)], L)
 
-    def test_sha256_named_file_is_not_read(self, cache, genus2_pair):
-        # a file named by the SHA-256 of the key, as earlier versions wrote it, is never served
-        curve = genus2_pair[0]
-        key = cache_module._key(curve)
-        old = cache.directory / f"{hashlib.sha256(key.encode()).hexdigest()}.tsv"
+    @staticmethod
+    def format5_file_is_not_read(cache, curve, digest):
+        """A format-5 file named by a digest of its key is never served, nor written."""
+        key = f"5\t{twistscope.__version__}\t{','.join(map(str, curve.f_coeffs))}\t"
+        old = cache.directory / f"{digest(key.encode())}.tsv"
         cache.directory.mkdir()
         old.write_text(f"{key}3\t4,6\t\n")
         assert reopened(cache).get(curve, 3) is None
         cache.put(curve, 3, counts=[4, 6])
         assert old.read_text() == f"{key}3\t4,6\t\n"
         assert sorted(cache.directory.iterdir()) == sorted([old, cache._path(curve)])
+
+    def test_format5_crc_named_file_is_not_read(self, cache, genus2_pair):
+        # the CRC-32 of the key, as the last format-5 versions named files
+        self.format5_file_is_not_read(cache, genus2_pair[0], lambda key: f"{zlib.crc32(key):08x}")
+
+    def test_sha256_named_file_is_not_read(self, cache, genus2_pair):
+        # the SHA-256 of the key, as earlier versions named files
+        self.format5_file_is_not_read(cache, genus2_pair[0], lambda key: hashlib.sha256(key).hexdigest())
 
 
 class TestLinesCheckedOnDemand:
@@ -281,7 +305,7 @@ class TestLinesCheckedOnDemand:
         curve = genus2_pair[0]  # x^5 - x: N_1 = 4 and N_2 = 6 at p = 3
         cache.put(curve, 3, counts=[4])
         cache.put(curve, 5, counts=[6])
-        append(cache, curve, f"{cache_module._key(curve)}3\t4,100\t\n")  # N_2 breaks a Weil bound
+        append(cache, curve, "\t3\t4,100\t\n")  # N_2 breaks a Weil bound
         checked = self.count_checks(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             again = reopened(cache)
@@ -296,7 +320,7 @@ class TestLinesCheckedOnDemand:
         cache.put(curve, 3, counts=[4])
         cache.put(curve, 5, counts=[6])
         path = cache._path(curve)
-        path.write_bytes(path.read_bytes() + cache_module._key(curve).encode() + b"7\t\xff\t\n")
+        path.write_bytes(path.read_bytes() + b"\t7\t\xff\t\n")
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             assert reopened(cache).get(curve, 5) == ([6], None)
         assert "line 3 unreadable" in caplog.text

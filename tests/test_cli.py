@@ -269,6 +269,20 @@ class TestLpolyCommand:
         run_cli(capsys, "lpoly", "x^5-x", "--p", "59", "--cache-dir", str(tmp_path))
         assert checked == [59]  # the spy sees the one check of --p
 
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    def test_each_L_is_weil_checked_once(self, capsys, tmp_path, monkeypatch, fmt):
+        # lpoly_from_counts checks each L it builds, from fresh counts or a
+        # cache line, and the command prints it without a second check
+        real, checked = twistscope.curvecount.validate_weil, []
+        monkeypatch.setattr("twistscope.curvecount.validate_weil", lambda L: checked.append(L.p) or real(L))
+        args = ("lpoly", "x^3+3", "--pmax", "30", "--format", fmt, "--cache-dir", str(tmp_path))
+        good = [5, 7, 11, 13, 17, 19, 23, 29]  # 3 is bad
+        for state in ("cold", "warm"):
+            rc, out, _ = run_cli(capsys, *args)
+            assert rc == 0 and checked == good, state
+            assert out.count("ok") == len(good)
+            checked.clear()
+
     def test_bad_reduction_exit(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "lpoly", "x^3+3", "--p", "3", "--cache-dir", str(tmp_path)
@@ -740,20 +754,39 @@ class TestVerifyCommand:
         assert rc == 3
 
 
-def weil_alarm_at_7(monkeypatch):
-    """A validate_weil stand-in that finds two clauses broken at p = 7, as the CLI asks only.
+class TestVerifyFormats:
+    @staticmethod
+    def stub_criteria(monkeypatch):
+        """Two criteria that count nothing, under a clock whose every reading moves further."""
+        import itertools
+        import types
 
-    The library's own check (in lpoly_from_counts) still sees the real one,
-    so the count is stored and the CLI prints what it was told.
-    """
-    real = twistscope.curvecount.validate_weil
-    broken = ["constant term is not 1", "functional equation fails at j=0"]
+        from twistscope import verify
+        from twistscope.errors import BudgetExceededError
 
-    def check(L):
-        from_cli = sys._getframe(1).f_globals["__name__"] == "twistscope.cli"
-        return broken if from_cli and L.p == 7 else real(L)
+        def blocked(ctx):
+            raise BudgetExceededError(10, 1, "stub")
 
-    monkeypatch.setattr("twistscope.curvecount.validate_weil", check)
+        monkeypatch.setattr(verify, "_CRITERIA", [(1, "stub pass", lambda ctx: (True, "fine")),
+                                                  (2, "stub budget", blocked)])
+        ticks = (0.7 * k * k for k in itertools.count())
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+
+    def test_records_are_byte_identical(self, capsys, tmp_path, monkeypatch):
+        self.stub_criteria(monkeypatch)
+        argv = ("verify-paper", "--format", "records", "--cache-dir", str(tmp_path))
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second
+        assert first[:2] == (3, "PASS criterion 1 stub pass: fine\n"
+                                "FAIL(budget) criterion 2 stub budget: stub: "
+                                "enumeration needs 10 field evaluations, budget is 1\n")
+
+    def test_table_lines_carry_the_timing(self, capsys, tmp_path, monkeypatch):
+        self.stub_criteria(monkeypatch)
+        rc, out, _ = run_cli(capsys, "verify-paper", "--cache-dir", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines()[0] == "PASS criterion 1 [0.7s] stub pass: fine"
+        assert out.splitlines()[1].startswith("FAIL(budget) criterion 2 [3.5s] stub budget: ")
 
 
 def shape_alarm_at_5(monkeypatch):
@@ -769,7 +802,7 @@ def shape_alarm_at_5(monkeypatch):
 # every per-result line of each subcommand that writes one, with the stand-in
 # (if any) that makes a rare line appear; "REPORT" is a genus-2 full-depth report
 GOLDEN_COMMANDS = {
-    "lpoly-bad-and-weil": (("lpoly", "x^3+3", "--pmax", "11"), weil_alarm_at_7),
+    "lpoly-bad-and-weil": (("lpoly", "x^3+3", "--pmax", "11"), None),
     "char-search-refuted": (("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "23"), None),
     "char-search-survivors": (("char-search", "x^3-x", "x^3-4x", "--pmax", "60"), None),
     "split-guarded": (("split", "--pmax", "60"), None),
@@ -781,12 +814,13 @@ GOLDEN_COMMANDS = {
 
 
 # the bytes each format printed when each subcommand still wrote both formats
-# in its own branches; not one may move
+# in its own branches; not one may move.  lpoly's weil column reads ok: an L
+# that breaks a Weil clause is an InconsistentCountsError, never a line
 GOLDEN = {
     ('lpoly-bad-and-weil', 'records'): (0, (
         'lpoly\tx^3 + 3\t3\tbad-reduction\t-\t-\n'
         'lpoly\tx^3 + 3\t5\t1,0,5\t0\tok\n'
-        'lpoly\tx^3 + 3\t7\t1,5,7\t-5\tconstant term is not 1;functional equation fails at j=0\n'
+        'lpoly\tx^3 + 3\t7\t1,5,7\t-5\tok\n'
         'lpoly\tx^3 + 3\t11\t1,0,11\t0\tok\n'
     )),
     ('lpoly-bad-and-weil', 'table'): (0, (
@@ -798,7 +832,7 @@ GOLDEN = {
         'curve x^3 + 3  p=7\n'
         '  L: 1,5,7\n'
         '  trace: -5\n'
-        '  weil: constant term is not 1;functional equation fails at j=0\n'
+        '  weil: ok\n'
         'curve x^3 + 3  p=11\n'
         '  L: 1,0,11\n'
         '  trace: 0\n'

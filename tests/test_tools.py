@@ -25,6 +25,7 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert data["startup"]["wall_s"] > 0
     cache = data["cache"]
     assert (cache["curve"], cache["lines"]) == ("x^5 - x", 9) and cache["file_bytes"] > 0
+    assert cache["file_alloc_bytes"] > 0 and cache["file_alloc_bytes"] % 512 == 0
     assert cache["put_s_per_line"] > 0 and cache["first_get_s_per_line"] > 0
     fp = data["prime_field"]
     assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)

@@ -15,7 +15,9 @@ the interpreter, numpy's import and the kernels.  One cache row times
 for each odd prime below ``CACHE_PMAX`` (9,591 lines for 1e5).  It gives
 the seconds per line of ``put`` writing the file into an empty directory,
 and of the first ``get`` on a fresh cache object, which reads the whole
-file; each is the median of 5 runs.
+file; each is the median of 5 runs.  It also gives the file's size and
+its allocated size (``st_blocks`` * 512, what the benchmark's
+``cache_mb`` adds up).
 
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
@@ -120,9 +122,10 @@ def measure_cache() -> dict:
         put_s = _median_seconds(lambda: put_all(tempfile.mkdtemp(dir=root)))
         full = next(Path(root).iterdir())  # one of the written directories
         get_s = _median_seconds(lambda: LPolyCache(full).get(curve, primes[-1]))
-        size = LPolyCache(full)._path(curve).stat().st_size
+        stat = LPolyCache(full)._path(curve).stat()
     return {
-        "curve": label, "lines": len(primes), "file_bytes": size,
+        "curve": label, "lines": len(primes), "file_bytes": stat.st_size,
+        "file_alloc_bytes": stat.st_blocks * 512,
         "put_s_per_line": put_s / len(primes), "first_get_s_per_line": get_s / len(primes),
     }
 
