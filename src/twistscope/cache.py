@@ -185,7 +185,7 @@ class LPolyCache:
         except FileNotFoundError:
             return records
         except OSError as exc:
-            _warn("cache file %s unreadable (%s); recomputing", path.name, exc)
+            _warn("cache file %s unreadable (%s); recomputing", _name(curve), exc)
             return records
         if data and not data.endswith(b"\n"):
             self._torn.add(curve.f_coeffs)
@@ -198,7 +198,7 @@ class LPolyCache:
                     raise ValueError
                 records.setdefault(int(p), []).append((n, [int(c) for c in counts.split(b",")]))
             except ValueError:
-                _warn("cache file %s line %d unreadable; recomputing", path.name, n)
+                _warn("cache file %s line %d unreadable; recomputing", _name(curve), n)
         return records
 
     def get(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
@@ -223,7 +223,7 @@ class LPolyCache:
             taken = _take(curve, p, counts)
             if taken is not None:
                 return taken
-            _warn("cache file %s line %d failed validation; recomputing", self._path(curve).name, n)
+            _warn("cache file %s line %d failed validation; recomputing", _name(curve), n)
         return None
 
     def put(self, curve: CurveModel, p: int, counts: list[int]) -> None:

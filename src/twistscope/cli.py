@@ -263,7 +263,7 @@ def _cmd_stats(args, cache, out) -> int:
     weights = [tuple(int(tk) for tk in spec.split(",")) for spec in args.e or []]
     if not weights:
         g = report.genus
-        weights = [tuple([0] * g), (2,) + (0,) * (g - 1), (0, 1) + (0,) * (g - 2)]
+        weights = [tuple([0] * g), (2,) + (0,) * (g - 1)] + ([(0, 1) + (0,) * (g - 2)] if g > 1 else [])
     for row in moment_stats(report, weights):
         e_str = ",".join(map(str, row["e"]))
         a, b, diff = row["mean_a"], row["mean_b"], row["abs_diff"]  # floats: str is repr

@@ -8,17 +8,20 @@ once per p of a batch, then the field alone picks the kernel:
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER (``_char_sum_logs``):
   discrete-log tables built once per field (x = g^k turns each monomial
   into an index, terms are added by Zech logarithms, and chi(y) is the
-  parity of log y).  Each table field has its own primitive modulus h,
-  so g = t = x mod h, and the exp table is read off one linear recurring
-  sequence of h.  When f = x^r h(x^d) on F_q^*, only (q - 1)/d exponents
-  k are summed;
+  parity of log y).  g is t = x mod h, h the modulus below, and the exp
+  table is read off one linear recurring sequence of h.  When f =
+  x^r u(x^d) on F_q^*, only (q - 1)/d exponents k are summed;
 - larger F_{p^i} (``_char_sum_norm``): f(x) by repeated squaring in
   int64, then chi_p of the norm to F_p through Frobenius-orbit products.
 
-Every kernel works in chunks of x, and only the norm kernel reads a
-modulus, build_extension's.  This is the package's only numpy user, and
-``curvecount`` imports it on the first count.  The test suite checks
-every kernel against an independent enumeration oracle.
+Every kernel works in chunks of x.  Both extension-field kernels count
+over F_p[t]/(h) for one modulus, the primitive h of
+``_primitive_modulus``, and every constant they need is read off powers
+of h's companion matrix; no other polynomial arithmetic is used, so
+criterion 9's oracle field (``algebra.build_extension``) shares no code
+with them.  This is the package's only numpy user, and ``curvecount``
+imports it on the first count.  The test suite checks every kernel
+against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -28,16 +31,7 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    FieldSpec,
-    _divmod,
-    _frobenius_columns,
-    _mulmod,
-    _powmod,
-    _require_below_cap,
-    build_extension,
-    prime_divisors,
-)
+from .algebra import _require_below_cap, prime_divisors
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 13  # elements of an F_p block: the x-ranges of small primes, or a chunk of one
@@ -224,17 +218,34 @@ def _mat_pows(M: np.ndarray, exps: list[int], p: int) -> list[np.ndarray]:
     return out
 
 
+def _companion(low, p: int) -> np.ndarray:
+    """Companion matrix C of h = x^i + sum_j low_j x^j, or a stack of them for rows of low.
+
+    C is the matrix of y -> ty on F_p[t]/(h): column j of C^n holds t^(n+j).
+    A product of two such powers sums i terms below p^2, inside int64 for
+    p < 2^25.
+    """
+    low = np.asarray(low, dtype=np.int64)
+    i = low.shape[-1]
+    C = np.zeros((*low.shape[:-1], i, i), dtype=np.int64)
+    C[..., np.arange(1, i), np.arange(i - 1)] = 1
+    C[..., :, i - 1] = -low % p
+    return C
+
+
 def _primitive_modulus(p: int, i: int) -> tuple[int, ...]:
     """Low coefficients (h_0, ..., h_(i-1)) of the first primitive monic h of degree i >= 2.
 
-    h is primitive when t = x mod h has order q - 1: C^((q-1)/r) != I for
-    every prime r | q - 1 and C^(q-1) = I, where C is h's companion
-    matrix.  That order also proves h irreducible.  Candidates run in
-    base-p counter order over (h_0, ..., h_(i-1)), as in build_extension,
-    and are tested in batches of matrices.  Counter values below p are
-    binomials x^i + c, whose t^i lies in F_p, so the scan starts at p; and
-    a candidate whose norm N(t) = (-1)^i h_0 does not generate F_p^* is
-    dropped before any matrix power.
+    The one modulus of F_{p^i} in both extension-field kernels.  h is
+    primitive when t = x mod h has order q - 1: C^((q-1)/r) != I for every
+    prime r | q - 1 and C^(q-1) = I, where C is h's companion matrix.
+    That order also proves h irreducible.  Candidates run in base-p
+    counter order over (h_0, ..., h_(i-1)) and are tested in batches of
+    matrices.  Counter values below p are binomials x^i + c, whose t^i
+    lies in F_p, so the scan starts at p; and a candidate whose norm
+    N(t) = (-1)^i h_0 does not generate F_p^* is dropped before any matrix
+    power.  q - 1 is factored by trial division: at most sqrt(q) steps,
+    against the q elements a kernel then enumerates.
     """
     q = p**i
     rs_p, rs = prime_divisors(p - 1), prime_divisors(q - 1)  # rs[0] = 2: q is odd
@@ -248,10 +259,7 @@ def _primitive_modulus(p: int, i: int) -> tuple[int, ...]:
     for lo in range(p, q, _SEARCH_BATCH):
         v = [v for v in range(lo, min(lo + _SEARCH_BATCH, q)) if norm_generates(v)]
         low = (np.array(v, dtype=np.int64)[:, None] // digits) % p
-        C = np.zeros((len(low), i, i), dtype=np.int64)
-        C[:, np.arange(1, i), np.arange(i - 1)] = 1
-        C[:, :, i - 1] = -low % p
-        pows = _mat_pows(C, [(q - 1) // r for r in rs], p)
+        pows = _mat_pows(_companion(low, p), [(q - 1) // r for r in rs], p)
         ok = (pows[0] @ pows[0] % p == one).all(axis=(1, 2))
         for P in pows:
             ok &= (P != one).any(axis=(1, 2))
@@ -266,10 +274,11 @@ def _recurring_sequence(low: tuple[int, ...], p: int, n: int) -> np.ndarray:
     s starts 1, 0, ..., 0 and obeys h's recurrence.  With w the coordinates
     of t^D, s[k + D] = sum_j w_j s[k + j], so a jump D >= i gives the next
     D - i + 1 terms from known ones: i multiply-adds and one reduction per
-    term.  D doubles up to _TABLE_BLOCK.  Every product is below p^2 and
-    every sum below i*p^2 <= 2q, inside int32 for q < 2^30.
+    term.  D doubles up to _TABLE_BLOCK, and w is column 0 of C^D, for
+    h's companion matrix C squared once per doubling.  Every product is
+    below p^2 and every sum below i*p^2 <= 2q, inside int32 for q < 2^30.
     """
-    i, h = len(low), [*low, 1]
+    i = len(low)
     s = np.empty(n, dtype=np.int32)
     head = [1] + [0] * (i - 1)
     while len(head) < min(n, 2 * i):
@@ -277,10 +286,11 @@ def _recurring_sequence(low: tuple[int, ...], p: int, n: int) -> np.ndarray:
     known = len(head)
     s[:known] = head[:n]
     acc, tmp = np.empty(_TABLE_BLOCK, dtype=np.int32), np.empty(_TABLE_BLOCK, dtype=np.int32)
-    D, w = 1, [0, 1]  # w: coordinates of t^D
+    D, W = 1, _companion(low, p)  # W = C^D
     while known < n:
         while 2 * D <= min(known, _TABLE_BLOCK):
-            D, w = 2 * D, _mulmod(w, w, h, p)
+            D, W = 2 * D, W @ W % p
+        w = W[:, 0].tolist()  # coordinates of t^D
         hi = min(known + D - i + 1, n)
         a, b = acc[: hi - known], tmp[: hi - known]  # preallocated: no page faults per block
         a.fill(0)
@@ -383,21 +393,18 @@ def _char_sum_logs(coeffs: tuple[int, ...], p: int, i: int) -> int:
     return total + d * partial
 
 
-def _norm_matrices(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The norm kernel's constants for F_{p^i}, i >= 2: (red, frob).
+def _norm_matrices(low: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The norm kernel's constants for F_p[t]/(h), h = x^i + sum_j low_j x^j irreducible: (red, frob).
 
-    red[j] = t^(i+j) mod the modulus h for j = 0..i-2.  frob is the matrix
-    of the (F_p-linear) p-power map; its column j is sigma(t^j) = (t^p)^j,
-    h's Frobenius column.
+    red[j] = t^(i+j) for j = 0..i-2.  frob is the matrix of the (F_p-linear)
+    p-power map; its column j is sigma(t^j) = t^(pj).  Each is column 0 of
+    a power of h's companion matrix, from one chain of squarings.
     """
-    p, i, h = spec.p, spec.degree, spec.modulus.coeffs
-
-    def coords(a: list[int]) -> list[int]:
-        return a + [0] * (i - len(a))
-
-    red = [coords(_divmod([0] * (i + j) + [1], h, p)[1]) for j in range(i - 1)]
-    cols = _frobenius_columns(_powmod([0, 1], p, h, p), h, p)
-    return np.array(red, dtype=np.int64), np.array([coords(c) for c in cols], dtype=np.int64).T
+    i = len(low)
+    exps = [i + j for j in range(i - 1)] + [p * j for j in range(1, i)]
+    cols = [P[:, 0] for P in _mat_pows(_companion(low, p), exps, p)]
+    one = np.eye(i, dtype=np.int64)[:, 0]
+    return np.array(cols[: i - 1]), np.column_stack([one, *cols[i - 1 :]])
 
 
 def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
@@ -407,14 +414,9 @@ def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
         raise ValueError(f"field order {q} exceeds the int64 enumeration range")
     chi = _chi_table(p)
     fc = list(coeffs)
-    red, frob = _norm_matrices(build_extension(p, i))
-    # Frobenius iterates sigma^(2^k) for the pairing scheme below
-    frob_pows = [frob]
-    k = 1
-    while (1 << k) < i:
-        prev = frob_pows[-1]
-        frob_pows.append(prev @ prev % p)
-        k += 1
+    red, frob = _norm_matrices(_primitive_modulus(p, i), p)
+    # Frobenius iterates sigma^(2^k), 2^k < i, for the pairing scheme below
+    frob_pows = _mat_pows(frob, [1 << k for k in range((i - 1).bit_length())], p)
 
     exponents = sorted({k for k, c in enumerate(fc) if c != 0 and k > 0}, reverse=True)
     maxdeg = exponents[0] if exponents else 0
@@ -434,8 +436,7 @@ def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
         val = np.zeros_like(xs)
         val[:, 0] = fc[0] if fc else 0
         for e in exponents:
-            term = None
-            rem, bit = e, 1
+            term, rem, bit = None, e, 1
             while rem:
                 if rem & 1:
                     term = sq[bit] if term is None else _batch_mul(term, sq[bit], red, p)
@@ -448,9 +449,7 @@ def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
         # Norm to F_p: multiply out the Frobenius orbit of val.  acc holds
         # prod of sigma^j(val) for j < done; double while 2*done <= i,
         # then append the remaining conjugates one at a time.
-        acc = val
-        done = 1
-        kk = 0
+        acc, done, kk = val, 1, 0
         while 2 * done <= i:
             acc = _batch_mul(acc, acc @ frob_pows[kk].T % p, red, p)
             done *= 2
@@ -478,7 +477,7 @@ def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     go through ``prime_field_sums`` together, a block of primes at a time,
     then each other unit in order, through log tables when q <=
     _TABLE_MAX_ORDER and the norm kernel above.  The sums do not depend on
-    a field's modulus, so the kernels choose their own.
+    a field's modulus; both extension-field kernels use the primitive one.
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_below_cap(p)

@@ -252,6 +252,21 @@ class TestFileNames:
         assert all(len(part) == 200 for part in parts[:-1])
         assert reopened(cache).get(curve, 7) == ([point_count(curve, 7, 1), point_count(curve, 7, 2)], L)
 
+    def test_warnings_name_the_whole_file(self, cache, caplog):
+        # a cut name is logged from the cache directory down, so a warning
+        # shows the format, the version and the coefficient's leading digits
+        curve = curve_from_coeffs((0, self.BIG, 0, 0, 0, 1))
+        cache.lpoly(curve, 7, budget=10**6)
+        append(cache, curve, "junk\n\t7\t1008,50\t\n")  # unreadable, then out of the Weil bounds
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            assert reopened(cache).get(curve, 7) is not None
+        name = str(cache._path(curve).relative_to(cache.directory))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cache file {name} line 2 unreadable; recomputing",
+            f"cache file {name} line 3 failed validation; recomputing",
+        ]
+        assert all(str(r.args[0]).startswith(f"6_{twistscope.__version__}_0,1000000000") for r in caplog.records)
+
     @staticmethod
     def format5_file_is_not_read(cache, curve, digest):
         """A format-5 file named by a digest of its key is never served, nor written."""

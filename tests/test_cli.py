@@ -699,6 +699,18 @@ class TestStatsCommand:
         report = ScanReport.from_text(report_path.read_text())
         assert z20_statistic(report).numerator == 4
 
+    def test_genus1_full_report(self, capsys, tmp_path):
+        # genus 1 has no a_2 coefficient, so the default moments are e = (0)
+        # and e = (2) only
+        rc, out, _ = run_cli(capsys, "scan", "x^3 - x", "x^3 + 4x", "--depth", "full", "--pmax", "50",
+                             "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 0
+        report = tmp_path / "report.tsv"
+        report.write_text(out)
+        rc, out, err = run_cli(capsys, "stats", str(report), "--format", "records")
+        assert rc == 0 and err == ""
+        assert [ln.split("\t")[:2] for ln in out.splitlines()] == [["z20", "0/1"], ["moment", "0"], ["moment", "2"]]
+
     def test_missing_report_is_config_error(self, capsys):
         rc, _, err = run_cli(capsys, "stats", "/nonexistent/report.tsv")
         assert rc == 2

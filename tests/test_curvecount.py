@@ -285,22 +285,31 @@ class TestLogTableKernel:
         assert point_count(genus4_pair[0], 47, 4) == 4862010
 
     def test_point_count_builds_no_modulus(self, monkeypatch, fresh_tables):
-        # the F_p and log-table kernels read only p and i, so counting over
-        # table fields builds no FieldSpec and tests no modulus
+        # every kernel reads only p and i: the extension-field kernels find
+        # their own primitive modulus, so no count builds a FieldSpec or
+        # tests a modulus for irreducibility, over log tables or, with the
+        # cap lowered, through the norm kernel
         f = KERNEL_POLYS[4]  # x^9 + 35x + 1
+        want = [oracles.count_points(f, 7, i) for i in (1, 2, 3, 4)]
 
         def refuse(*args):
-            raise AssertionError("a modulus was built for a table field")
+            raise AssertionError("a count built a modulus")
 
         monkeypatch.setattr("twistscope.algebra.build_extension", refuse)
         monkeypatch.setattr("twistscope.algebra.is_irreducible", refuse)
-        monkeypatch.setattr(kernels, "build_extension", refuse)
-        for i in (1, 2, 3, 4):
-            assert point_count(curve_from_coeffs(f), 7, i) == oracles.count_points(f, 7, i), i
+        assert not hasattr(kernels, "build_extension")  # no name the patches above miss
+        assert [point_count(curve_from_coeffs(f), 7, i) for i in (1, 2, 3, 4)] == want
+
+        def no_tables(coeffs, p, i):
+            raise AssertionError("log tables used above the cap")
+
+        monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
+        monkeypatch.setattr(kernels, "_char_sum_logs", no_tables)
+        assert [point_count(curve_from_coeffs(f), 7, i) for i in (1, 2, 3, 4)] == want
 
     def test_point_count_through_the_norm_kernel(self, monkeypatch, fresh_tables):
-        # a lowered cap sends these fields to the norm kernel, which builds
-        # build_extension's modulus; the counts must not move
+        # a lowered cap sends these fields to the norm kernel, which counts
+        # over the log tables' primitive modulus; the counts must not move
         curve = curve_from_coeffs(KERNEL_POLYS[4])
         want = [point_count(curve, 7, i) for i in (1, 2, 3, 4)]
 
@@ -397,16 +406,32 @@ class TestLogSumSymmetry:
         assert got == oracles.count_points(f, p, i)
 
 
-# the largest prime below MAX_FIELD_CHAR = 2^25, where int64 headroom is tightest;
-# i = 3 is left out, since p = 2 mod 3 makes build_extension scan ~p reducible x^3 + a
+# the largest prime below MAX_FIELD_CHAR = 2^25, where int64 headroom is tightest.
+# EDGE_P^4 is beyond the q < 2^62 that the primitive-modulus search serves, so
+# these fields take build_extension's modulus; i = 3 is left out, since
+# p = 2 mod 3 makes build_extension scan ~p reducible x^3 + a
 EDGE_P = 33554393
+
+
+def check_norm_matrices(spec):
+    """The norm kernel's constants for spec's modulus match the oracle's powers of t and x^p."""
+    p, i = spec.p, spec.degree
+    red, frob = kernels._norm_matrices(spec.modulus.coeffs[:-1], p)
+    t = oracles.element(spec, [0, 1])
+    for j, row in enumerate(red.tolist()):
+        assert tuple(row) == (t ** (i + j)).coeffs
+    rng = random.Random(i)
+    for _ in range(3):
+        x = oracles.element(spec, [rng.randrange(p) for _ in range(i)])
+        got = frob @ np.array(x.coeffs, dtype=np.int64) % p
+        assert tuple(got.tolist()) == (x**p).coeffs
 
 
 class TestNormKernelHeadroom:
     @pytest.mark.parametrize("i", [2, 4])
     def test_batch_mul_matches_field_elements(self, i):
         spec = build_extension(EDGE_P, i)
-        red, _ = kernels._norm_matrices(spec)
+        red, _ = kernels._norm_matrices(spec.modulus.coeffs[:-1], EDGE_P)
         rng = np.random.default_rng(i)
         top = np.full((1, i), EDGE_P - 1, dtype=np.int64)
         rand = rng.integers(0, EDGE_P, size=(6, i), dtype=np.int64)
@@ -418,16 +443,14 @@ class TestNormKernelHeadroom:
 
     @pytest.mark.parametrize("i", [2, 4])
     def test_norm_matrices_match_field_powers(self, i):
-        spec = build_extension(EDGE_P, i)
-        red, frob = kernels._norm_matrices(spec)
-        t = oracles.element(spec, [0, 1])
-        for j, row in enumerate(red.tolist()):
-            assert tuple(row) == (t ** (i + j)).coeffs
-        rng = random.Random(i)
-        for _ in range(3):
-            x = oracles.element(spec, [rng.randrange(EDGE_P) for _ in range(i)])
-            got = frob @ np.array(x.coeffs, dtype=np.int64) % EDGE_P
-            assert tuple(got.tolist()) == (x**EDGE_P).coeffs
+        check_norm_matrices(build_extension(EDGE_P, i))
+
+    @pytest.mark.parametrize("p,i", [(2897, 2), (211, 3), (59, 4)])
+    def test_norm_matrices_of_the_primitive_modulus(self, p, i):
+        # the fields the norm kernel serves first: 2897 is the least p with
+        # p^2 above the table cap, 211 and 59 for i = 3 and 4
+        assert p**i > kernels._TABLE_MAX_ORDER
+        check_norm_matrices(FieldSpec(p, i, PolyModP(p, (*kernels._primitive_modulus(p, i), 1))))
 
 
 def random_poly(rng, degree, dense, big):

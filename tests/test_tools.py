@@ -16,6 +16,8 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     bench_layers = _load(BENCH_LAYERS)
     monkeypatch.setattr(bench_layers, "CACHE_PMAX", 30)  # 9 lines, not 9,591
     monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
+    monkeypatch.setattr(bench_layers, "NORM_FIELD", (5, 2))  # the norm kernel once the cap is 9
+    monkeypatch.setattr(bench_layers.kernels, "_TABLE_MAX_ORDER", 9)
     out = tmp_path / "BENCH_layers.json"
     text = bench_layers.write([(3, 2)], out)
     data = json.loads(out.read_text())
@@ -30,6 +32,9 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     fp = data["prime_field"]
     assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)
     assert fp["elements_per_s"] == fp["elements"] / fp["s"]
+    norm = data["norm"]
+    assert (norm["p"], norm["i"], norm["q"], norm["curve"]) == (5, 2, 25, "x^9 + x")
+    assert norm["elements_per_s"] == 25 / norm["s"]
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
     assert row["table_build_s"] > 0

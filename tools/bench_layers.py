@@ -7,6 +7,9 @@ per second (the sum of the primes, twice, over the seconds).  For each
 field F_{p^i} it records the seconds to build the field's log tables (``kernels._field_tables`` from an empty memo) and the throughput
 of ``kernels.char_sums`` over the built tables, in field elements per
 second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
+One norm row does the same for ``kernels.char_sums`` on ``NORM_FIELD``,
+the first field F_{p^2} above the log-table cap, which goes through the
+norm kernel, for f = x^9 + x: seconds and field elements per second.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
 an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
@@ -57,6 +60,7 @@ POLYS = {
 }
 FP_POLYS = {"x^5 - x": (0, -1, 0, 0, 0, 1), "x^5 + 4x": (0, 4, 0, 0, 0, 1)}
 FP_PMAX = 5000
+NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
@@ -83,6 +87,16 @@ def measure_field(p: int, i: int) -> dict:
         seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
+
+
+def measure_norm() -> dict:
+    """The norm kernel on NORM_FIELD, for f = x^9 + x."""
+    p, i = NORM_FIELD
+    if p**i <= kernels._TABLE_MAX_ORDER:
+        raise ValueError(f"F_{p}^{i} is a log-table field, not a norm-kernel one")
+    units = [(POLYS["x^9 + x"], p, i)]
+    seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
+    return {"p": p, "i": i, "q": p**i, "curve": "x^9 + x", "s": seconds, "elements_per_s": p**i / seconds}
 
 
 def measure_prime_field() -> dict:
@@ -143,6 +157,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         "startup": measure_startup(),
         "cache": measure_cache(),
         "prime_field": measure_prime_field(),
+        "norm": measure_norm(),
         "fields": [measure_field(p, i) for p, i in fields],
     }
     text = json.dumps(result, indent=2) + "\n"
