@@ -7,8 +7,8 @@ evaluations), and hands only those (curve, p, i) units to
 ``curvecount.unit_counts``, in process when ``jobs == 1`` or all of them
 lie in one field F_{p^i}, otherwise in even-cost batches on ``jobs``
 helper processes, forked on first need and ended by ``close``.  Units of
-one field always run back to back in one process, so they share that
-field's tables.  A disabled cache (``UNCACHED``) stores nothing but
+one field always share one batch, so the field's tables are built once
+per request.  A disabled cache (``UNCACHED``) stores nothing but
 counts the same way.
 
 Records live in one append-only file per curve, whose name spells the
@@ -49,6 +49,7 @@ from .curvecount import (
     CurveModel,
     LPolynomial,
     _check_count_bounds,
+    _check_units,
     log_derivative_counts,
     lpoly_from_counts,
     unit_counts,
@@ -322,10 +323,12 @@ class LPolyCache:
         """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
 
         Units of one field (p, i) stay together, so the field's tables are
-        built once.  In process, one ``unit_counts`` call counts them all.
-        With jobs > 1 the fields, largest first, are dealt into
-        four batches per helper, so the batches cost about the same and
-        small units share trips; each idle helper gets the next batch.
+        built once per request.  In process, one ``unit_counts`` call counts
+        them all.  With jobs > 1 the units are checked here, before any
+        batch is dealt, so a bad prime leaves the helpers running.  The
+        fields, largest first, are dealt into four batches per helper, so
+        the batches cost about the same and small units share trips; each
+        idle helper gets the next batch.
         """
         batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
         if len(batches) <= 1:
@@ -333,6 +336,7 @@ class LPolyCache:
                 for k, n in unit_counts(batch):
                     yield batch[k], n
             return
+        _check_units(units)
         from . import kernels  # unused name: loads numpy once, before the helpers fork
         from .helpers import Helpers
 

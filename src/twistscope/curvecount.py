@@ -213,18 +213,26 @@ def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def unit_counts(units: list[tuple[CurveModel, int, int]]):
-    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then the rest.
+def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
+    """Check a batch of (curve, p, i) units before any of them is counted.
 
-    The one way to count.  Before any count, each distinct p is checked
-    once (ValueError unless an odd prime), and each (curve, p) by
-    disc(f) % p: BadReductionError names the first bad unit.
+    Each distinct p is checked once (ValueError unless an odd prime), then
+    each (curve, p) by disc(f) % p: BadReductionError names the first bad
+    unit.
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_odd_prime(p)
     for curve, p, _ in units:
         if poly_discriminant(curve.f_coeffs) % p == 0:
             raise BadReductionError(curve.label, p)
+
+
+def unit_counts(units: list[tuple[CurveModel, int, int]]):
+    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then by field.
+
+    The one way to count; ``_check_units`` checks the batch first.
+    """
+    _check_units(units)
     from . import kernels
 
     for k, s in kernels.char_sums([(curve.f_coeffs, p, i) for curve, p, i in units]):

@@ -1,12 +1,13 @@
 """Character sums sum_x chi(f(x)) over F_{p^i}: one entry, one numpy kernel per kind of field.
 
 ``char_sums`` is the only entry.  It checks the cap p < MAX_FIELD_CHAR
-once per p of a batch, then the field alone picks the kernel:
+once per p of a batch, then the field alone picks the kernel; each
+extension field's kernel runs once, with every f of the batch over it:
 - F_p (``prime_field_sums``): every degree-1 unit of the batch together,
   a block of primes per numpy pass, by Horner's rule with lazy
   reduction, then an int8 character table;
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER (``_char_sum_logs``):
-  discrete-log tables built once per field (x = g^k turns each monomial
+  discrete-log tables built once per call (x = g^k turns each monomial
   into an index, terms are added by Zech logarithms, and chi(y) is the
   parity of log y).  g is t = x mod h, h the modulus below, and the exp
   table is read off one linear recurring sequence of h.  When f =
@@ -14,14 +15,15 @@ once per p of a batch, then the field alone picks the kernel:
 - larger F_{p^i} (``_char_sum_norm``): f(x) by repeated squaring in
   int64, then chi_p of the norm to F_p through Frobenius-orbit products.
 
-Every kernel works in chunks of x.  Both extension-field kernels count
-over F_p[t]/(h) for one modulus, the primitive h of
-``_primitive_modulus``, and every constant they need is read off powers
-of h's companion matrix; no other polynomial arithmetic is used, so
-criterion 9's oracle field (``algebra.build_extension``) shares no code
-with them.  This is the package's only numpy user, and ``curvecount``
-imports it on the first count.  The test suite checks every kernel
-against an independent enumeration oracle.
+Every kernel works in chunks of x, and a field's tables live only for
+the call that counts over it: no kernel keeps a memo.  Both
+extension-field kernels count over F_p[t]/(h) for one modulus, the
+primitive h of ``_primitive_modulus``, and every constant they need is
+read off powers of h's companion matrix; no other polynomial arithmetic
+is used, so criterion 9's oracle field (``algebra.build_extension``)
+shares no code with them.  This is the package's only numpy user, and
+``curvecount`` imports it on the first count.  The test suite checks
+every kernel against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -46,14 +48,13 @@ _SEARCH_BATCH = 64  # counter values per batch of the primitive-modulus search
 _SUM_BLOCK = 1 << 13  # exponents per step of a log sum: 64 KB int64 temporaries stay in cache
 
 
-@functools.lru_cache(maxsize=2)
 def _chi_table(p: int) -> np.ndarray:
     """chi[v] = quadratic character of v in F_p, as int8, built in chunks of squares.
 
     The table of the F_p kernel's primes above _BLOCK, and of the norm
-    kernel.  Memoised for curves counted one call at a time over one
-    field; the shared table is read-only.  At p near 2^25 it takes 32 MB,
-    and its build holds no more than _CHUNK int64 temporaries at once.
+    kernel, built once per call for every f of the call.  At p near 2^25
+    it takes 32 MB, and its build holds no more than _CHUNK int64
+    temporaries at once.
     """
     chi = np.full(p, -1, dtype=np.int8)
     for lo in range(1, (p + 1) // 2, _CHUNK):  # x and -x have one square
@@ -62,7 +63,6 @@ def _chi_table(p: int) -> np.ndarray:
         v %= p
         chi[v] = 1
     chi[0] = 0
-    chi.flags.writeable = False
     return chi
 
 
@@ -335,25 +335,27 @@ def _exp_log_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-@functools.lru_cache(maxsize=2)
 def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zech logs of F_{p^i} and the logs of F_p's elements, built once per field.
+    """Zech logs of F_{p^i} and the logs of F_p's elements, for one ``_char_sum_logs`` call.
 
     zech[n] = log(1 + t^n), or -1 where 1 + t^n = 0, for the generator t
-    of _exp_log_tables; it overwrites exp.  The two most recent fields stay
-    in memory: both curves of a pair count over one table.
+    of _exp_log_tables; it overwrites exp.
     """
     zech, log = _exp_log_tables(p, i)
     for lo in range(0, len(zech), _TABLE_BLOCK):
         e = zech[lo : lo + _TABLE_BLOCK]
         np.take(log, e + np.where(e % p == p - 1, 1 - p, 1), out=e)  # +1 on digit 0
-    log_fp = log[:p].astype(np.int64)
-    zech.flags.writeable = log_fp.flags.writeable = False  # shared by every caller
-    return zech, log_fp
+    return zech, log[:p].astype(np.int64)
 
 
-def _char_sum_logs(coeffs: tuple[int, ...], p: int, i: int) -> int:
-    """sum_x chi(f(x)) over F_q, q = p^i, i >= 2, by discrete logs; coeffs reduced mod p.
+def _char_sum_logs(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
+    """sum_x chi(f(x)) over F_{p^i}, i >= 2, for each f of polys, over one build of the field's tables."""
+    zech, log_fp = _field_tables(p, i)
+    return [_log_sum(coeffs, zech, log_fp) for coeffs in polys]
+
+
+def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> int:
+    """sum_x chi(f(x)) over F_q by discrete logs, q - 1 = len(zech); coeffs reduced mod p.
 
     With x = g^k, each term c_e x^e is g^(log c_e + e*k).  Terms are added
     in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
@@ -367,8 +369,7 @@ def _char_sum_logs(coeffs: tuple[int, ...], p: int, i: int) -> int:
     up to the partial sum times d.  If rD is odd, D is odd, so d = m/D is
     even and the copies cancel in pairs.  A dense f has d = 1.
     """
-    m = p**i - 1
-    zech, log_fp = _field_tables(p, i)
+    m = len(zech)
     terms = [(e % m, int(log_fp[c])) for e, c in enumerate(coeffs) if c]
     c0 = coeffs[0] if coeffs else 0
     total = 1 - 2 * (int(log_fp[c0]) & 1) if c0 else 0  # x = 0
@@ -407,65 +408,57 @@ def _norm_matrices(low: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray
     return np.array(cols[: i - 1]), np.column_stack([one, *cols[i - 1 :]])
 
 
-def _char_sum_norm(coeffs: tuple[int, ...], p: int, i: int) -> int:
-    """sum_x chi(f(x)) via chi_p(Norm(f(x))), vectorized and chunked; i >= 2, coeffs reduced mod p."""
+def _char_sum_norm(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
+    """sum_x chi(f(x)) via chi_p(Norm(f(x))) for each f of polys; i >= 2, coefficients reduced mod p.
+
+    The field's constants are made once per call, and each chunk's digits
+    and squares x^(2^b) once for every f, up to the largest degree.
+    """
     q = p**i
     if q >= 1 << 62:
         raise ValueError(f"field order {q} exceeds the int64 enumeration range")
     chi = _chi_table(p)
-    fc = list(coeffs)
     red, frob = _norm_matrices(_primitive_modulus(p, i), p)
     # Frobenius iterates sigma^(2^k), 2^k < i, for the pairing scheme below
     frob_pows = _mat_pows(frob, [1 << k for k in range((i - 1).bit_length())], p)
 
-    exponents = sorted({k for k, c in enumerate(fc) if c != 0 and k > 0}, reverse=True)
-    maxdeg = exponents[0] if exponents else 0
+    supports = [sorted((k for k, c in enumerate(fc) if c and k), reverse=True) for fc in polys]
+    maxdeg = max((exps[0] for exps in supports if exps), default=0)
     powers = np.array([p**j for j in range(i)], dtype=np.int64)
-    total = 0
+    totals = [0] * len(polys)
     for lo in range(0, q, _CHUNK):
-        hi = min(lo + _CHUNK, q)
-        n = np.arange(lo, hi, dtype=np.int64)
+        n = np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64)
         xs = (n[:, None] // powers[None, :]) % p
+        sq = {1: xs}  # x^(2^b), for binary powering over the support of f (f is often sparse)
+        for b in range(1, maxdeg.bit_length()):
+            sq[1 << b] = _batch_mul(sq[1 << (b - 1)], sq[1 << (b - 1)], red, p)
+        for k, (fc, exponents) in enumerate(zip(polys, supports)):
+            val = np.zeros_like(xs)
+            val[:, 0] = fc[0] if fc else 0
+            for e in exponents:
+                term = None  # the last term is freed before this one is built
+                for b in range(e.bit_length()):
+                    if e >> b & 1:
+                        term = sq[1 << b] if term is None else _batch_mul(term, sq[1 << b], red, p)
+                c = fc[e]
+                val += term if c == 1 else (term * c) % p
+            val %= p
 
-        # f(x) by binary powering over the support of f (f is often sparse)
-        sq = {1: xs}
-        b = 1
-        while 2 * b <= maxdeg:
-            sq[2 * b] = _batch_mul(sq[b], sq[b], red, p)
-            b *= 2
-        val = np.zeros_like(xs)
-        val[:, 0] = fc[0] if fc else 0
-        for e in exponents:
-            term, rem, bit = None, e, 1
-            while rem:
-                if rem & 1:
-                    term = sq[bit] if term is None else _batch_mul(term, sq[bit], red, p)
-                rem >>= 1
-                bit <<= 1
-            c = fc[e]
-            val += term if c == 1 else (term * c) % p
-        val %= p
-
-        # Norm to F_p: multiply out the Frobenius orbit of val.  acc holds
-        # prod of sigma^j(val) for j < done; double while 2*done <= i,
-        # then append the remaining conjugates one at a time.
-        acc, done, kk = val, 1, 0
-        while 2 * done <= i:
-            acc = _batch_mul(acc, acc @ frob_pows[kk].T % p, red, p)
-            done *= 2
-            kk += 1
-        if done < i:
-            conj = val @ frob_pows[kk].T % p  # sigma^done(val)
-            while True:
+            # Norm to F_p: multiply out the Frobenius orbit of val.  acc holds
+            # prod of sigma^j(val) for j < done; double while 2*done <= i,
+            # then append the remaining conjugates one at a time.
+            acc, done, kk = val, 1, 0
+            while 2 * done <= i:
+                acc = _batch_mul(acc, acc @ frob_pows[kk].T % p, red, p)
+                done *= 2
+                kk += 1
+            for j in range(done, i):  # sigma^j(val): sigma^done(val), then one sigma a step
+                conj = val @ frob_pows[kk].T % p if j == done else conj @ frob_pows[0].T % p
                 acc = _batch_mul(acc, conj, red, p)
-                done += 1
-                if done == i:
-                    break
-                conj = conj @ frob_pows[0].T % p
-        if np.any(acc[:, 1:]):
-            raise ArithmeticError("norm landed outside the prime field; kernel bug")
-        total += int(chi[acc[:, 0]].sum())
-    return total
+            if np.any(acc[:, 1:]):
+                raise ArithmeticError("norm landed outside the prime field; kernel bug")
+            totals[k] += int(chi[acc[:, 0]].sum())
+    return totals
 
 
 def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
@@ -474,18 +467,23 @@ def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     The kernels' one entry.  Every p must be an odd prime; the cap
     p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs, is
     checked for each p before any count (ValueError).  The degree-1 units
-    go through ``prime_field_sums`` together, a block of primes at a time,
-    then each other unit in order, through log tables when q <=
-    _TABLE_MAX_ORDER and the norm kernel above.  The sums do not depend on
-    a field's modulus; both extension-field kernels use the primitive one.
+    go through ``prime_field_sums`` together, a block of primes at a time.
+    The other units are grouped by field (p, i), in order of first
+    appearance, and each field's kernel is called once with all of its
+    f: log tables when q <= _TABLE_MAX_ORDER, the norm kernel above.
+    Its tables are freed when that call returns, before the next field's
+    are built.  The sums do not depend on a field's modulus; both
+    extension-field kernels use the primitive one.
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_below_cap(p)
     fp = [k for k, (_, _, i) in enumerate(units) if i == 1]
     for j, s in prime_field_sums([units[k][:2] for k in fp]):
         yield fp[j], s
-    for k, (coeffs, p, i) in enumerate(units):
+    fields: dict[tuple[int, int], list[int]] = {}
+    for k, (_, p, i) in enumerate(units):
         if i > 1:
-            reduced = tuple(c % p for c in coeffs)
-            kernel = _char_sum_logs if p**i <= _TABLE_MAX_ORDER else _char_sum_norm
-            yield k, kernel(reduced, p, i)
+            fields.setdefault((p, i), []).append(k)
+    for (p, i), ks in fields.items():
+        kernel = _char_sum_logs if p**i <= _TABLE_MAX_ORDER else _char_sum_norm
+        yield from zip(ks, kernel([tuple(c % p for c in units[k][0]) for k in ks], p, i))

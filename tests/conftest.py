@@ -33,12 +33,3 @@ def genus4_pair():
 def genus1_curve():
     return curve_from_coeffs((0, -1, 0, 1))  # x^3 - x
 
-
-@pytest.fixture
-def fresh_tables():
-    """Empty the memo of log tables before and after a test that swaps how they are built."""
-    from twistscope import kernels
-
-    kernels._field_tables.cache_clear()
-    yield
-    kernels._field_tables.cache_clear()

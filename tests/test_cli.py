@@ -404,7 +404,7 @@ class TestUsageErrors:
         assert done.stderr.startswith("io error: counting helper ") and "mid-batch" in done.stderr
         assert len(done.stderr.splitlines()) == 1, done.stderr
 
-    def test_non_primitive_modulus_is_exit_4(self, capsys, tmp_path, monkeypatch, fresh_tables):
+    def test_non_primitive_modulus_is_exit_4(self, capsys, tmp_path, monkeypatch):
         # x^2 + 1 is irreducible mod 3 but not primitive: the table build for
         # F_9 must refuse it, and the scan must stop with one line
         import twistscope.kernels
@@ -442,7 +442,8 @@ class TestScanCommand:
         [("scan", "x^5 - x", "x^5 + 4x", "--pmax", "400"),
          ("lpoly", "x^9 + x", "--pmax", "13"),
          ("char-search", "x^9 + x", "x^9 + 16x", "--pmax", "13"),
-         ("lemma62", "--c", "16", "--pmax", "13")],
+         ("lemma62", "--c", "16", "--pmax", "13"),
+         ("lpoly", "x^5 + 3x + 1", "--pmin", "71", "--pmax", "90")],  # 79 divides disc(f)
     )
     def test_cold_records_and_lines_match_across_jobs(self, capsys, tmp_path, argv):
         # helpers finish batches in any order: the same records and the same
@@ -455,6 +456,24 @@ class TestScanCommand:
             lines[jobs] = {f.name: sorted(f.read_text().splitlines()) for f in directory.iterdir()}
         assert runs["1"] == runs["2"] and runs["1"][0] == 0
         assert lines["1"] == lines["2"]
+        assert no_children()
+
+    def test_bad_prime_keeps_the_helpers(self, capsys, tmp_path, monkeypatch):
+        # 79 divides disc(f): the parent sees it before dealing any batch,
+        # so the two helpers forked at p = 3 serve every later prime
+        import twistscope.helpers
+
+        real, forks = twistscope.helpers._fork, []
+
+        def spy(count):
+            forks.append(count)
+            return real(count)
+
+        monkeypatch.setattr(twistscope.helpers, "_fork", spy)
+        rc, out, _ = run_cli(capsys, "lpoly", "x^5 + 3x + 1", "--pmin", "3", "--pmax", "200",
+                             "--jobs", "2", "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 0 and "lpoly\tx^5 + 3x + 1\t79\tbad-reduction\t-\t-\n" in out
+        assert len(forks) == 2
         assert no_children()
 
     def test_warm_parallel_rerun_counts_and_writes_nothing(self, capsys, tmp_path, monkeypatch):

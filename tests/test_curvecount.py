@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from itertools import product
 
 import numpy as np
@@ -170,12 +171,8 @@ class TestAffineCharSum:
         with pytest.raises(ValueError):
             affine_char_sum(PolyModP(3, (0, 1)), build_extension(5, 1))
 
-    def test_chi_table_is_shared_and_read_only(self):
+    def test_chi_table_marks_the_squares(self):
         chi = kernels._chi_table(13)
-        assert kernels._chi_table(13) is chi
-        assert not chi.flags.writeable
-        with pytest.raises(ValueError):
-            chi[1] = 0
         squares = {x * x % 13 for x in range(1, 13)}
         assert chi.tolist() == [0] + [1 if v in squares else -1 for v in range(1, 13)]
 
@@ -273,7 +270,7 @@ class TestLogTableKernel:
         for k in (0, 1, 2, 12345, p**2 - 3, p**2 - 2):
             assert exp[k] == coord0(k) + coord0(k + 1) * p, k
 
-    def test_non_primitive_modulus_is_an_arithmetic_error(self, monkeypatch, fresh_tables):
+    def test_non_primitive_modulus_is_an_arithmetic_error(self, monkeypatch):
         # x^2 + 1 is irreducible mod 3 but t^4 = 1: the powers of t cover
         # 4 of the 8 units, and the permutation check must see it
         assert is_irreducible(PolyModP(3, (1, 0, 1)))
@@ -284,7 +281,7 @@ class TestLogTableKernel:
     def test_genus4_count_at_47(self, genus4_pair):
         assert point_count(genus4_pair[0], 47, 4) == 4862010
 
-    def test_point_count_builds_no_modulus(self, monkeypatch, fresh_tables):
+    def test_point_count_builds_no_modulus(self, monkeypatch):
         # every kernel reads only p and i: the extension-field kernels find
         # their own primitive modulus, so no count builds a FieldSpec or
         # tests a modulus for irreducibility, over log tables or, with the
@@ -307,7 +304,7 @@ class TestLogTableKernel:
         monkeypatch.setattr(kernels, "_char_sum_logs", no_tables)
         assert [point_count(curve_from_coeffs(f), 7, i) for i in (1, 2, 3, 4)] == want
 
-    def test_point_count_through_the_norm_kernel(self, monkeypatch, fresh_tables):
+    def test_point_count_through_the_norm_kernel(self, monkeypatch):
         # a lowered cap sends these fields to the norm kernel, which counts
         # over the log tables' primitive modulus; the counts must not move
         curve = curve_from_coeffs(KERNEL_POLYS[4])
@@ -319,6 +316,78 @@ class TestLogTableKernel:
         monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
         monkeypatch.setattr(kernels, "_char_sum_logs", no_tables)
         assert [point_count(curve, 7, i) for i in (1, 2, 3, 4)] == want
+
+
+# (curve of the genus-4 pair, i) in an interleaved order: every field
+# F_{7^i} comes back after another field's unit
+PAIR_FIELD_ORDER = [(0, 3), (1, 2), (0, 4), (1, 3), (0, 2), (1, 4)]
+
+
+class TestOneKernelCallPerField:
+    """char_sums counts every f of a field in one kernel call, over tables that live for that call."""
+
+    @staticmethod
+    def units(pair):
+        return [(pair[c].f_coeffs, 7, i) for c, i in PAIR_FIELD_ORDER]
+
+    @staticmethod
+    def assert_counts(units, got):
+        for k, (f, p, i) in enumerate(units):
+            assert p**i + 1 + got[k] == oracles.count_points(f, p, i), (f, p, i)
+
+    def test_each_field_is_built_once_per_call(self, monkeypatch, genus4_pair):
+        real, built = kernels._field_tables, []
+
+        def spy(p, i):
+            built.append((p, i))
+            return real(p, i)
+
+        monkeypatch.setattr(kernels, "_field_tables", spy)
+        units = self.units(genus4_pair)
+        got = dict(kernels.char_sums(units))
+        assert built == [(7, 3), (7, 2), (7, 4)]  # in order of first appearance
+        self.assert_counts(units, got)
+
+    def test_an_identical_second_call_builds_again(self, monkeypatch, genus4_pair):
+        real, built = kernels._exp_log_tables, []
+
+        def spy(p, i):
+            built.append((p, i))
+            return real(p, i)
+
+        monkeypatch.setattr(kernels, "_exp_log_tables", spy)
+        units = [(f.f_coeffs, 7, 4) for f in genus4_pair]
+        first = list(kernels.char_sums(units))
+        assert list(kernels.char_sums(units)) == first
+        assert built == [(7, 4), (7, 4)]  # nothing outlived the first call
+
+    def test_tables_are_unreachable_once_the_call_returns(self, monkeypatch, genus4_pair):
+        real, refs = kernels._field_tables, []
+
+        def spy(p, i):
+            tables = real(p, i)
+            refs.extend(weakref.ref(t) for t in tables)
+            return tables
+
+        monkeypatch.setattr(kernels, "_field_tables", spy)
+        list(kernels.char_sums(self.units(genus4_pair)))
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
+
+    def test_norm_kernel_searches_each_modulus_once(self, monkeypatch, genus4_pair):
+        real, searched = kernels._primitive_modulus, []
+
+        def spy(p, i):
+            searched.append((p, i))
+            return real(p, i)
+
+        monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
+        monkeypatch.setattr(kernels, "_field_tables", never)
+        monkeypatch.setattr(kernels, "_primitive_modulus", spy)
+        units = self.units(genus4_pair)
+        got = dict(kernels.char_sums(units))
+        assert searched == [(7, 3), (7, 2), (7, 4)]
+        self.assert_counts(units, got)
 
 
 def first_primitive_modulus(p, i):

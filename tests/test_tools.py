@@ -35,6 +35,7 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     norm = data["norm"]
     assert (norm["p"], norm["i"], norm["q"], norm["curve"]) == (5, 2, 25, "x^9 + x")
     assert norm["elements_per_s"] == 25 / norm["s"]
+    assert norm["pair"] == ["x^9 + x", "x^9 + 16x"] and norm["pair_s"] > 0
     [row] = data["fields"]
     assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
     assert row["table_build_s"] > 0

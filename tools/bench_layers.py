@@ -4,12 +4,15 @@ One F_p row times ``kernels.prime_field_sums`` on the genus-2 pair
 x^5 - x, x^5 + 4x at every odd prime up to ``FP_PMAX``, as one batch,
 largest prime first, as a trace scan asks: seconds, and field elements
 per second (the sum of the primes, twice, over the seconds).  For each
-field F_{p^i} it records the seconds to build the field's log tables (``kernels._field_tables`` from an empty memo) and the throughput
-of ``kernels.char_sums`` over the built tables, in field elements per
-second (q / seconds), for the sparse f = x^9 + x and a dense degree-9 f.
-One norm row does the same for ``kernels.char_sums`` on ``NORM_FIELD``,
-the first field F_{p^2} above the log-table cap, which goes through the
-norm kernel, for f = x^9 + x: seconds and field elements per second.
+field F_{p^i} it records the seconds to build the field's log tables
+(``kernels._field_tables``) and the throughput of the log kernel's sum
+for one f (``kernels._log_sum``) over tables built outside the timing,
+in field elements per second (q / seconds), for the sparse f = x^9 + x
+and a dense degree-9 f.  One norm row times ``kernels.char_sums`` on
+``NORM_FIELD``, the first field F_{p^2} above the log-table cap, which
+goes through the norm kernel: for f = x^9 + x, seconds and field
+elements per second, and ``pair_s``, the seconds of one call that
+counts the pair x^9 + x, x^9 + 16x.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
 an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
@@ -58,6 +61,7 @@ POLYS = {
     "x^9 + x": (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     "dense degree 9": (3, 1, 4, 1, 5, 9, 2, 6, 5, 1),
 }
+NORM_PAIR = {"x^9 + x": POLYS["x^9 + x"], "x^9 + 16x": (0, 16, 0, 0, 0, 0, 0, 0, 0, 1)}
 FP_POLYS = {"x^5 - x": (0, -1, 0, 0, 0, 1), "x^5 + 4x": (0, 4, 0, 0, 0, 1)}
 FP_PMAX = 5000
 NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
@@ -76,27 +80,25 @@ def _median_seconds(fn) -> float:
 
 
 def measure_field(p: int, i: int) -> dict:
-    def build():
-        kernels._field_tables.cache_clear()
-        kernels._field_tables(p, i)
-
-    row = {"p": p, "i": i, "q": p**i, "table_build_s": _median_seconds(build)}
+    row = {"p": p, "i": i, "q": p**i, "table_build_s": _median_seconds(lambda: kernels._field_tables(p, i))}
+    zech, log_fp = kernels._field_tables(p, i)  # built outside the timing of the sums
     for name, coeffs in POLYS.items():
-        units = [(coeffs, p, i)]
-        list(kernels.char_sums(units))  # tables built, outside the timing
-        seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
+        reduced = tuple(c % p for c in coeffs)
+        seconds = _median_seconds(lambda: kernels._log_sum(reduced, zech, log_fp))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
 
 
 def measure_norm() -> dict:
-    """The norm kernel on NORM_FIELD, for f = x^9 + x."""
+    """The norm kernel on NORM_FIELD, for f = x^9 + x alone and for NORM_PAIR in one call."""
     p, i = NORM_FIELD
     if p**i <= kernels._TABLE_MAX_ORDER:
         raise ValueError(f"F_{p}^{i} is a log-table field, not a norm-kernel one")
     units = [(POLYS["x^9 + x"], p, i)]
     seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
-    return {"p": p, "i": i, "q": p**i, "curve": "x^9 + x", "s": seconds, "elements_per_s": p**i / seconds}
+    pair = [(f, p, i) for f in NORM_PAIR.values()]
+    return {"p": p, "i": i, "q": p**i, "curve": "x^9 + x", "s": seconds, "elements_per_s": p**i / seconds,
+            "pair": list(NORM_PAIR), "pair_s": _median_seconds(lambda: list(kernels.char_sums(pair)))}
 
 
 def measure_prime_field() -> dict:
