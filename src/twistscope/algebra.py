@@ -18,7 +18,6 @@ the curve-counting layer assumes odd characteristic.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -41,7 +40,6 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
 _MR_PSI_4 = 3215031751  # the first four bases suffice below it
 
 
-@functools.lru_cache(maxsize=1 << 15)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
 
@@ -434,7 +432,6 @@ class FieldSpec(FrozenValue):
         return self.p**self.degree
 
 
-@functools.lru_cache(maxsize=256)
 def build_extension(p: int, i: int) -> FieldSpec:
     """F_{p^i} with the first irreducible modulus in the deterministic scan.
 

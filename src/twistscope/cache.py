@@ -344,9 +344,9 @@ class LPolyCache:
             self._helpers = Helpers(self.jobs, unit_counts)
         yield from self._helpers.run(batches)
 
-    def counts(self, curve: CurveModel, p: int, upto: int, budget: int) -> list[int]:
-        """N_1..N_upto, enumerating only what the cache lacks."""
-        return self._served([(curve, p, upto)], budget)[0].counts[:upto]
+    def counts(self, curves: list[CurveModel], p: int, upto: int, budget: int) -> list[list[int]]:
+        """N_1..N_upto of each curve, enumerating together only what the cache lacks."""
+        return [e.counts[:upto] for e in self._served([(c, p, upto) for c in curves], budget)]
 
     def lpolys(self, curves: list[CurveModel], p: int, budget: int) -> list[LPolynomial]:
         """L_p of each curve, their missing counts computed together."""

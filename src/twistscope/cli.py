@@ -176,8 +176,8 @@ def _cmd_scan(args, cache, out) -> int:
 
 
 def _cmd_char_search(args, cache, out) -> int:
-    from .curvecount import odd_bad_primes, poly_discriminant
-    from .twistlab import character_search, enumerate_characters
+    from .curvecount import odd_bad_primes
+    from .twistlab import _bad_pair, character_search, enumerate_characters
 
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
@@ -186,8 +186,7 @@ def _cmd_char_search(args, cache, out) -> int:
     else:
         support = odd_bad_primes(curve_a) | odd_bad_primes(curve_b)
     candidates = enumerate_characters(support, args.include_2, args.include_sign)
-    discs = [poly_discriminant(c.f_coeffs) for c in (curve_a, curve_b)]
-    primes = [p for p in _prime_range(args) if all(d % p for d in discs)]
+    primes = [p for p in _prime_range(args) if not _bad_pair(curve_a, curve_b, p)]
     result = character_search(curve_a, curve_b, candidates, primes, args.budget, cache)
     if args.format == "table":
         print(f"char-search {curve_a.label} vs {curve_b.label}", file=out)

@@ -11,9 +11,9 @@ coefficients, constant term 1, reciprocal roots of absolute value sqrt(p).
 Its first g+1 coefficients are assembled from N_1..N_g by Newton's
 identities; the rest follow from the functional equation
 a_{2g-j} = p^{g-j} a_j.  The reduction at an odd p is good exactly when p
-does not divide disc(f); ``poly_discriminant`` is the package's one
-squarefreeness test, for curves here and for field polynomials in
-``splitfield``.
+does not divide disc(f).  ``poly_discriminant`` is the package's one
+squarefreeness test: a curve keeps disc(f) as ``CurveModel.disc``, and a
+field of ``splitfield`` keeps its polynomial's, so each is computed once.
 
 Counting is exact integer work throughout, and every count goes through
 ``unit_counts``: it checks each p and each (curve, p) of a batch once,
@@ -24,7 +24,6 @@ commands that count nothing never load numpy.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from math import comb
 
@@ -36,9 +35,9 @@ DEFAULT_BUDGET = 200_000_000  # field evaluations per prime
 
 
 class CurveModel(FrozenValue):
-    """Monic odd-degree hyperelliptic model y^2 = f(x) over Q."""
+    """Monic odd-degree hyperelliptic model y^2 = f(x) over Q; ``disc`` is disc(f), computed on construction."""
 
-    __slots__ = ("label", "f_coeffs", "genus")
+    __slots__ = ("label", "f_coeffs", "genus", "disc")
 
     def __init__(self, label: str, f_coeffs: tuple[int, ...], genus: int):
         deg = len(f_coeffs) - 1
@@ -48,9 +47,10 @@ class CurveModel(FrozenValue):
             raise ValueError("f must be monic")
         if genus != (deg - 1) // 2:
             raise ValueError("genus must equal (deg f - 1)/2")
-        if poly_discriminant(f_coeffs) == 0:
+        disc = poly_discriminant(f_coeffs)
+        if disc == 0:
             raise ValueError("f has a repeated root over Q")
-        self._set(label, f_coeffs, genus)
+        self._set(label, f_coeffs, genus, disc)
 
 
 def canonical_label(f_coeffs: tuple[int, ...]) -> str:
@@ -80,7 +80,6 @@ def curve_from_coeffs(f_coeffs) -> "CurveModel":
     return CurveModel(canonical_label(coeffs), coeffs, (len(coeffs) - 2) // 2)
 
 
-@functools.lru_cache(maxsize=1 << 10)
 def poly_discriminant(coeffs: tuple[int, ...]) -> int:
     """Discriminant of a monic integer polynomial of degree >= 1, exactly.
 
@@ -90,8 +89,9 @@ def poly_discriminant(coeffs: tuple[int, ...]) -> int:
     leading coefficient 1 and so commutes with the resultant.
 
     Sylvester resultant of f and f' by fraction-free Bareiss elimination,
-    so every intermediate stays an integer.  Memoised per coefficient
-    vector: every (curve, p) and every split prime asks again.
+    so every intermediate stays an integer.  Only the constructors of
+    ``CurveModel`` and ``splitfield.NumberFieldSpec`` call it; everything
+    else reads the ``disc`` they keep.
     """
     f = list(coeffs)
     fp = [k * c for k, c in enumerate(f)][1:]
@@ -134,7 +134,7 @@ def odd_bad_primes(curve: "CurveModel") -> set[int]:
     for ``is_prime`` to decide, raises, since the support would be
     incomplete.
     """
-    d = abs(poly_discriminant(curve.f_coeffs))
+    d = abs(curve.disc)
     out: set[int] = set()
     while d % 2 == 0:
         d //= 2
@@ -194,7 +194,7 @@ def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
     of f mod p, that is, p not dividing disc(f).
     """
     fbar = PolyModP(p, curve.f_coeffs)  # rejects p that is not an odd prime
-    if poly_discriminant(curve.f_coeffs) % p == 0:
+    if curve.disc % p == 0:
         return BadReduction(curve.label, p)
     return fbar
 
@@ -223,7 +223,7 @@ def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_odd_prime(p)
     for curve, p, _ in units:
-        if poly_discriminant(curve.f_coeffs) % p == 0:
+        if curve.disc % p == 0:
             raise BadReductionError(curve.label, p)
 
 

@@ -41,10 +41,11 @@ class NumberFieldSpec(FrozenValue):
     Residue degrees are only computed at primes not dividing the
     polynomial discriminant.  The galois flag is configuration-asserted;
     consumers validate it statistically by checking equal factor degrees
-    across many primes.  ``role`` is "base", "cover-a" or "cover-b".
+    across many primes.  ``role`` is "base", "cover-a" or "cover-b";
+    ``disc``, the polynomial discriminant computed on construction, sets the guard.
     """
 
-    __slots__ = ("name", "role", "defining_poly", "degree", "galois", "provenance")
+    __slots__ = ("name", "role", "defining_poly", "degree", "galois", "provenance", "disc")
 
     def __init__(self, name: str, role: str, defining_poly: tuple[int, ...], degree: int,
                  galois: bool, provenance: str = ""):
@@ -52,9 +53,10 @@ class NumberFieldSpec(FrozenValue):
             raise ValueError(f"field {name}: defining polynomial must be monic")
         if len(defining_poly) - 1 != degree or degree < 1:
             raise ValueError(f"field {name}: degree must be >= 1 and match the polynomial")
-        if poly_discriminant(defining_poly) == 0:
+        disc = poly_discriminant(defining_poly)
+        if disc == 0:
             raise ValueError(f"field {name}: defining polynomial is not squarefree over Q")
-        self._set(name, role, defining_poly, degree, galois, provenance)
+        self._set(name, role, defining_poly, degree, galois, provenance, disc)
 
 
 class SplitCase(Enum):
@@ -75,7 +77,7 @@ def residue_degree_galois(field: NumberFieldSpec, p: int) -> int:
     discriminant and NotGaloisConsistentError if the factor degrees are
     mixed (the configuration lied about being Galois).
     """
-    if poly_discriminant(field.defining_poly) % p == 0:
+    if field.disc % p == 0:
         raise RamifiedPrimeError(f"p={p} divides the polynomial discriminant of {field.name}")
     return next(_residue_degrees(field, _ascending_odd_primes([p])))
 
@@ -169,7 +171,7 @@ def split_profile(fields: dict[str, NumberFieldSpec], p: int) -> SplitProfile:
 
 def is_guarded(fields: dict[str, NumberFieldSpec], p: int) -> bool:
     """True when p divides the polynomial discriminant of some configured field."""
-    return any(poly_discriminant(f.defining_poly) % p == 0 for f in fields.values())
+    return any(f.disc % p == 0 for f in fields.values())
 
 
 def _field_by_role(fields: dict[str, NumberFieldSpec], role: str) -> NumberFieldSpec:

@@ -31,8 +31,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .algebra import is_prime, kronecker, odd_primes
-from .curvecount import CurveModel, DEFAULT_BUDGET, LPolynomial, poly_discriminant
+from .algebra import is_prime, kronecker, odd_primes, prime_divisors
+from .curvecount import CurveModel, DEFAULT_BUDGET, LPolynomial
 from .values import FrozenValue, Value
 
 REPORT_FORMAT_VERSION = 1
@@ -57,14 +57,8 @@ class TwistCharacter(FrozenValue):
     def __init__(self, d: int):
         if d == 0:
             raise ValueError("twist character needs a nonzero integer")
-        n = abs(d)
-        q = 2
-        while q * q <= n:
-            if n % (q * q) == 0:
-                raise ValueError(f"d={d} is not squarefree")
-            while n % q == 0:
-                n //= q
-            q += 1
+        if any(d % (q * q) == 0 for q in prime_divisors(abs(d))):
+            raise ValueError(f"d={d} is not squarefree")
         self._set(d)
 
     def value_at(self, p: int) -> int:
@@ -237,7 +231,7 @@ class ScanReport(Value):
 
 def _bad_pair(curve_a: CurveModel, curve_b: CurveModel, p: int) -> bool:
     """Whether an odd prime p divides disc(f) for either curve: bad reduction."""
-    return any(poly_discriminant(c.f_coeffs) % p == 0 for c in (curve_a, curve_b))
+    return any(c.disc % p == 0 for c in (curve_a, curve_b))
 
 
 def scan_pair(

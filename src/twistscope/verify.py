@@ -273,11 +273,12 @@ def _c5_lemma62_shape(ctx: _Context):
 
 def _c6_flat_counts(ctx: _Context):
     primes = [p for p in odd_primes(48, 150) if p % 8 in (3, 5)]
+    curves = [GENUS4_A, GENUS4_B]
+    by_p = {p: ctx.cache.counts(curves, p, upto=3, budget=ctx.budget) for p in primes}
     wrong = []
-    for curve in (GENUS4_A, GENUS4_B):
+    for k, curve in enumerate(curves):  # failures curve by curve, then by p
         for p in primes:
-            counts = ctx.cache.counts(curve, p, upto=3, budget=ctx.budget)
-            for i, n in enumerate(counts, start=1):
+            for i, n in enumerate(by_p[p][k], start=1):
                 if n != p**i + 1:
                     wrong.append((curve.label, p, i, n))
     ok = not wrong

@@ -28,8 +28,10 @@ Criteria and tolerances (all exact unless stated):
 
 import pytest
 
+from twistscope import kernels
 from twistscope.cache import LPolyCache
-from twistscope.verify import exit_code, run_all
+from twistscope.curvecount import DEFAULT_BUDGET
+from twistscope.verify import _c6_flat_counts, _Context, exit_code, run_all
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +75,33 @@ def test_criterion_05_quartic_shape(verify_results):
 
 def test_criterion_06_flat_counts(verify_results):
     _check(verify_results, 6)
+
+
+def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
+    # 11 primes, each with the fields F_p^2 and F_p^3: one table build per field, for both curves
+    real, built = kernels._field_tables, []
+
+    def spy(p, i):
+        built.append((p, i))
+        return real(p, i)
+
+    monkeypatch.setattr(kernels, "_field_tables", spy)
+    with LPolyCache(tmp_path) as cache:
+        ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=cache))
+    assert ok
+    assert len(built) == len(set(built)) == 22
+
+
+def test_criterion_06_failures_go_curve_by_curve(genus4_pair):
+    class Wrong:  # N_1 one too large everywhere
+        def counts(self, curves, p, upto, budget):
+            return [[p + 2] for _ in curves]
+
+    ok, detail = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=Wrong()))
+    a, b = (c.label for c in genus4_pair)
+    assert not ok
+    assert detail.startswith(f"flat-count failures: [('{a}', 53, 1, 55), ('{a}', 59, 1, 61)")
+    assert f"('{a}', 149, 1, 151), ('{b}', 53, 1, 55)" in detail
 
 
 def test_criterion_07_case_table(verify_results):

@@ -6,15 +6,18 @@ import pickle
 import pytest
 
 import twistscope
-from twistscope.algebra import FieldSpec, PolyModP
-from twistscope.cache import _Entry
-from twistscope.curvecount import BadReduction, LPolynomial, curve_from_coeffs
+from twistscope import curvecount, splitfield
+from twistscope.algebra import FieldSpec, PolyModP, odd_primes
+from twistscope.cache import LPolyCache, _Entry
+from twistscope.curvecount import BadReduction, LPolynomial, curve_from_coeffs, poly_discriminant
 from twistscope.splitfield import (
     Lemma62Violation,
     NumberFieldSpec,
     SplitCase,
     SplitProfile,
     TraceVanishing,
+    default_fields,
+    split_profiles,
 )
 from twistscope.twistlab import (
     CharSearchResult,
@@ -22,6 +25,9 @@ from twistscope.twistlab import (
     ScanReport,
     SignMatch,
     TwistCharacter,
+    character_search,
+    enumerate_characters,
+    scan_pair,
 )
 from twistscope.verify import CriterionResult, _Context
 
@@ -172,3 +178,40 @@ class TestValueClasses:
         L = _lpoly()
         assert pickle.loads(pickle.dumps(L)) == L
         assert pickle.loads(pickle.dumps(L)).sign_flipped() == L.sign_flipped()
+
+
+class TestNoModuleState:
+    """Curves and fields keep their discriminants, and no module keeps a memo between calls."""
+
+    @pytest.mark.parametrize("module", ["algebra", "curvecount", "splitfield", "twistlab", "cache"])
+    def test_no_function_is_memoised(self, module):
+        names = vars(importlib.import_module(f"twistscope.{module}"))
+        methods = {f"{cls}.{k}": v for cls, c in names.items() if isinstance(c, type) for k, v in vars(c).items()}
+        memos = [name for name, obj in {**names, **methods}.items() if hasattr(obj, "cache_info")]
+        assert memos == []
+
+    def test_disc_is_kept_and_pickled(self):
+        curve = _curve()
+        field = NumberFieldSpec("i", "base", (1, 0, 1), 2, True)
+        assert curve.disc == poly_discriminant(curve.f_coeffs) == -256  # roots 0, ±1, ±i
+        assert field.disc == poly_discriminant(field.defining_poly) == -4
+        back = pickle.loads(pickle.dumps((curve, 7, 2)))
+        assert back[0].disc == curve.disc and back == (curve, 7, 2)
+        assert pickle.loads(pickle.dumps(field)).disc == field.disc
+        assert repr(curve).endswith(", genus=2, disc=-256)")
+
+    def test_no_discriminant_is_recomputed(self, tmp_path, monkeypatch, genus2_pair):
+        fields = default_fields()  # curves and fields are built before the spy
+        real, calls = poly_discriminant, []
+
+        def spy(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
+
+        monkeypatch.setattr(curvecount, "poly_discriminant", spy)
+        monkeypatch.setattr(splitfield, "poly_discriminant", spy)
+        with LPolyCache(tmp_path) as cache:
+            scan_pair(*genus2_pair, 3, 200, cache=cache)
+            character_search(*genus2_pair, enumerate_characters(set(), True, True), odd_primes(3, 100), cache=cache)
+        assert len(list(split_profiles(fields, odd_primes(3, 1000)))) == 167
+        assert calls == []

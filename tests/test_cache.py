@@ -418,16 +418,16 @@ class TestComputeThrough:
 
     def test_counts_through_cache(self, cache, genus4_pair):
         curve = genus4_pair[0]
-        out = cache.counts(curve, 53, upto=2, budget=10**6)
+        [out] = cache.counts([curve], 53, upto=2, budget=10**6)
         assert out == [53 + 1, 53**2 + 1]
         assert cache.get(curve, 53)[0] == out
-        assert cache.counts(curve, 53, upto=1, budget=0) == [54]
+        assert cache.counts([curve], 53, upto=1, budget=0) == [[54]]
 
     def test_counts_recovered_from_lpoly(self, cache, genus2_pair):
         curve = genus2_pair[0]
         cache.lpoly(curve, 5, budget=10**6)
         # cached record has counts for i <= g; ask beyond the stored prefix
-        out = cache.counts(curve, 5, upto=4, budget=0)
+        [out] = cache.counts([curve], 5, upto=4, budget=0)
         assert out[:2] == [cache.get(curve, 5)[0][0], cache.get(curve, 5)[0][1]]
         assert len(out) == 4
 
@@ -555,9 +555,9 @@ class TestHelpers:
         monkeypatch.setattr(helpers, "_fork", lambda count: forked.append(1) or fork(count))
         curve = genus2_pair[0]
         with LPolyCache("", enabled=False, jobs=6) as cache:
-            assert cache.counts(curve, 3, 3, 10**6) == [point_count(curve, 3, i) for i in (1, 2, 3)]
+            assert cache.counts([curve], 3, 3, 10**6) == [[point_count(curve, 3, i) for i in (1, 2, 3)]]
             assert len(forked) == len(cache._helpers.procs) == 3
-            assert cache.counts(curve, 5, 5, 10**6) == [point_count(curve, 5, i) for i in range(1, 6)]
+            assert cache.counts([curve], 5, 5, 10**6) == [[point_count(curve, 5, i) for i in range(1, 6)]]
             assert len(forked) == len(cache._helpers.procs) == 5
         assert no_children()
 

@@ -225,6 +225,9 @@ class TestEnumerateCharacters:
         with pytest.raises(ValueError):
             TwistCharacter(-12)
         assert TwistCharacter(-6).value_at(5) == kronecker(-6, 5)
+        assert TwistCharacter(-3 * 5 * 7 * 11 * 13).d == -15015
+        with pytest.raises(ValueError, match="is not squarefree"):
+            TwistCharacter(9 * (2**31 - 1))
 
 
 class TestCharacterSearch:
