@@ -3,10 +3,10 @@
 Every command counts through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
-evaluations), and hands only those (curve, p, i) units to
-``curvecount.unit_counts``, in process when ``jobs == 1`` or all of them
-lie in one field F_{p^i}, otherwise in even-cost batches on ``jobs``
-helper processes, forked on first need and ended by ``close``.  Units of
+evaluations), checks those (curve, p, i) units once and hands only them
+to ``curvecount.unit_counts``, in process when ``jobs == 1`` or all of
+them lie in one field F_{p^i}, otherwise in even-cost batches on
+``jobs`` helper processes, forked on first need and ended by ``close``.  Units of
 one field always share one batch, so the field's tables are built once
 per request.  A disabled cache (``UNCACHED``) stores nothing but
 counts the same way.
@@ -30,12 +30,13 @@ for p wins.  A line is valid when its counts lie within the Weil bounds
 and, once there are g of them, ``lpoly_from_counts`` accepts them; a
 line that fails to parse, or this validation, is a warned miss,
 recomputed on demand.
-Helpers only count.  The owning process appends each finished (curve, p)
-at once, opening the file for one write under O_APPEND, so an
-interrupted run keeps what it finished and several commands may append
-to one directory.  After a line torn by a crash, the next append starts
-a fresh line.  Nothing is rewritten: a (curve, p) gains a line only when
-a request adds degrees.
+Helpers only count.  The owning process stores each finished (curve, p)
+at once through ``put``, the one write path, which validates the counts
+and opens the file for one write under O_APPEND, so an interrupted run
+keeps what it finished and several commands may append to one
+directory.  After a line torn by a crash, the next append starts a fresh
+line.  Nothing is rewritten: a (curve, p) gains a line only when a
+request adds degrees.
 """
 
 from __future__ import annotations
@@ -117,14 +118,6 @@ def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | Non
     g = curve.genus
     _check_count_bounds(counts, p, g, curve.label)
     return lpoly_from_counts(counts[:g], p, g, curve.label) if len(counts) >= g else None
-
-
-def _take(curve: CurveModel, p: int, counts: list[int]) -> tuple[list[int], LPolynomial | None] | None:
-    """(counts, L) for a stored count prefix, or None when the counts fail validation."""
-    try:
-        return counts, _lpoly_of(curve, p, counts)
-    except InconsistentCountsError:
-        return None
 
 
 def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[CurveModel, int, int]]]:
@@ -216,34 +209,30 @@ class LPolyCache:
         return self._taken[key]
 
     def _newest_valid(self, curve: CurveModel, p: int) -> tuple[list[int], LPolynomial | None] | None:
-        """The newest line for p whose counts pass, so a later valid line wins.
+        """The newest line for p whose counts pass ``_lpoly_of``, so a later valid line wins.
 
-        Each newer line that fails is a warned miss.
+        Each newer line that fails (InconsistentCountsError) is a warned miss.
         """
         for n, counts in reversed(self._records(curve).get(p, [])):
-            taken = _take(curve, p, counts)
-            if taken is not None:
-                return taken
-            _warn("cache file %s line %d failed validation; recomputing", _name(curve), n)
+            try:
+                return counts, _lpoly_of(curve, p, counts)
+            except InconsistentCountsError:
+                _warn("cache file %s line %d failed validation; recomputing", _name(curve), n)
         return None
 
-    def put(self, curve: CurveModel, p: int, counts: list[int]) -> None:
-        """Record N_1.. at (curve, p): one line appended to the curve's file.
+    def put(self, curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | None:
+        """Store N_1.. at (curve, p), the one write path, and return L; None below g counts.
 
-        The counts are checked at once by the rule ``get`` applies to a
-        stored line: valid ones are what ``get`` serves from now on, and
-        counts a later read would reject change nothing in memory.
+        Counts that ``get`` would reject raise InconsistentCountsError and
+        write nothing.  Valid ones are one line appended to the curve's
+        file, and the list itself is what ``get`` serves at p from now on,
+        so the caller must not change it; a disabled cache only checks them.
         """
-        if self.enabled:
-            counts = list(counts)
-            self._append(curve, p, counts, _take(curve, p, counts))
-
-    def _append(self, curve: CurveModel, p: int, counts: list[int],
-                taken: tuple[list[int], LPolynomial | None] | None) -> None:
-        """Append the line of counts at (curve, p); taken, unless None, is what get serves there now."""
+        lpoly = _lpoly_of(curve, p, counts)
+        if not self.enabled:
+            return lpoly
         self._records(curve)  # read the file, and see a torn last line, before appending
-        if taken is not None:
-            self._taken[(curve.f_coeffs, p)] = taken
+        self._taken[(curve.f_coeffs, p)] = counts, lpoly
         line = f"\t{p}\t{','.join(map(str, counts))}\t\n"
         if curve.f_coeffs in self._torn:  # end the torn line first
             line = "\n" + line
@@ -256,6 +245,7 @@ class LPolyCache:
             fh = open(path, "ab", buffering=0)
         with fh:
             fh.write(line.encode())
+        return lpoly
 
     # ------------------------------------------------------------------
     # the compute backend
@@ -313,30 +303,27 @@ class LPolyCache:
         return entries
 
     def _finish(self, entry: _Entry) -> None:
-        """Validate the entry's fresh counts once (InconsistentCountsError), then store them."""
+        """Store the entry's counts, old and fresh, through ``put``, which checks them once."""
         entry.counts = entry.counts + [entry.new[i] for i in sorted(entry.new)]
-        entry.lpoly = _lpoly_of(entry.curve, entry.p, entry.counts)
-        if self.enabled:
-            self._append(entry.curve, entry.p, entry.counts, (entry.counts, entry.lpoly))
+        entry.lpoly = self.put(entry.curve, entry.p, entry.counts)
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
 
-        Units of one field (p, i) stay together, so the field's tables are
-        built once per request.  In process, one ``unit_counts`` call counts
-        them all.  With jobs > 1 the units are checked here, before any
-        batch is dealt, so a bad prime leaves the helpers running.  The
-        fields, largest first, are dealt into four batches per helper, so
-        the batches cost about the same and small units share trips; each
-        idle helper gets the next batch.
+        Every unit is checked here, once, before any is dealt, so a bad
+        prime leaves the helpers running and they check nothing.  A field's
+        units (p, i) stay together, so its tables are built once per
+        request.  In process, one ``unit_counts`` call counts them all; with
+        jobs > 1 the fields, largest first, are dealt into four batches per
+        helper, so batches cost about the same and small units share trips.
         """
+        _check_units(units)
         batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
         if len(batches) <= 1:
             for batch in batches:
                 for k, n in unit_counts(batch):
                     yield batch[k], n
             return
-        _check_units(units)
         from . import kernels  # unused name: loads numpy once, before the helpers fork
         from .helpers import Helpers
 

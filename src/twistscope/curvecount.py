@@ -16,10 +16,11 @@ squarefreeness test: a curve keeps disc(f) as ``CurveModel.disc``, and a
 field of ``splitfield`` keeps its polynomial's, so each is computed once.
 
 Counting is exact integer work throughout, and every count goes through
-``unit_counts``: it checks each p and each (curve, p) of a batch once,
-then asks ``kernels.char_sums``, the one module that uses numpy, for
-the character sums.  ``kernels`` is imported on the first count, so
-commands that count nothing never load numpy.
+``unit_counts``, which asks ``kernels.char_sums``, the one module that
+uses numpy, for the character sums.  Its callers check the units once,
+first, by ``_check_units``: the cache's backend a whole request, and
+``point_count`` its one unit.  ``kernels`` is imported on the first
+count, so commands that count nothing never load numpy.
 """
 
 from __future__ import annotations
@@ -230,9 +231,9 @@ def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
 def unit_counts(units: list[tuple[CurveModel, int, int]]):
     """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then by field.
 
-    The one way to count; ``_check_units`` checks the batch first.
+    The one way to count.  It checks nothing: callers pass the units
+    through ``_check_units`` first, so a helper counts what its parent checked.
     """
-    _check_units(units)
     from . import kernels
 
     for k, s in kernels.char_sums([(curve.f_coeffs, p, i) for curve, p, i in units]):
@@ -241,7 +242,8 @@ def unit_counts(units: list[tuple[CurveModel, int, int]]):
 
 
 def point_count(curve: CurveModel, p: int, i: int) -> int:
-    """N_i = #C(F_{p^i}) including the point at infinity."""
+    """N_i = #C(F_{p^i}) including the point at infinity, after ``_check_units`` on the unit."""
+    _check_units([(curve, p, i)])
     return next(unit_counts([(curve, p, i)]))[1]
 
 

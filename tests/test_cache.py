@@ -15,7 +15,7 @@ from twistscope.algebra import odd_primes
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count, unit_counts
-from twistscope.errors import BadReductionError, BudgetExceededError
+from twistscope.errors import BadReductionError, BudgetExceededError, InconsistentCountsError
 
 from test_cli import no_children
 
@@ -35,6 +35,8 @@ def lines(cache, curve):
 
 
 def append(cache, curve, text):
+    """Write text at the end of the curve's file, as a damaged or foreign writer would."""
+    cache._path(curve).parent.mkdir(parents=True, exist_ok=True)
     with open(cache._path(curve), "a") as fh:
         fh.write(text)
 
@@ -77,7 +79,7 @@ class TestBasics:
 
     def test_count_outside_weil_bounds_is_miss(self, cache, genus2_pair, caplog):
         curve = genus2_pair[1]  # x^5 + 4x: N_1 = 8 at p = 7
-        cache.put(curve, 7, counts=[1008])
+        append(cache, curve, "\t7\t1008\t\n")
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             again = reopened(cache)
             assert again.get(curve, 7) is None
@@ -87,7 +89,7 @@ class TestBasics:
     def test_counts_failing_newton_are_warned_miss(self, cache, genus2_pair, caplog, capsys):
         # [6, 27] lies within the Weil bounds, but Newton step 2 is non-integral
         curve = genus2_pair[0]
-        cache.put(curve, 5, counts=[6, 27])
+        append(cache, curve, "\t5\t6,27\t\n")
         assert cache.get(curve, 5) is None
         with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
             again = reopened(cache)
@@ -97,10 +99,24 @@ class TestBasics:
         assert reopened(cache).get(curve, 5) == ([6, 6], lpoly(curve, 5))
         # the CLI recounts past such a line instead of failing
         other = LPolyCache(cache.directory.parent / "cli")
-        other.put(curve, 5, counts=[6, 27])
+        append(other, curve, "\t5\t6,27\t\n")
         argv = ["lpoly", "x^5 - x", "--p", "5", "--format", "records", "--cache-dir", str(other.directory)]
         assert main(argv) == 0
         assert capsys.readouterr().out == "lpoly\tx^5 - x\t5\t1,0,-10,0,25\t0\tok\n"
+
+    def test_put_of_invalid_counts_raises_and_writes_nothing(self, cache, genus2_pair):
+        curve = genus2_pair[1]  # x^5 + 4x: N_1 = 8 at p = 7
+        with pytest.raises(InconsistentCountsError, match="N_1=1008"):
+            cache.put(curve, 7, counts=[1008])
+        assert not cache.directory.exists()
+        assert cache.get(curve, 7) is None
+        with pytest.raises(InconsistentCountsError, match="Newton step 2"):
+            cache.put(genus2_pair[0], 5, counts=[6, 27])  # within the Weil bounds
+        assert not cache.directory.exists()
+        assert cache.put(curve, 7, counts=[8]) is None  # below g counts: no L yet
+        n2 = point_count(curve, 7, 2)
+        assert cache.put(curve, 7, counts=[8, n2]) == lpoly(curve, 7)
+        assert lines(cache, curve) == ["\t7\t8\t", f"\t7\t8,{n2}\t"]
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
         # a file named for another tool version or an older record format is
@@ -294,13 +310,13 @@ class TestLinesCheckedOnDemand:
     @staticmethod
     def count_checks(monkeypatch):
         checked = []
-        take = cache_module._take
+        lpoly_of = cache_module._lpoly_of
 
         def counting(curve, p, counts):
             checked.append(p)
-            return take(curve, p, counts)
+            return lpoly_of(curve, p, counts)
 
-        monkeypatch.setattr(cache_module, "_take", counting)
+        monkeypatch.setattr(cache_module, "_lpoly_of", counting)
         return checked
 
     def test_one_get_checks_one_prime(self, cache, genus2_pair, monkeypatch):
@@ -431,6 +447,23 @@ class TestComputeThrough:
         assert out[:2] == [cache.get(curve, 5)[0][0], cache.get(curve, 5)[0][1]]
         assert len(out) == 4
 
+    def test_every_write_goes_through_put(self, cache, genus2_pair, monkeypatch):
+        # a cold trace scan stores each (curve, p) by one put, and writes nothing else
+        from twistscope.twistlab import scan_pair
+
+        stored = []
+        put = LPolyCache.put
+
+        def spy(self, curve, p, counts):
+            stored.append((curve.f_coeffs, p))
+            return put(self, curve, p, counts)
+
+        monkeypatch.setattr(LPolyCache, "put", spy)
+        scan_pair(*genus2_pair, 3, 200, depth="traces", cache=cache)
+        written = [(c.f_coeffs, int(line.split("\t")[1])) for c in genus2_pair for line in lines(cache, c)]
+        assert len(written) == 2 * len(odd_primes(3, 200))  # both curves are good at every odd p
+        assert sorted(stored) == sorted(written)
+
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
         # the F_p kernel hands back its sums a block of primes at a time, so
         # the blocks it finished before an interrupt are stored
@@ -524,13 +557,31 @@ class TestHelpers:
 
         cache = LPolyCache(tmp_path, jobs=2)
 
-        def interrupted(curve, p, counts, taken):
+        def interrupted(curve, p, counts):
             raise KeyboardInterrupt
 
-        cache._append = interrupted
+        cache.put = interrupted
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, cache=cache)
         assert cache._helpers.procs == [] and no_children()
+
+    def test_helpers_count_what_the_parent_checked(self, genus4_pair, monkeypatch):
+        # the units are checked once, in the process that owns the cache
+        from twistscope import curvecount
+        from twistscope.twistlab import scan_pair
+
+        want = scan_pair(*genus4_pair, 3, 23, depth="full").to_text()
+        owner, real = os.getpid(), curvecount._check_units
+
+        def here_only(units):
+            if os.getpid() != owner:
+                raise AssertionError("a helper checked its batch again")
+            real(units)
+
+        monkeypatch.setattr(curvecount, "_check_units", here_only)  # before the helpers fork
+        with LPolyCache("", enabled=False, jobs=2) as cache:
+            assert scan_pair(*genus4_pair, 3, 23, depth="full", cache=cache).to_text() == want
+        assert no_children()
 
     def test_two_open_caches_both_close(self, genus4_pair):
         # the second cache's helpers fork while the first cache's run

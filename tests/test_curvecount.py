@@ -19,6 +19,7 @@ from twistscope.algebra import (
     odd_primes,
     prime_divisors,
 )
+from twistscope.cache import UNCACHED
 from twistscope.curvecount import (
     BadReduction,
     CurveModel,
@@ -514,6 +515,27 @@ class TestNormKernelHeadroom:
     def test_norm_matrices_match_field_powers(self, i):
         check_norm_matrices(build_extension(EDGE_P, i))
 
+    def test_largest_field_the_guard_admits(self):
+        # 3^39 < 2^62 <= 3^40, so F_{3^39} is the norm kernel's largest i
+        p, i = 3, 39
+        assert p**i < 1 << 62 <= p ** (i + 1)
+        low = kernels._primitive_modulus(p, i)
+        spec = FieldSpec(p, i, PolyModP(p, (*low, 1)))
+        check_norm_matrices(spec)
+        red, _ = kernels._norm_matrices(low, p)
+        rng = np.random.default_rng(i)
+        top = np.full((1, i), p - 1, dtype=np.int64)
+        a = np.vstack((top, rng.integers(0, p, size=(5, i), dtype=np.int64)))
+        b = np.vstack((top, top, rng.integers(0, p, size=(4, i), dtype=np.int64)))
+        got = kernels._batch_mul(a, b, red, p)
+        for x, y, xy in zip(a.tolist(), b.tolist(), got.tolist()):
+            assert tuple(xy) == (oracles.element(spec, x) * oracles.element(spec, y)).coeffs
+
+    def test_guard_refuses_before_the_modulus_search(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_primitive_modulus", never)
+        with pytest.raises(ValueError, match="exceeds the int64 enumeration range"):
+            point_count(curve_from_coeffs((0, -1, 0, 0, 0, 1)), 3, 40)
+
     @pytest.mark.parametrize("p,i", [(2897, 2), (211, 3), (59, 4)])
     def test_norm_matrices_of_the_primitive_modulus(self, p, i):
         # the fields the norm kernel serves first: 2897 is the least p with
@@ -591,7 +613,7 @@ class TestPrimeFieldKernel:
         good, bad = curve_from_coeffs((0, -1, 0, 0, 0, 1)), curve_from_coeffs((3, 0, 0, 0, 0, 1))
         monkeypatch.setattr(kernels, "_horner", never)  # x^5 + 3 is bad at 3 and 5
         with pytest.raises(BadReductionError) as exc:
-            list(unit_counts([(good, 7, 1), (good, 11, 1), (bad, 7, 1), (bad, 5, 1)]))
+            UNCACHED.resolve([(good, 7, 1), (good, 11, 1), (bad, 7, 1), (bad, 5, 1)], budget=100)
         assert (exc.value.label, exc.value.p) == (bad.label, 5)
 
     def test_characteristic_cap_is_checked_before_counting(self, monkeypatch):
@@ -602,7 +624,8 @@ class TestPrimeFieldKernel:
 
 class TestUnitCounts:
     def test_each_prime_is_checked_once(self, genus2_pair, monkeypatch):
-        # a batch of degrees 1-4 over three primes: one Miller-Rabin test per p
+        # a request of degrees 1-4 over three primes: one Miller-Rabin test
+        # per p, in the backend, and none in unit_counts
         import twistscope.algebra
 
         tested = []
@@ -613,11 +636,14 @@ class TestUnitCounts:
 
         real = twistscope.algebra.is_prime
         monkeypatch.setattr(twistscope.algebra, "is_prime", spy)
-        units = [(curve, p, i) for p in (7, 3, 5) for i in (4, 1, 3, 2) for curve in genus2_pair]
-        got = dict(unit_counts(units))
+        entries = UNCACHED.resolve([(curve, p, 4) for p in (7, 3, 5) for curve in genus2_pair], 10**4)
         assert sorted(tested) == [3, 5, 7]
-        for k, (curve, p, i) in enumerate(units):
-            assert got[k] == oracles.count_points(curve.f_coeffs, p, i), (curve.label, p, i)
+        for entry in entries:
+            want = [oracles.count_points(entry.curve.f_coeffs, entry.p, i) for i in range(1, 5)]
+            assert entry.counts == want, (entry.curve.label, entry.p)
+        units = [(curve, p, i) for p in (7, 3, 5) for i in (4, 1, 3, 2) for curve in genus2_pair]
+        assert len(dict(unit_counts(units))) == len(units)
+        assert sorted(tested) == [3, 5, 7]
 
     @pytest.mark.parametrize(
         "unit,error",
@@ -625,13 +651,13 @@ class TestUnitCounts:
          (((0, -1, 0, 0, 0, 1), 33554467, 2), ValueError)],  # the least prime above 2^25
     )
     def test_bad_unit_raises_before_any_kernel(self, monkeypatch, unit, error):
-        # the degree-1 units of the batch come first, and must not run
+        # the degree-1 units of the request come first, and must not run
         for name in ("_horner", "_field_tables", "_char_sum_norm"):
             monkeypatch.setattr(kernels, name, never)
         good = curve_from_coeffs((0, -1, 0, 0, 0, 1))
         coeffs, p, i = unit
         with pytest.raises(error):
-            next(unit_counts([(good, 7, 1), (good, 7, 2), (curve_from_coeffs(coeffs), p, i)]))
+            UNCACHED.resolve([(good, 7, 2), (curve_from_coeffs(coeffs), p, i)], budget=p**3)
 
 
 def test_point_count_rejects_characteristic_above_cap(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 BENCH_LAYERS = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
@@ -25,6 +26,12 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert data["repeats"] == 5 and data["machine"]["python"]
     assert data["startup"]["command"] == "lpoly 'x^5 - x' --p 3"
     assert data["startup"]["wall_s"] > 0
+    assert data["startup"]["dont_write_bytecode"] is sys.dont_write_bytecode
+    modules = data["compile"]["modules"]
+    src = BENCH_LAYERS.parent.parent / "src" / "twistscope"
+    assert sorted(modules) == sorted(path.name for path in src.glob("*.py"))
+    assert all(row["lines"] > 0 and row["compile_s"] > 0 for row in modules.values())
+    assert data["compile"]["lines"] == sum(row["lines"] for row in modules.values())
     cache = data["cache"]
     assert (cache["curve"], cache["lines"]) == ("x^5 - x", 9) and cache["file_bytes"] > 0
     assert cache["file_alloc_bytes"] > 0 and cache["file_alloc_bytes"] % 512 == 0

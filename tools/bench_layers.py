@@ -16,7 +16,13 @@ counts the pair x^9 + x, x^9 + 16x.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
 an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
-the interpreter, numpy's import and the kernels.  One cache row times
+the interpreter, numpy's import and the kernels.  It records
+``sys.dont_write_bytecode``, which the command inherits: when it is set
+and the checkout has no ``__pycache__``, the time includes compiling every
+module the command imports.  One compile row gives, for each
+``src/twistscope/*.py``, its line count and the median seconds of
+``compile()`` on its source, and their totals: what a command pays for
+each module it imports when no bytecode can be read.  One cache row times
 ``LPolyCache`` on the file of a genus-2 trace scan: one line, N_1 = p + 1,
 for each odd prime below ``CACHE_PMAX`` (9,591 lines for 1e5).  It gives
 the seconds per line of ``put`` writing the file into an empty directory,
@@ -114,13 +120,27 @@ def measure_prime_field() -> dict:
 def measure_startup() -> dict:
     """Wall seconds of STARTUP_COMMAND in a fresh interpreter, on an empty cache."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
 
     def run():
         with tempfile.TemporaryDirectory() as cache_dir:
             argv = [sys.executable, "-m", "twistscope", *STARTUP_COMMAND, "--cache-dir", cache_dir]
             subprocess.run(argv, env=env, check=True, capture_output=True)
 
-    return {"command": shlex.join(STARTUP_COMMAND), "wall_s": _median_seconds(run)}
+    return {"command": shlex.join(STARTUP_COMMAND), "wall_s": _median_seconds(run),
+            "dont_write_bytecode": sys.dont_write_bytecode}
+
+
+def measure_compile() -> dict:
+    """Lines and seconds of ``compile()`` for each module of the package, and their totals."""
+    modules = {}
+    for path in sorted((SRC / "twistscope").glob("*.py")):
+        source = path.read_text()
+        seconds = _median_seconds(lambda: compile(source, str(path), "exec"))
+        modules[path.name] = {"lines": len(source.splitlines()), "compile_s": seconds}
+    return {"modules": modules, "lines": sum(m["lines"] for m in modules.values()),
+            "compile_s": sum(m["compile_s"] for m in modules.values())}
 
 
 def measure_cache() -> dict:
@@ -157,6 +177,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         },
         "repeats": REPEATS,
         "startup": measure_startup(),
+        "compile": measure_compile(),
         "cache": measure_cache(),
         "prime_field": measure_prime_field(),
         "norm": measure_norm(),
