@@ -5,11 +5,11 @@ Every command counts through ``LPolyCache``.  It serves requests
 plans the missing degrees the budget affords (degree i costs p^i field
 evaluations), checks those (curve, p, i) units once and hands only them
 to ``curvecount.unit_counts``, in process when ``jobs == 1`` or all of
-them lie in one field F_{p^i}, otherwise in even-cost batches on
-``jobs`` helper processes, forked on first need and ended by ``close``.  Units of
-one field always share one batch, so the field's tables are built once
-per request.  A disabled cache (``UNCACHED``) stores nothing but
-counts the same way.
+them lie at one prime, otherwise in even-cost batches on ``jobs`` helper
+processes that the request forks and reaps before it returns: the cache
+owns no process.  Units of one field always share one batch, so the
+field's tables are built once per request.  A disabled cache
+(``UNCACHED``) stores nothing but counts the same way.
 
 Records live in one append-only file per curve, whose name spells the
 curve's key: record format, tool version and coefficients, joined by
@@ -139,24 +139,12 @@ class LPolyCache:
         self.directory = Path(directory)
         self.enabled = enabled
         self.jobs = jobs
-        self._helpers = None  # the forked counting helpers, made on first need
         self._paths: dict[tuple[int, ...], Path] = {}
         # coefficients -> {p: [(line number, counts), ...]}, in file order
         self._files: dict[tuple[int, ...], dict[int, list[tuple[int, list[int]]]]] = {}
         # (coefficients, p) -> what get serves there: the valid (counts, L), or None
         self._taken: dict[tuple[tuple[int, ...], int], tuple[list[int], LPolynomial | None] | None] = {}
         self._torn: set[tuple[int, ...]] = set()  # files read without a final newline
-
-    def __enter__(self) -> "LPolyCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """End and reap the counting helpers, if any were started."""
-        if self._helpers is not None:
-            self._helpers.close()
 
     def _path(self, curve: CurveModel) -> Path:
         path = self._paths.get(curve.f_coeffs)
@@ -310,26 +298,24 @@ class LPolyCache:
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
 
-        Every unit is checked here, once, before any is dealt, so a bad
-        prime leaves the helpers running and they check nothing.  A field's
-        units (p, i) stay together, so its tables are built once per
-        request.  In process, one ``unit_counts`` call counts them all; with
-        jobs > 1 the fields, largest first, are dealt into four batches per
-        helper, so batches cost about the same and small units share trips.
+        Every unit is checked here, once, before any is counted, so the
+        helpers check nothing.  In process, when jobs == 1 or every unit is
+        at one prime, one ``unit_counts`` call counts them all.  Otherwise
+        the fields (p, i), largest first, are dealt into four batches per
+        helper, so batches cost about the same and small units share trips,
+        and ``helpers.run`` forks the helpers for this request and reaps
+        them before it returns.  A field's units stay together, so its
+        tables are built once per request.
         """
         _check_units(units)
-        batches = _deal(units, 1 if self.jobs == 1 else 4 * self.jobs)
-        if len(batches) <= 1:
-            for batch in batches:
+        if self.jobs == 1 or len({p for _, p, _ in units}) < 2:
+            for batch in _deal(units, 1):
                 for k, n in unit_counts(batch):
                     yield batch[k], n
             return
-        from . import kernels  # unused name: loads numpy once, before the helpers fork
-        from .helpers import Helpers
+        from . import helpers, kernels  # kernels unused: loads numpy once, before the helpers fork
 
-        if self._helpers is None:
-            self._helpers = Helpers(self.jobs, unit_counts)
-        yield from self._helpers.run(batches)
+        yield from helpers.run(_deal(units, 4 * self.jobs), self.jobs, unit_counts)
 
     def counts(self, curves: list[CurveModel], p: int, upto: int, budget: int) -> list[list[int]]:
         """N_1..N_upto of each curve, enumerating together only what the cache lacks."""

@@ -13,9 +13,11 @@ self-check failed (an ArithmeticError, reported as ``internal error: ...``).
 
 The cache directory is taken from --cache-dir, else the environment
 variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs is the
-number of the cache's counting helpers for every subcommand that counts
-points (lpoly, scan, char-search, lemma62, verify-paper).  All cache reads
-and writes happen in this process (helpers only count).  Structured output is byte-identical
+number of counting helpers for every subcommand that counts points (lpoly,
+scan, char-search, lemma62, verify-paper).  A request over several primes,
+as a scan makes, forks them and reaps them before it returns; a request at
+one prime counts in this process.  All cache reads and writes happen in
+this process (helpers only count).  Structured output is byte-identical
 for identical inputs regardless of --jobs, and of cache state when the
 budget covers every count (a warm cache serves what a tight one refuses).
 
@@ -305,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or structured tab-separated records")
     common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="helper processes for point counting, in every subcommand that counts")
+                        help="helper processes for point counting, forked by each request over "
+                             "several primes and reaped before it returns; one-prime requests count in process")
 
     parser = argparse.ArgumentParser(
         prog="twistscope",
@@ -382,8 +385,7 @@ def main(argv=None) -> int:
 
         if args.budget is None:
             args.budget = DEFAULT_BUDGET
-        with LPolyCache(resolve_cache_dir(args.cache_dir), jobs=args.jobs) as cache:
-            return args.fn(args, cache, sys.stdout)
+        return args.fn(args, LPolyCache(resolve_cache_dir(args.cache_dir), jobs=args.jobs), sys.stdout)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

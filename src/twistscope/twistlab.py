@@ -248,8 +248,8 @@ def scan_pair(
     Each prime appears exactly once: evaluated, or skipped with reason
     ("bad-reduction" for either curve, "budget-exceeded" when the counts
     it needs cost more than ``budget``).  A scan needs every prime, so the
-    counts of all good primes go to ``cache`` as one batch; with
-    ``cache.jobs > 1`` all their units share its helpers.  Records are in
+    counts of all good primes go to ``cache`` as one request; with
+    ``cache.jobs > 1`` all their units share the helpers it forks.  Records are in
     prime order, so the report does not depend on scheduling.
     """
     if pmin < 3:

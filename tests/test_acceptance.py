@@ -86,8 +86,8 @@ def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
         return real(p, i)
 
     monkeypatch.setattr(kernels, "_field_tables", spy)
-    with LPolyCache(tmp_path) as cache:
-        ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=cache))
+    cache = LPolyCache(tmp_path)
+    ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=cache))
     assert ok
     assert len(built) == len(set(built)) == 22
 

@@ -171,7 +171,7 @@ class TestValueClasses:
         assert repr(_lpoly()) == "LPolynomial(p=3, g=1, coeffs=(1, 0, 3))"
 
     def test_pool_unit_and_lpolynomial_pickle(self):
-        # the cache pickles (CurveModel, p, i) units to its counting helpers
+        # units and L-polynomials are values: they survive pickling, as what crosses processes must
         unit = (_curve(), 7, 2)
         back = pickle.loads(pickle.dumps(unit))
         assert back == unit and back[0].genus == 2 and hash(back[0]) == hash(unit[0])
@@ -183,12 +183,19 @@ class TestValueClasses:
 class TestNoModuleState:
     """Curves and fields keep their discriminants, and no module keeps a memo between calls."""
 
-    @pytest.mark.parametrize("module", ["algebra", "curvecount", "splitfield", "twistlab", "cache"])
+    @pytest.mark.parametrize("module", ["algebra", "curvecount", "splitfield", "twistlab", "cache", "helpers"])
     def test_no_function_is_memoised(self, module):
         names = vars(importlib.import_module(f"twistscope.{module}"))
         methods = {f"{cls}.{k}": v for cls, c in names.items() if isinstance(c, type) for k, v in vars(c).items()}
         memos = [name for name, obj in {**names, **methods}.items() if hasattr(obj, "cache_info")]
         assert memos == []
+
+    def test_helpers_keep_nothing_between_requests(self):
+        # helpers live for one request: no class, and no module-level set, dict or list
+        names = vars(importlib.import_module("twistscope.helpers"))
+        kept = [name for name, obj in names.items()
+                if isinstance(obj, (set, dict, list, type)) and not name.startswith("__")]
+        assert kept == []
 
     def test_disc_is_kept_and_pickled(self):
         curve = _curve()
@@ -210,8 +217,8 @@ class TestNoModuleState:
 
         monkeypatch.setattr(curvecount, "poly_discriminant", spy)
         monkeypatch.setattr(splitfield, "poly_discriminant", spy)
-        with LPolyCache(tmp_path) as cache:
-            scan_pair(*genus2_pair, 3, 200, cache=cache)
-            character_search(*genus2_pair, enumerate_characters(set(), True, True), odd_primes(3, 100), cache=cache)
+        cache = LPolyCache(tmp_path)
+        scan_pair(*genus2_pair, 3, 200, cache=cache)
+        character_search(*genus2_pair, enumerate_characters(set(), True, True), odd_primes(3, 100), cache=cache)
         assert len(list(split_profiles(fields, odd_primes(3, 1000)))) == 167
         assert calls == []

@@ -394,10 +394,10 @@ class TestComputeThrough:
         # each count the budget affords reaches the store before the error,
         # also when the units run on helpers
         curve = genus4_pair[0]
-        with LPolyCache(tmp_path / "cache", jobs=2) as cache:
-            with pytest.raises(BudgetExceededError) as exc:
-                cache.lpoly(curve, 3, budget=39)
-            assert cache.get(curve, 3)[0] == [4, 10, 28]
+        cache = LPolyCache(tmp_path / "cache", jobs=2)
+        with pytest.raises(BudgetExceededError) as exc:
+            cache.lpoly(curve, 3, budget=39)
+        assert cache.get(curve, 3)[0] == [4, 10, 28]
         assert exc.value.required == 3 + 9 + 27 + 81
 
     def test_resolve_marks_short_requests_without_raising(self, cache, genus4_pair):
@@ -427,9 +427,9 @@ class TestComputeThrough:
 
     def test_bad_reduction_from_workers(self):
         bad = curve_from_coeffs((3, 0, 0, 0, 0, 1))  # x^5 + 3 = x^5 mod 3
-        with LPolyCache("", enabled=False, jobs=2) as cache:
-            with pytest.raises(BadReductionError) as exc:
-                cache.lpoly(bad, 3, budget=10**6)
+        cache = LPolyCache("", enabled=False, jobs=2)
+        with pytest.raises(BadReductionError) as exc:
+            cache.lpoly(bad, 3, budget=10**6)
         assert (exc.value.label, exc.value.p) == (bad.label, 3)
 
     def test_counts_through_cache(self, cache, genus4_pair):
@@ -521,8 +521,8 @@ class TestBatches:
             return dealt[-1]
 
         monkeypatch.setattr(cache_module, "_deal", spy)
-        with LPolyCache(tmp_path / "pool", jobs=2) as pooled:
-            report = scan_pair(*genus4_pair, 3, 13, depth="full", cache=pooled)
+        pooled = LPolyCache(tmp_path / "pool", jobs=2)
+        report = scan_pair(*genus4_pair, 3, 13, depth="full", cache=pooled)
         batches = dealt[0]
         fields = [{(p, i) for _, p, i in batch} for batch in batches]
         assert len(batches) == 8 and sum(map(len, fields)) == len(set().union(*fields)) == 20
@@ -542,14 +542,14 @@ class TestHelpers:
         def alarm(pairs):
             raise ArithmeticError("kernel bug")
 
-        with LPolyCache("", enabled=False, jobs=2) as cache:
-            monkeypatch.setattr(kernels, "prime_field_sums", alarm)  # before the helpers fork
-            with pytest.raises(ArithmeticError, match="kernel bug"):
-                scan_pair(*genus2_pair, 3, 100, cache=cache)
-            assert cache._helpers.procs == [] and no_children()
-            monkeypatch.undo()  # the next request forks new helpers
-            want = scan_pair(*genus2_pair, 3, 100).to_text()
-            assert scan_pair(*genus2_pair, 3, 100, cache=cache).to_text() == want
+        cache = LPolyCache("", enabled=False, jobs=2)
+        monkeypatch.setattr(kernels, "prime_field_sums", alarm)  # before the helpers fork
+        with pytest.raises(ArithmeticError, match="kernel bug"):
+            scan_pair(*genus2_pair, 3, 100, cache=cache)
+        assert no_children()
+        monkeypatch.undo()  # the next request forks new helpers
+        want = scan_pair(*genus2_pair, 3, 100).to_text()
+        assert scan_pair(*genus2_pair, 3, 100, cache=cache).to_text() == want
         assert no_children()
 
     def test_interrupt_in_the_parent_ends_the_helpers(self, tmp_path, genus2_pair):
@@ -563,7 +563,7 @@ class TestHelpers:
         cache.put = interrupted
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, cache=cache)
-        assert cache._helpers.procs == [] and no_children()
+        assert no_children()
 
     def test_helpers_count_what_the_parent_checked(self, genus4_pair, monkeypatch):
         # the units are checked once, in the process that owns the cache
@@ -579,38 +579,63 @@ class TestHelpers:
             real(units)
 
         monkeypatch.setattr(curvecount, "_check_units", here_only)  # before the helpers fork
-        with LPolyCache("", enabled=False, jobs=2) as cache:
-            assert scan_pair(*genus4_pair, 3, 23, depth="full", cache=cache).to_text() == want
+        cache = LPolyCache("", enabled=False, jobs=2)
+        assert scan_pair(*genus4_pair, 3, 23, depth="full", cache=cache).to_text() == want
         assert no_children()
 
-    def test_two_open_caches_both_close(self, genus4_pair):
-        # the second cache's helpers fork while the first cache's run
+    def test_no_helper_outlives_a_scan(self, tmp_path, genus4_pair):
+        from twistscope.twistlab import scan_pair
+
+        want = scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
+        cache = LPolyCache(tmp_path, jobs=2)
+        assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=cache).to_text() == want
+        assert no_children()
+
+    def test_no_helper_outlives_either_caches_scan(self, genus4_pair):
+        # the second cache's helpers fork while the first cache's are counting
         from twistscope.twistlab import scan_pair
 
         want = scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
         first, second = (LPolyCache("", enabled=False, jobs=2) for _ in range(2))
-        for cache in (first, second, first):
-            assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=cache).to_text() == want
-        assert len({pid for c in (first, second) for pid, _, _ in c._helpers.procs}) == 4
-        first.close()
-        second.close()
+        units = [(c, p, i) for p in (3, 5, 7) for c in genus4_pair for i in range(1, 5)]
+        running = first._run(units)
+        done = [next(running)]
+        assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=second).to_text() == want
+        done.extend(running)
+        assert sorted((c.f_coeffs, p, i, n) for (c, p, i), n in done) == sorted(
+            (c.f_coeffs, p, i, point_count(c, p, i)) for c, p, i in units)
+        assert no_children()
+        assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=first).to_text() == want
         assert no_children()
 
-    def test_forks_one_helper_per_batch_up_to_jobs(self, genus2_pair, monkeypatch):
-        # each field (p, i) is one batch here: 3 fields fork 3 of the 6 helpers,
-        # and a later request of 5 fields forks 2 more
+    def test_one_prime_forks_none_and_three_primes_fork_up_to_jobs(self, genus2_pair, monkeypatch):
+        # five fields at one prime count in process; three fields, one per
+        # prime, are three batches, so they fork 3 of the 6 helpers
         from twistscope import helpers
 
         forked = []
-        fork = helpers._fork
-        monkeypatch.setattr(helpers, "_fork", lambda count: forked.append(1) or fork(count))
+        fork = helpers.os.fork
+        monkeypatch.setattr(helpers.os, "fork", lambda: forked.append(1) or fork())
         curve = genus2_pair[0]
-        with LPolyCache("", enabled=False, jobs=6) as cache:
-            assert cache.counts([curve], 3, 3, 10**6) == [[point_count(curve, 3, i) for i in (1, 2, 3)]]
-            assert len(forked) == len(cache._helpers.procs) == 3
-            assert cache.counts([curve], 5, 5, 10**6) == [[point_count(curve, 5, i) for i in range(1, 6)]]
-            assert len(forked) == len(cache._helpers.procs) == 5
+        cache = LPolyCache("", enabled=False, jobs=6)
+        assert cache.counts([curve], 5, 5, 10**6) == [[point_count(curve, 5, i) for i in range(1, 6)]]
+        assert forked == []
+        entries = cache.resolve([(curve, p, 1) for p in (3, 5, 7)], 10**6)
+        assert [e.counts for e in entries] == [[point_count(curve, p, 1)] for p in (3, 5, 7)]
+        assert len(forked) == 3
         assert no_children()
+
+    def test_one_prime_request_forks_no_helper(self, genus4_pair, monkeypatch):
+        # a prime's largest field is most of its cost: forking would only add
+        from twistscope import helpers
+
+        def no_fork():
+            raise AssertionError("a one-prime request forked a helper")
+
+        monkeypatch.setattr(helpers.os, "fork", no_fork)
+        cache = LPolyCache("", enabled=False, jobs=2)
+        assert cache.counts(list(genus4_pair), 7, 4, 10**6) == [
+            [point_count(c, 7, i) for i in range(1, 5)] for c in genus4_pair]
 
 
 class TestConcurrentCommands:

@@ -458,22 +458,18 @@ class TestScanCommand:
         assert lines["1"] == lines["2"]
         assert no_children()
 
-    def test_bad_prime_keeps_the_helpers(self, capsys, tmp_path, monkeypatch):
-        # 79 divides disc(f): the parent sees it before dealing any batch,
-        # so the two helpers forked at p = 3 serve every later prime
+    def test_one_prime_lpoly_range_forks_no_helper(self, capsys, tmp_path, monkeypatch):
+        # lpoly asks for one prime at a time, so every request counts in
+        # process at --jobs 2; 79 divides disc(f), which the parent sees first
         import twistscope.helpers
 
-        real, forks = twistscope.helpers._fork, []
+        def no_fork():
+            raise AssertionError("a one-prime request forked a helper")
 
-        def spy(count):
-            forks.append(count)
-            return real(count)
-
-        monkeypatch.setattr(twistscope.helpers, "_fork", spy)
+        monkeypatch.setattr(twistscope.helpers.os, "fork", no_fork)
         rc, out, _ = run_cli(capsys, "lpoly", "x^5 + 3x + 1", "--pmin", "3", "--pmax", "200",
                              "--jobs", "2", "--format", "records", "--cache-dir", str(tmp_path))
         assert rc == 0 and "lpoly\tx^5 + 3x + 1\t79\tbad-reduction\t-\t-\n" in out
-        assert len(forks) == 2
         assert no_children()
 
     def test_warm_parallel_rerun_counts_and_writes_nothing(self, capsys, tmp_path, monkeypatch):

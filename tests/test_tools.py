@@ -17,6 +17,7 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     bench_layers = _load(BENCH_LAYERS)
     monkeypatch.setattr(bench_layers, "CACHE_PMAX", 30)  # 9 lines, not 9,591
     monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
+    monkeypatch.setattr(bench_layers, "DISPATCH_PMAX", 7)  # 3, 5, 7, not up to 23
     monkeypatch.setattr(bench_layers, "NORM_FIELD", (5, 2))  # the norm kernel once the cap is 9
     monkeypatch.setattr(bench_layers.kernels, "_TABLE_MAX_ORDER", 9)
     out = tmp_path / "BENCH_layers.json"
@@ -36,6 +37,10 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert (cache["curve"], cache["lines"]) == ("x^5 - x", 9) and cache["file_bytes"] > 0
     assert cache["file_alloc_bytes"] > 0 and cache["file_alloc_bytes"] % 512 == 0
     assert cache["put_s_per_line"] > 0 and cache["first_get_s_per_line"] > 0
+    dispatch = data["dispatch"]
+    assert (dispatch["curves"], dispatch["pmax"]) == (["x^9 + x", "x^9 + 16x"], 7)
+    assert (dispatch["primes"], dispatch["one_prime"]) == (3, 7)
+    assert dispatch["jobs1_s"] > 0 and dispatch["jobs2_s"] > 0 and dispatch["one_prime_jobs2_s"] > 0
     fp = data["prime_field"]
     assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)
     assert fp["elements_per_s"] == fp["elements"] / fp["s"]

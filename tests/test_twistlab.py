@@ -152,8 +152,8 @@ class TestScanPair:
 
     def test_parallel_matches_serial(self, genus2_pair):
         serial = scan_pair(*genus2_pair, 3, 30, depth="traces")
-        with LPolyCache("", enabled=False, jobs=2) as cache:
-            parallel = scan_pair(*genus2_pair, 3, 30, depth="traces", cache=cache)
+        cache = LPolyCache("", enabled=False, jobs=2)
+        parallel = scan_pair(*genus2_pair, 3, 30, depth="traces", cache=cache)
         assert serial.to_text() == parallel.to_text()
 
     def test_scan_counts_all_primes_in_one_batch(self, genus4_pair, monkeypatch):
@@ -166,8 +166,8 @@ class TestScanPair:
             return run(self, units)
 
         monkeypatch.setattr(LPolyCache, "_run", spy)
-        with LPolyCache("", enabled=False, jobs=2) as cache:
-            parallel = scan_pair(*genus4_pair, 3, 13, depth="full", budget=10**5, cache=cache)
+        cache = LPolyCache("", enabled=False, jobs=2)
+        parallel = scan_pair(*genus4_pair, 3, 13, depth="full", budget=10**5, cache=cache)
         assert batches == [[3, 5, 7, 11, 13]]
         assert parallel.to_text() == scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
 

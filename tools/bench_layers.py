@@ -29,7 +29,13 @@ the seconds per line of ``put`` writing the file into an empty directory,
 and of the first ``get`` on a fresh cache object, which reads the whole
 file; each is the median of 5 runs.  It also gives the file's size and
 its allocated size (``st_blocks`` * 512, what the benchmark's
-``cache_mb`` adds up).
+``cache_mb`` adds up).  One dispatch row times an uncached
+``LPolyCache.resolve`` of the genus-4 full request, N_1..N_4 of
+x^9 + x and x^9 + 16x at every good odd prime up to ``DISPATCH_PMAX``,
+at ``jobs=1`` (in process) and at ``jobs=2`` (forking and reaping two
+helpers each time), and one-prime ``lpolys`` of the pair at the largest
+of those primes at ``jobs=2``, which counts in process; each is the
+median of 5 runs.
 
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
@@ -59,7 +65,7 @@ import numpy as np  # noqa: E402
 from twistscope import kernels  # noqa: E402
 from twistscope.algebra import odd_primes  # noqa: E402
 from twistscope.cache import LPolyCache  # noqa: E402
-from twistscope.curvecount import curve_from_coeffs  # noqa: E402
+from twistscope.curvecount import DEFAULT_BUDGET, curve_from_coeffs  # noqa: E402
 
 REPEATS = 5
 FIELDS = [(17, 4), (23, 4), (47, 4)]
@@ -74,6 +80,7 @@ NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
+DISPATCH_PMAX = 23
 
 
 def _median_seconds(fn) -> float:
@@ -166,6 +173,20 @@ def measure_cache() -> dict:
     }
 
 
+def measure_dispatch() -> dict:
+    """Uncached genus-4 full request to DISPATCH_PMAX at jobs 1 and 2, and one prime at jobs 2."""
+    curves = [curve_from_coeffs(coeffs) for coeffs in NORM_PAIR.values()]
+    primes = [p for p in odd_primes(3, DISPATCH_PMAX) if all(c.disc % p for c in curves)]
+    requests = [(c, p, c.genus) for p in primes for c in curves]
+    row = {"curves": list(NORM_PAIR), "pmax": DISPATCH_PMAX, "primes": len(primes), "one_prime": primes[-1]}
+    for jobs in (1, 2):
+        cache = LPolyCache("", enabled=False, jobs=jobs)
+        row[f"jobs{jobs}_s"] = _median_seconds(lambda: cache.resolve(requests, DEFAULT_BUDGET))
+    cache = LPolyCache("", enabled=False, jobs=2)
+    row["one_prime_jobs2_s"] = _median_seconds(lambda: cache.lpolys(curves, primes[-1], DEFAULT_BUDGET))
+    return row
+
+
 def write(fields: list[tuple[int, int]], out: Path) -> str:
     """Measure each log-table field (p, i) and write the JSON text to out."""
     result = {
@@ -179,6 +200,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         "startup": measure_startup(),
         "compile": measure_compile(),
         "cache": measure_cache(),
+        "dispatch": measure_dispatch(),
         "prime_field": measure_prime_field(),
         "norm": measure_norm(),
         "fields": [measure_field(p, i) for p, i in fields],
