@@ -38,6 +38,7 @@ MAX_FIELD_CHAR = 1 << 25
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
 _MR_PSI_4 = 3215031751  # the first four bases suffice below it
+_TRIAL_BELOW = 1 << 16  # prime_divisors: trial division beats a Miller-Rabin test below it
 
 
 def is_prime(n: int) -> bool:
@@ -84,13 +85,19 @@ def odd_primes(lo: int, hi: int) -> list[int]:
 
 
 def prime_divisors(n: int) -> list[int]:
-    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    """The distinct prime divisors of n >= 1, ascending, by trial division.
+
+    Division stops at a prime cofactor in [2^16, psi_13), where
+    ``is_prime`` is exact and cheaper than dividing up to its root.
+    """
     out, d = [], 2
-    while d * d <= n:
+    done = _TRIAL_BELOW <= n < _MR_EXACT_BELOW and is_prime(n)
+    while d * d <= n and not done:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = _TRIAL_BELOW <= n < _MR_EXACT_BELOW and is_prime(n)
         d += 1
     return out + [n] if n > 1 else out
 

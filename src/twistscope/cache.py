@@ -93,19 +93,16 @@ def _warn(msg: str, *args) -> None:
 
 
 class _Entry(Value):
-    """What the backend holds for one (curve, p) while serving a request."""
+    """One (curve, p) of a request: N_1.., a None for each degree still counting, and L."""
 
-    __slots__ = ("curve", "p", "counts", "lpoly", "new", "pending", "short")
+    __slots__ = ("curve", "p", "counts", "lpoly", "short")
 
-    def __init__(self, curve: CurveModel, p: int, counts: list[int], lpoly: LPolynomial | None,
-                 new: dict[int, int] | None = None, pending: int = 0,
+    def __init__(self, curve: CurveModel, p: int, counts: list[int | None], lpoly: LPolynomial | None,
                  short: BudgetExceededError | None = None):
         self.curve = curve
         self.p = p
         self.counts = counts
         self.lpoly = lpoly
-        self.new = {} if new is None else new  # degree -> count, this request
-        self.pending = pending  # units still running
         self.short = short  # set when the budget cut the request short
 
 
@@ -242,7 +239,11 @@ class LPolyCache:
     def resolve(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
         """Serve (curve, p, upto) requests: one entry per request, holding N_1..N_upto.
 
-        The budget caps the field evaluations spent on each (curve, p).  A
+        A (curve, p) starts from its stored prefix.  Its list is replaced
+        once, by a copy with a None for each degree the budget affords, so
+        the list ``get`` serves never changes; each count lands in its place,
+        and when no None is left ``put`` stores the list and gives L.  The
+        budget caps the field evaluations spent on each (curve, p).  A
         request whose missing degrees do not all fit gets the prefix that
         fits, stored like any other progress, and its entry's ``short`` (not
         raised) is a BudgetExceededError whose ``required`` is the cost of
@@ -261,6 +262,7 @@ class LPolyCache:
             if entry.lpoly is not None and len(entry.counts) < min(upto[key], 2 * curve.genus):
                 entry.counts = log_derivative_counts(entry.lpoly, 2 * curve.genus)
             missing = range(len(entry.counts) + 1, upto[key] + 1)
+            planned = len(units)
             spent = 0
             for i in missing:
                 if spent + p**i > budget:
@@ -269,15 +271,15 @@ class LPolyCache:
                     break
                 spent += p**i
                 units.append((curve, p, i))
-                entry.pending += 1
+            if len(units) > planned:
+                entry.counts = entry.counts + [None] * (len(units) - planned)
         results = self._run(units)
         try:
             for (curve, p, i), n in results:
                 entry = entries[(curve.f_coeffs, p)]
-                entry.new[i] = n
-                entry.pending -= 1
-                if not entry.pending:
-                    self._finish(entry)
+                entry.counts[i - 1] = n
+                if None not in entry.counts:
+                    entry.lpoly = self.put(curve, p, entry.counts)
         finally:
             results.close()  # ends the helpers if this loop raised mid-run
         return [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
@@ -289,11 +291,6 @@ class LPolyCache:
         if short is not None:
             raise short
         return entries
-
-    def _finish(self, entry: _Entry) -> None:
-        """Store the entry's counts, old and fresh, through ``put``, which checks them once."""
-        entry.counts = entry.counts + [entry.new[i] for i in sorted(entry.new)]
-        entry.lpoly = self.put(entry.curve, entry.p, entry.counts)
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.

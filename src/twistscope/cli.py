@@ -122,6 +122,8 @@ def _cmd_lpoly(args, cache, out) -> int:
     curve = parse_curve(args.curve)
     single = args.p is not None
     if single:
+        if args.pmax is not None:
+            raise CliError("give --p or a --pmax range, not both")
         if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
             raise CliError(f"p must be an odd prime, got {args.p}")
         primes = [args.p]

@@ -14,7 +14,7 @@ class BadReductionError(TwistscopeError):
         self.p = p
 
     def __reduce__(self):
-        # rebuilt from (label, p) when a counting helper sends it back
+        # lets the error pickle: __init__ takes (label, p), not the message Exception would pass
         return BadReductionError, (self.label, self.p)
 
 

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from oracles import (
     squarefree_mod,
     zero,
 )
+import twistscope
 from twistscope.algebra import (
     FieldSpec,
     PolyModP,
@@ -440,3 +445,17 @@ class TestPrimes:
         for _ in range(100):
             n = rng.randrange(1, 5000)
             assert prime_divisors(n) == [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+        assert prime_divisors(3**39 - 1) == [2, 13, 313, 6553, 7333, 797161]
+        assert prime_divisors(3 * 5**40) == [3, 5]  # 5^40 is above psi_13: division goes on
+
+    def test_prime_cofactor_ends_trial_division(self):
+        # trial division up to sqrt(2^61 - 1) would take minutes
+        code = (
+            "from twistscope.algebra import prime_divisors\n"
+            "from twistscope.twistlab import TwistCharacter\n"
+            "assert prime_divisors(3 * (2**61 - 1)) == [3, 2**61 - 1]\n"
+            "assert TwistCharacter(-(2**61 - 1)).d == -(2**61 - 1)\n"
+        )
+        src = str(Path(twistscope.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)

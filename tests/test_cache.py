@@ -400,15 +400,53 @@ class TestComputeThrough:
         assert cache.get(curve, 3)[0] == [4, 10, 28]
         assert exc.value.required == 3 + 9 + 27 + 81
 
-    def test_resolve_marks_short_requests_without_raising(self, cache, genus4_pair):
-        # one batch: p = 3 fits the budget, p = 5 gets the prefix that fits
-        curve = genus4_pair[0]
-        at3, at5 = cache.resolve([(curve, 3, 4), (curve, 5, 4)], budget=120)
-        assert at3.short is None
-        assert at3.lpoly.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
-        assert at5.short.required == 5 + 25 + 125 + 625
-        assert at5.counts == [point_count(curve, 5, 1), point_count(curve, 5, 2)]
-        assert cache.get(curve, 5)[0] == at5.counts
+    def test_resolve_marks_short_requests_without_raising(self, tmp_path, genus2_pair, genus4_pair, monkeypatch):
+        # one batch, in process and on helpers: a stored N_1 extended to L,
+        # N_1..N_4 derived from a stored L, a prefix that fits a short
+        # budget, and a cold (curve, p); each list is stored by one put once
+        # it is whole, and the short request is marked, not raised
+        x5, x5_4 = genus2_pair
+        x9, x9_16 = genus4_pair
+        expected = lpoly(x5_4, 7)  # before the spy: it stores through a disabled cache's put
+        planned, stored = [], []
+        check, put = cache_module._check_units, LPolyCache.put
+
+        def check_spy(units):
+            planned.extend((c.label, p, i) for c, p, i in units)
+            return check(units)
+
+        def put_spy(self, curve, p, counts):
+            stored.append((curve.label, p, list(counts)))
+            return put(self, curve, p, counts)
+
+        for jobs in (1, 2):
+            cache = LPolyCache(tmp_path / f"jobs{jobs}", jobs=jobs)
+            cache.put(x9, 3, [4])
+            cache.put(x5, 5, [point_count(x5, 5, 1), point_count(x5, 5, 2)])
+            planned.clear()
+            stored.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cache_module, "_check_units", check_spy)
+                m.setattr(LPolyCache, "put", put_spy)
+                entries = cache.resolve([(x9, 3, 4), (x5, 5, 4), (x9_16, 5, 4), (x5_4, 7, 2)], budget=120)
+            extended, derived, short, cold = entries
+            whole = [(e.curve.label, e.p, e.counts) for e in (cold, short, extended)]
+            assert (stored if jobs == 1 else sorted(stored)) == (whole if jobs == 1 else sorted(whole))
+            assert sorted(planned) == sorted([(x9.label, 3, i) for i in (2, 3, 4)]
+                                             + [(x9_16.label, 5, i) for i in (1, 2)]
+                                             + [(x5_4.label, 7, i) for i in (1, 2)])
+            assert extended.counts == [point_count(x9, 3, i) for i in range(1, 5)] and extended.short is None
+            assert extended.lpoly.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
+            assert derived.counts == [point_count(x5, 5, i) for i in range(1, 5)] and derived.short is None
+            assert derived.lpoly == cache.get(x5, 5)[1]
+            assert short.short.required == 5 + 25 + 125 + 625
+            assert short.counts == [point_count(x9_16, 5, 1), point_count(x9_16, 5, 2)] and short.lpoly is None
+            assert cold.counts == [point_count(x5_4, 7, 1), point_count(x5_4, 7, 2)] and cold.short is None
+            assert cold.lpoly == expected
+            assert all(None not in e.counts for e in entries)
+            for e in (extended, short, cold):
+                assert cache.get(e.curve, e.p) == (e.counts, e.lpoly)
+        assert cache_module._Entry.__slots__ == ("curve", "p", "counts", "lpoly", "short")
 
     def test_stored_prefix_trusted(self, cache, genus4_pair, monkeypatch):
         # with N_1..N_3 stored, only the p^4 enumeration runs

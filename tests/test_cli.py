@@ -338,7 +338,8 @@ class TestUsageErrors:
          ("stats", "not-a-report.txt"),
          ("stats", "empty.txt"),
          ("stats", "short-header.txt"),
-         ("split", "--pmax", "20", "--fields", "bare-header.cfg")],
+         ("split", "--pmax", "20", "--fields", "bare-header.cfg"),
+         ("lpoly", "x^5 - x", "--p", "5", "--pmax", "50")],
     )
     def test_exit_2_with_an_error_line(self, capsys, tmp_path, argv):
         main(["scan", "x^5-x", "x^5+4x", "--pmax", "20", "--format", "records",

@@ -18,6 +18,7 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_layers, "CACHE_PMAX", 30)  # 9 lines, not 9,591
     monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
     monkeypatch.setattr(bench_layers, "DISPATCH_PMAX", 7)  # 3, 5, 7, not up to 23
+    monkeypatch.setattr(bench_layers, "REQUEST_PMAX", 30)  # 9 primes, not 2,261
     monkeypatch.setattr(bench_layers, "NORM_FIELD", (5, 2))  # the norm kernel once the cap is 9
     monkeypatch.setattr(bench_layers.kernels, "_TABLE_MAX_ORDER", 9)
     out = tmp_path / "BENCH_layers.json"
@@ -41,6 +42,9 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert (dispatch["curves"], dispatch["pmax"]) == (["x^9 + x", "x^9 + 16x"], 7)
     assert (dispatch["primes"], dispatch["one_prime"]) == (3, 7)
     assert dispatch["jobs1_s"] > 0 and dispatch["jobs2_s"] > 0 and dispatch["one_prime_jobs2_s"] > 0
+    request = data["request"]
+    assert (request["curves"], request["pmax"], request["entries"]) == (["x^5 - x", "x^5 + 4x"], 30, 18)
+    assert request["bytes_per_entry"] > 0 and request["s_per_entry"] > 0
     fp = data["prime_field"]
     assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)
     assert fp["elements_per_s"] == fp["elements"] / fp["s"]

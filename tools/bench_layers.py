@@ -35,7 +35,12 @@ x^9 + x and x^9 + 16x at every good odd prime up to ``DISPATCH_PMAX``,
 at ``jobs=1`` (in process) and at ``jobs=2`` (forking and reaping two
 helpers each time), and one-prime ``lpolys`` of the pair at the largest
 of those primes at ``jobs=2``, which counts in process; each is the
-median of 5 runs.
+median of 5 runs.  One request row times a cold uncached
+``LPolyCache.resolve`` of N_1 for x^5 - x and x^5 + 4x at every odd prime
+up to ``REQUEST_PMAX``, in process: the number of entries (one per curve
+and prime), the bytes the call leaves allocated per entry while its
+entries are alive (``tracemalloc``, one traced run), and the seconds per
+entry (median of 5 untraced runs).
 
 Run from the root of a checkout; it imports that checkout's ``src/``:
 
@@ -55,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -81,6 +87,7 @@ STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
 DISPATCH_PMAX = 23
+REQUEST_PMAX = 20_000
 
 
 def _median_seconds(fn) -> float:
@@ -187,6 +194,22 @@ def measure_dispatch() -> dict:
     return row
 
 
+def measure_request() -> dict:
+    """Bytes kept and seconds per entry of a cold uncached N_1 request over FP_POLYS to REQUEST_PMAX."""
+    curves = [curve_from_coeffs(coeffs) for coeffs in FP_POLYS.values()]
+    requests = [(c, p, 1) for p in odd_primes(3, REQUEST_PMAX) for c in curves if c.disc % p]
+    cache = LPolyCache("", enabled=False)
+    seconds = _median_seconds(lambda: cache.resolve(requests, DEFAULT_BUDGET))
+    tracemalloc.start()
+    try:
+        entries = cache.resolve(requests, DEFAULT_BUDGET)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"curves": list(FP_POLYS), "pmax": REQUEST_PMAX, "entries": len(entries),
+            "bytes_per_entry": kept / len(entries), "s_per_entry": seconds / len(entries)}
+
+
 def write(fields: list[tuple[int, int]], out: Path) -> str:
     """Measure each log-table field (p, i) and write the JSON text to out."""
     result = {
@@ -201,6 +224,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         "compile": measure_compile(),
         "cache": measure_cache(),
         "dispatch": measure_dispatch(),
+        "request": measure_request(),
         "prime_field": measure_prime_field(),
         "norm": measure_norm(),
         "fields": [measure_field(p, i) for p, i in fields],
