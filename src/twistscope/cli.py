@@ -122,14 +122,15 @@ def _cmd_lpoly(args, cache, out) -> int:
     curve = parse_curve(args.curve)
     single = args.p is not None
     if single:
-        if args.pmax is not None:
-            raise CliError("give --p or a --pmax range, not both")
+        if args.pmin is not None or args.pmax is not None:
+            raise CliError("give --p or a --pmin/--pmax range, not both")
         if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
             raise CliError(f"p must be an odd prime, got {args.p}")
         primes = [args.p]
     elif args.pmax is None:
         raise CliError("give --p or a --pmin/--pmax range")
     else:
+        args.pmin = 3 if args.pmin is None else args.pmin
         primes = _prime_range(args)  # sieve output: prime by construction
     for p in primes:
         try:
@@ -322,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lpoly", parents=[common], help="L-polynomial of one curve")
     sp.add_argument("curve", help="e.g. 'x^5 - x'")
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--pmin", type=int, default=3)
+    sp.add_argument("--pmin", type=int, default=None)
     sp.add_argument("--pmax", type=int, default=None)
     sp.set_defaults(fn=_cmd_lpoly)
 

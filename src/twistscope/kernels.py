@@ -1,8 +1,13 @@
 """Character sums sum_x chi(f(x)) over F_{p^i}: one entry, one numpy kernel per kind of field.
 
 ``char_sums`` is the only entry.  It checks the cap p < MAX_FIELD_CHAR
-once per p of a batch, then the field alone picks the kernel; each
-extension field's kernel runs once, with every f of the batch over it:
+once per p of a batch, then yields 0 for every sum that cancels: read f
+mod p, let r >= 1 be its least exponent (so f(0) = 0), m = q - 1 and
+d = gcd(m, e - r over f's exponents e).  f = x^r u(x^d) on F_q^*, so for
+zeta = g^(m/d), g a generator, f(zeta x) = zeta^r f(x) and
+chi(zeta^r) = (-1)^(r m/d): when r m/d is odd, the sum is 0.  For every
+other sum the field alone picks the kernel; each extension field's
+kernel runs once, with every f of the batch over it:
 - F_p (``prime_field_sums``): every degree-1 unit of the batch together,
   a block of primes per numpy pass, by Horner's rule with lazy
   reduction, then an int8 character table;
@@ -11,7 +16,7 @@ extension field's kernel runs once, with every f of the batch over it:
   into an index, terms are added by Zech logarithms, and chi(y) is the
   parity of log y).  g is t = x mod h, h the modulus below, and the exp
   table is read off one linear recurring sequence of h.  When f =
-  x^r u(x^d) on F_q^*, only (q - 1)/d exponents k are summed;
+  x^r u(x^d) on F_q^*, only m/d exponents k are summed;
 - larger F_{p^i} (``_char_sum_norm``): f(x) by repeated squaring in
   int64, then chi_p of the norm to F_p through Frobenius-orbit products.
 
@@ -365,9 +370,10 @@ def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> i
     Only k < D = (q-1)/d is summed, where r is the least exponent of f and
     d = gcd(q - 1, e - r over its exponents e): then f = x^r u(x^d) on
     F_q^*, so f(g^(k+D)) = g^(rD) f(g^k) and the step k -> k + D
-    multiplies chi by (-1)^(rD).  If rD is even, the d shifted copies add
-    up to the partial sum times d.  If rD is odd, D is odd, so d = m/D is
-    even and the copies cancel in pairs.  A dense f has d = 1.
+    multiplies chi by (-1)^(rD), and the d shifted copies add up to the
+    partial sum times d.  Precondition: rD is even or f(0) != 0; the other
+    sums are 0, ``char_sums`` settles them before any table is built, and
+    one here is an ArithmeticError.  A dense f has d = 1.
     """
     m = len(zech)
     terms = [(e % m, int(log_fp[c])) for e, c in enumerate(coeffs) if c]
@@ -379,7 +385,7 @@ def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> i
     d = functools.reduce(math.gcd, (e - e0 for e, _ in rest), m)
     period = m // d
     if e0 * period % 2:
-        return total
+        raise ArithmeticError("a sum that cancels reached the log kernel; kernel bug")
     partial = 0
     for lo in range(0, period, _SUM_BLOCK):
         k = np.arange(lo, min(lo + _SUM_BLOCK, period), dtype=np.int64)
@@ -461,13 +467,24 @@ def _char_sum_norm(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
     return totals
 
 
+def _cancels(coeffs: tuple[int, ...], p: int, i: int) -> bool:
+    """Whether r m/d is odd for f mod p over F_{p^i}, so its sum cancels (module docstring)."""
+    exps = [e for e, c in enumerate(coeffs) if c % p] or [0]  # r = 0: f(0) != 0, never cancels
+    m = p**i - 1
+    d = functools.reduce(math.gcd, (e - exps[0] for e in exps), m)
+    return exps[0] * (m // d) % 2 == 1
+
+
 def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     """Yield (k, sum_x chi(f(x)) over F_{p^i}) for each units[k] = (coefficients of f, p, i).
 
     The kernels' one entry.  Every p must be an odd prime; the cap
     p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs, is
-    checked for each p before any count (ValueError).  The degree-1 units
-    go through ``prime_field_sums`` together, a block of primes at a time.
+    checked for each p before any count (ValueError).  Then each unit
+    whose sum cancels is yielded as 0, before any kernel runs: f mod p has
+    least exponent r >= 1, and r m/d is odd for m = p^i - 1 and d = gcd(m,
+    e - r over f's exponents e) (``_cancels``).  The other degree-1 units go
+    through ``prime_field_sums`` together, a block of primes at a time.
     The other units are grouped by field (p, i), in order of first
     appearance, and each field's kernel is called once with all of its
     f: log tables when q <= _TABLE_MAX_ORDER, the norm kernel above.
@@ -477,12 +494,14 @@ def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_below_cap(p)
-    fp = [k for k, (_, _, i) in enumerate(units) if i == 1]
+    settled = [_cancels(*unit) for unit in units]
+    yield from ((k, 0) for k, zero in enumerate(settled) if zero)
+    fp = [k for k, (_, _, i) in enumerate(units) if i == 1 and not settled[k]]
     for j, s in prime_field_sums([units[k][:2] for k in fp]):
         yield fp[j], s
     fields: dict[tuple[int, int], list[int]] = {}
     for k, (_, p, i) in enumerate(units):
-        if i > 1:
+        if i > 1 and not settled[k]:
             fields.setdefault((p, i), []).append(k)
     for (p, i), ks in fields.items():
         kernel = _char_sum_logs if p**i <= _TABLE_MAX_ORDER else _char_sum_norm

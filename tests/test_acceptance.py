@@ -78,7 +78,10 @@ def test_criterion_06_flat_counts(verify_results):
 
 
 def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
-    # 11 primes, each with the fields F_p^2 and F_p^3: one table build per field, for both curves
+    # every unit of criterion 6 cancels, so it builds no table; with the
+    # cancellation rule off, its 11 primes, each with the fields F_p^2 and
+    # F_p^3, take one table build per field, for both curves (the log sum,
+    # which refuses a sum that cancels, is stubbed: only builds are counted)
     real, built = kernels._field_tables, []
 
     def spy(p, i):
@@ -86,8 +89,11 @@ def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
         return real(p, i)
 
     monkeypatch.setattr(kernels, "_field_tables", spy)
-    cache = LPolyCache(tmp_path)
-    ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=cache))
+    ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=LPolyCache(tmp_path / "rule")))
+    assert ok and built == []
+    monkeypatch.setattr(kernels, "_cancels", lambda coeffs, p, i: False)
+    monkeypatch.setattr(kernels, "_log_sum", lambda coeffs, zech, log_fp: 0)
+    ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=LPolyCache(tmp_path / "kernels")))
     assert ok
     assert len(built) == len(set(built)) == 22
 

@@ -430,7 +430,9 @@ class TestComputeThrough:
                 m.setattr(LPolyCache, "put", put_spy)
                 entries = cache.resolve([(x9, 3, 4), (x5, 5, 4), (x9_16, 5, 4), (x5_4, 7, 2)], budget=120)
             extended, derived, short, cold = entries
-            whole = [(e.curve.label, e.p, e.counts) for e in (cold, short, extended)]
+            # at jobs=1 the sums that cancel come first: they finish short
+            # (N_1, N_2 of x^9 + 16x at 5), then F_3^4 extended and F_7^2 cold
+            whole = [(e.curve.label, e.p, e.counts) for e in (short, extended, cold)]
             assert (stored if jobs == 1 else sorted(stored)) == (whole if jobs == 1 else sorted(whole))
             assert sorted(planned) == sorted([(x9.label, 3, i) for i in (2, 3, 4)]
                                              + [(x9_16.label, 5, i) for i in (1, 2)]
@@ -503,8 +505,9 @@ class TestComputeThrough:
         assert sorted(stored) == sorted(written)
 
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
-        # the F_p kernel hands back its sums a block of primes at a time, so
-        # the blocks it finished before an interrupt are stored
+        # the sums that cancel come first, then the F_p kernel hands back its
+        # sums a block of primes at a time, so the blocks it finished before
+        # an interrupt are stored; of the pair's primes, only p = 1 mod 8 reach it
         from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
@@ -512,7 +515,7 @@ class TestComputeThrough:
         real = kernels._block_sums
 
         def interrupted(polys, primes):
-            if 31 in primes:
+            if 41 in primes:
                 raise KeyboardInterrupt
             counted.extend((f, p) for p in primes for f in polys)
             return real(polys, primes)
@@ -521,9 +524,12 @@ class TestComputeThrough:
         monkeypatch.setattr(kernels, "_block_sums", interrupted)
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
-        assert counted  # primes go largest first, so the blocks above 31 ran
+        settled = {(c.f_coeffs, p) for c in genus2_pair for p in odd_primes(3, 100) if p % 8 != 1}
+        assert all(kernels._cancels(f, p, 1) for f, p in settled)
+        assert sorted(p for f, p in counted) == [73, 73, 89, 89, 97, 97]  # largest first: the blocks above 41
         stored = {(c.f_coeffs, p) for c in genus2_pair for p in reopened(cache)._records(c)}
-        assert stored == set(counted)
+        assert stored - settled == set(counted)
+        assert settled <= stored
 
     def test_trace_uses_count_prefix(self, cache, genus2_pair):
         curve = genus2_pair[1]

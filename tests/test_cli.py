@@ -339,7 +339,8 @@ class TestUsageErrors:
          ("stats", "empty.txt"),
          ("stats", "short-header.txt"),
          ("split", "--pmax", "20", "--fields", "bare-header.cfg"),
-         ("lpoly", "x^5 - x", "--p", "5", "--pmax", "50")],
+         ("lpoly", "x^5 - x", "--p", "5", "--pmax", "50"),
+         ("lpoly", "x^5 - x", "--p", "5", "--pmin", "7")],
     )
     def test_exit_2_with_an_error_line(self, capsys, tmp_path, argv):
         main(["scan", "x^5-x", "x^5+4x", "--pmax", "20", "--format", "records",

@@ -319,7 +319,16 @@ class TestLogTableKernel:
         assert [point_count(curve, 7, i) for i in (1, 2, 3, 4)] == want
 
 
-# (curve of the genus-4 pair, i) in an interleaved order: every field
+def translate(f, a):
+    """Coefficients of f(x + a), ascending."""
+    return tuple(sum(c * math.comb(e, k) * a ** (e - k) for e, c in enumerate(f) if e >= k)
+                 for k in range(len(f)))
+
+
+# x^9 + x and x^9 + 16x moved to x + 1: dense, with f(0) != 0 mod 7, so no
+# sum cancels and every unit reaches a kernel
+TRANSLATED_PAIR = [translate((0, c, 0, 0, 0, 0, 0, 0, 0, 1), 1) for c in (1, 16)]
+# (curve of the translated pair, i) in an interleaved order: every field
 # F_{7^i} comes back after another field's unit
 PAIR_FIELD_ORDER = [(0, 3), (1, 2), (0, 4), (1, 3), (0, 2), (1, 4)]
 
@@ -328,15 +337,15 @@ class TestOneKernelCallPerField:
     """char_sums counts every f of a field in one kernel call, over tables that live for that call."""
 
     @staticmethod
-    def units(pair):
-        return [(pair[c].f_coeffs, 7, i) for c, i in PAIR_FIELD_ORDER]
+    def units():
+        return [(TRANSLATED_PAIR[c], 7, i) for c, i in PAIR_FIELD_ORDER]
 
     @staticmethod
     def assert_counts(units, got):
         for k, (f, p, i) in enumerate(units):
             assert p**i + 1 + got[k] == oracles.count_points(f, p, i), (f, p, i)
 
-    def test_each_field_is_built_once_per_call(self, monkeypatch, genus4_pair):
+    def test_each_field_is_built_once_per_call(self, monkeypatch):
         real, built = kernels._field_tables, []
 
         def spy(p, i):
@@ -344,7 +353,7 @@ class TestOneKernelCallPerField:
             return real(p, i)
 
         monkeypatch.setattr(kernels, "_field_tables", spy)
-        units = self.units(genus4_pair)
+        units = self.units()
         got = dict(kernels.char_sums(units))
         assert built == [(7, 3), (7, 2), (7, 4)]  # in order of first appearance
         self.assert_counts(units, got)
@@ -362,7 +371,7 @@ class TestOneKernelCallPerField:
         assert list(kernels.char_sums(units)) == first
         assert built == [(7, 4), (7, 4)]  # nothing outlived the first call
 
-    def test_tables_are_unreachable_once_the_call_returns(self, monkeypatch, genus4_pair):
+    def test_tables_are_unreachable_once_the_call_returns(self, monkeypatch):
         real, refs = kernels._field_tables, []
 
         def spy(p, i):
@@ -371,11 +380,11 @@ class TestOneKernelCallPerField:
             return tables
 
         monkeypatch.setattr(kernels, "_field_tables", spy)
-        list(kernels.char_sums(self.units(genus4_pair)))
+        list(kernels.char_sums(self.units()))
         assert len(refs) == 6
         assert all(ref() is None for ref in refs)
 
-    def test_norm_kernel_searches_each_modulus_once(self, monkeypatch, genus4_pair):
+    def test_norm_kernel_searches_each_modulus_once(self, monkeypatch):
         real, searched = kernels._primitive_modulus, []
 
         def spy(p, i):
@@ -385,7 +394,7 @@ class TestOneKernelCallPerField:
         monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", 8)
         monkeypatch.setattr(kernels, "_field_tables", never)
         monkeypatch.setattr(kernels, "_primitive_modulus", spy)
-        units = self.units(genus4_pair)
+        units = self.units()
         got = dict(kernels.char_sums(units))
         assert searched == [(7, 3), (7, 2), (7, 4)]
         self.assert_counts(units, got)
@@ -474,6 +483,91 @@ class TestLogSumSymmetry:
             f[r + s * j] = c
         got = p**i + 1 + affine_char_sum(PolyModP(p, tuple(f)), build_extension(p, i))
         assert got == oracles.count_points(f, p, i)
+
+
+# sparse f with f(0) = 0: the paper's binomial curves, and x^7 + x^3 (r = 3)
+SPARSE_POLYS = [
+    (0, -1, 0, 0, 0, 1),  # x^5 - x
+    (0, 4, 0, 0, 0, 1),  # x^5 + 4x
+    (0, 3, 0, 0, 0, 0, 0, 1),  # x^7 + 3x
+    (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),  # x^9 + x
+    (0, 0, 0, 1, 0, 0, 0, 1),  # x^7 + x^3
+]
+RULE_FIELDS = [(p, i) for p in (3, 5, 7, 11, 13) for i in (1, 2, 3)]
+
+
+def cancels(f, p, i):
+    """Oracle for kernels._cancels: f mod p has f(0) = 0 and an odd rD under ``symmetry``."""
+    f = [c % p for c in f]
+    return f[0] == 0 and any(f) and symmetry(f, p**i)[1] == 1
+
+
+class TestCancellationRule:
+    """char_sums yields 0, before any kernel, for the sums that cancel, and only for them."""
+
+    def test_sparse_f_on_both_sides_of_the_rule(self, monkeypatch):
+        # at i = 1, 2 and 3 the rule settles some units and leaves others to
+        # the kernels, first the log tables, then with the cap at 8 the norm kernel
+        units = [(f, p, i) for p, i in RULE_FIELDS for f in SPARSE_POLYS]
+        for i in (1, 2, 3):
+            assert {cancels(f, p, j) for f, p, j in units if j == i} == {True, False}, i
+        want = [oracles.count_points(f, p, i) for f, p, i in units]
+        for cap in (kernels._TABLE_MAX_ORDER, 8):
+            monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", cap)
+            got = dict(kernels.char_sums(units))
+            for k, (f, p, i) in enumerate(units):
+                assert kernels._cancels(f, p, i) == cancels(f, p, i), (f, p, i)
+                assert p**i + 1 + got[k] == want[k], (f, p, i, cap)
+
+    def test_settled_units_reach_no_kernel(self, monkeypatch):
+        # x^5 + 7x^2 + x is x^5 + x mod 7, which cancels at i = 1 and 3; read
+        # over Z, its exponents 1, 2 and 5 give d = 1 and would not
+        f = (0, 1, 7, 0, 0, 1)
+        assert symmetry(f, 7) == (1, 0) and symmetry(f, 7**3) == (1, 0)
+        for name in ("_horner", "_field_tables", "_primitive_modulus"):
+            monkeypatch.setattr(kernels, name, never)
+        assert list(kernels.char_sums([(f, 7, 1), (f, 7, 3)])) == [(0, 0), (1, 0)]
+        assert oracles.count_points(f, 7, 1) == 7 + 1
+        assert oracles.count_points(f, 7, 3) == 7**3 + 1
+
+    @pytest.mark.parametrize(
+        "f",
+        [(1, -1, 0, 0, 0, 1),  # x^5 - x + 1: f(0) != 0 mod every p
+         KERNEL_POLYS[4],  # x^9 + 35x + 1
+         (0, 5, 4, 3, 2, 1),  # dense with f(0) = 0: d = 1 mod every p
+         TRANSLATED_PAIR[0]],  # (x + 1)^9 + x + 1
+    )
+    def test_no_cancellation_off_the_rule(self, f):
+        for p, i in RULE_FIELDS:
+            assert not kernels._cancels(f, p, i) and not cancels(f, p, i), (p, i)
+        units = [(f, p, i) for p, i in RULE_FIELDS if p**i <= 343]
+        for k, s in kernels.char_sums(units):
+            _, p, i = units[k]
+            assert p**i + 1 + s == oracles.count_points(f, p, i), (p, i)
+
+    def test_log_kernel_refuses_a_sum_that_cancels(self, monkeypatch):
+        # x^9 + x over F_9 has r (q - 1)/d = 1: with the rule bypassed, the
+        # log kernel must not return a guess
+        monkeypatch.setattr(kernels, "_cancels", lambda coeffs, p, i: False)
+        with pytest.raises(ArithmeticError, match="kernel bug"):
+            list(kernels.char_sums([((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3, 2)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(p, i) for p in (3, 5, 7, 11, 13) for i in (1, 2, 3) if p**i <= 1331]),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=3),
+    )
+    def test_a_sum_the_rule_settles_is_zero(self, field, r, s, u):
+        # f = x^r u(x^s), u monic, with coefficients that may vanish mod p
+        p, i = field
+        f = [0] * (r + s * len(u) + 1)
+        for j, c in enumerate([*u, 1]):
+            f[r + s * j] = c
+        assert kernels._cancels(f, p, i) == cancels(f, p, i)
+        if kernels._cancels(f, p, i):
+            assert oracles.count_points(f, p, i) == p**i + 1
 
 
 # the largest prime below MAX_FIELD_CHAR = 2^25, where int64 headroom is tightest.

@@ -19,16 +19,22 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
     monkeypatch.setattr(bench_layers, "DISPATCH_PMAX", 7)  # 3, 5, 7, not up to 23
     monkeypatch.setattr(bench_layers, "REQUEST_PMAX", 30)  # 9 primes, not 2,261
-    monkeypatch.setattr(bench_layers, "NORM_FIELD", (5, 2))  # the norm kernel once the cap is 9
+    monkeypatch.setattr(bench_layers, "SCAN_PMAX", 200)  # 45 primes, not 9,592
+    # fields where x^9 + x does not cancel; F_7^2 is a norm-kernel field once the cap is 9
+    monkeypatch.setattr(bench_layers, "NORM_FIELD", (7, 2))
     monkeypatch.setattr(bench_layers.kernels, "_TABLE_MAX_ORDER", 9)
     out = tmp_path / "BENCH_layers.json"
-    text = bench_layers.write([(3, 2)], out)
+    text = bench_layers.write([(3, 4)], out)
     data = json.loads(out.read_text())
     assert json.loads(text) == data
     assert data["repeats"] == 5 and data["machine"]["python"]
     assert data["startup"]["command"] == "lpoly 'x^5 - x' --p 3"
     assert data["startup"]["wall_s"] > 0
     assert data["startup"]["dont_write_bytecode"] is sys.dont_write_bytecode
+    scan = data["scan"]
+    assert scan["command"] == "scan 'x^5 - x' 'x^5 + 4x' --jobs 1 --pmax 200" and scan["runs"] == 3
+    assert scan["wall_s"] > 0 and scan["peak_rss_mb"] > 0 and scan["floor_mb"] > 0
+    assert scan["dont_write_bytecode"] is sys.dont_write_bytecode
     modules = data["compile"]["modules"]
     src = BENCH_LAYERS.parent.parent / "src" / "twistscope"
     assert sorted(modules) == sorted(path.name for path in src.glob("*.py"))
@@ -48,13 +54,15 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     fp = data["prime_field"]
     assert (fp["curves"], fp["primes"], fp["elements"]) == (["x^5 - x", "x^5 + 4x"], 9, 2 * 127)
     assert fp["elements_per_s"] == fp["elements"] / fp["s"]
+    assert fp["char_sums_s"] > 0
+    assert fp["settled"] == 2 * 8  # every odd p < 30 but 17 cancels, for both curves
     norm = data["norm"]
-    assert (norm["p"], norm["i"], norm["q"], norm["curve"]) == (5, 2, 25, "x^9 + x")
-    assert norm["elements_per_s"] == 25 / norm["s"]
+    assert (norm["p"], norm["i"], norm["q"], norm["curve"]) == (7, 2, 49, "x^9 + x")
+    assert norm["elements_per_s"] == 49 / norm["s"]
     assert norm["pair"] == ["x^9 + x", "x^9 + 16x"] and norm["pair_s"] > 0
     [row] = data["fields"]
-    assert (row["p"], row["i"], row["q"]) == (3, 2, 9)
+    assert (row["p"], row["i"], row["q"]) == (3, 4, 81)
     assert row["table_build_s"] > 0
     for name in ("x^9 + x", "dense degree 9"):
         assert row[name]["char_sum_s"] > 0
-        assert row[name]["elements_per_s"] == 9 / row[name]["char_sum_s"]
+        assert row[name]["elements_per_s"] == 81 / row[name]["char_sum_s"]

@@ -1,9 +1,20 @@
 """Layer timings of the counting kernels and the cache, written as one JSON file.
 
-One F_p row times ``kernels.prime_field_sums`` on the genus-2 pair
-x^5 - x, x^5 + 4x at every odd prime up to ``FP_PMAX``, as one batch,
-largest prime first, as a trace scan asks: seconds, and field elements
-per second (the sum of the primes, twice, over the seconds).  For each
+One end-to-end row times the cold genus-2 trace scan of x^5 - x and
+x^5 + 4x to ``SCAN_PMAX`` at ``--jobs 1``, each run in a fresh
+interpreter on an empty ``--cache-dir``, its stdout discarded: the median
+wall seconds and the median peak RSS (``ru_maxrss``) of 3 runs.  The
+command is started by ``os.fork`` and ``os.execve`` and reaped by
+``os.wait4``: ``posix_spawn`` and ``subprocess`` start it inside the
+launcher's memory, so its peak RSS would have the launcher's VmHWM as a
+floor.  After fork + exec the floor is the launcher's VmRSS at the fork,
+recorded as ``floor_mb``.  One F_p row times ``kernels.prime_field_sums``
+on the genus-2 pair at every odd prime up to ``FP_PMAX``, as one batch,
+largest prime first: seconds, and field elements per second (the sum of
+the primes, twice, over the seconds).  It also times ``kernels.char_sums``
+on the same degree-1 units, which is what a trace scan runs, and gives
+``settled``, the number of (f, p) whose sum cancels, which
+``char_sums`` answers before any kernel.  For each
 field F_{p^i} it records the seconds to build the field's log tables
 (``kernels._field_tables``) and the throughput of the log kernel's sum
 for one f (``kernels._log_sum``) over tables built outside the timing,
@@ -15,11 +26,12 @@ elements per second, and ``pair_s``, the seconds of one call that
 counts the pair x^9 + x, x^9 + 16x.
 Each figure is the median of 5 runs in this one process.  One start-up
 row times a minimal cold counting command, ``lpoly "x^5 - x" --p 3`` with
-an empty ``--cache-dir``, as the median of 5 fresh interpreters: that is
-the interpreter, numpy's import and the kernels.  It records
-``sys.dont_write_bytecode``, which the command inherits: when it is set
-and the checkout has no ``__pycache__``, the time includes compiling every
-module the command imports.  One compile row gives, for each
+an empty ``--cache-dir``, as the median of 5 fresh interpreters, started
+like the end-to-end row's: that is the interpreter, numpy's import and
+the kernels.  Both rows record ``sys.dont_write_bytecode``, which the
+command inherits: when it is set and the checkout has no
+``__pycache__``, the time includes compiling every module the command
+imports.  One compile row gives, for each
 ``src/twistscope/*.py``, its line count and the median seconds of
 ``compile()`` on its source, and their totals: what a command pays for
 each module it imports when no bytecode can be read.  One cache row times
@@ -56,7 +68,6 @@ import os
 import platform
 import shlex
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -74,6 +85,7 @@ from twistscope.cache import LPolyCache  # noqa: E402
 from twistscope.curvecount import DEFAULT_BUDGET, curve_from_coeffs  # noqa: E402
 
 REPEATS = 5
+SCAN_REPEATS = 3
 FIELDS = [(17, 4), (23, 4), (47, 4)]
 POLYS = {
     "x^9 + x": (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
@@ -84,6 +96,8 @@ FP_POLYS = {"x^5 - x": (0, -1, 0, 0, 0, 1), "x^5 + 4x": (0, 4, 0, 0, 0, 1)}
 FP_PMAX = 5000
 NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
+SCAN_COMMAND = ["scan", "x^5 - x", "x^5 + 4x", "--jobs", "1", "--pmax"]  # SCAN_PMAX follows
+SCAN_PMAX = 100_000
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
 DISPATCH_PMAX = 23
@@ -112,8 +126,8 @@ def measure_field(p: int, i: int) -> dict:
 def measure_norm() -> dict:
     """The norm kernel on NORM_FIELD, for f = x^9 + x alone and for NORM_PAIR in one call."""
     p, i = NORM_FIELD
-    if p**i <= kernels._TABLE_MAX_ORDER:
-        raise ValueError(f"F_{p}^{i} is a log-table field, not a norm-kernel one")
+    if p**i <= kernels._TABLE_MAX_ORDER or kernels._cancels(POLYS["x^9 + x"], p, i):
+        raise ValueError(f"F_{p}^{i} is a log-table field, or x^9 + x cancels there: no norm-kernel row")
     units = [(POLYS["x^9 + x"], p, i)]
     seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
     pair = [(f, p, i) for f in NORM_PAIR.values()]
@@ -122,27 +136,65 @@ def measure_norm() -> dict:
 
 
 def measure_prime_field() -> dict:
-    """The F_p kernel over the genus-2 pair at every odd prime up to FP_PMAX."""
+    """The F_p kernel, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
     primes = odd_primes(3, FP_PMAX)
     pairs = [(f, p) for p in reversed(primes) for f in FP_POLYS.values()]
     seconds = _median_seconds(lambda: list(kernels.prime_field_sums(pairs)))
+    units = [(f, p, 1) for f, p in pairs]
+    char_sums_s = _median_seconds(lambda: list(kernels.char_sums(units)))
     elements = len(FP_POLYS) * sum(primes)
     return {"curves": list(FP_POLYS), "pmax": FP_PMAX, "primes": len(primes), "elements": elements,
-            "s": seconds, "elements_per_s": elements / seconds}
+            "s": seconds, "elements_per_s": elements / seconds, "char_sums_s": char_sums_s,
+            "settled": sum(kernels._cancels(*unit) for unit in units)}
+
+
+def _vmrss_mb() -> float:
+    """This process's resident set size now, from /proc/self/status (Linux)."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+
+def _launch(command: list[str]) -> tuple[float, float, float]:
+    """Run twistscope with command on an empty cache: (wall s, peak RSS MB, floor MB).
+
+    fork + exec, reaped by wait4, so the peak is the command's own, above
+    a floor of this process's RSS at the fork; its stdout is discarded.
+    Raises RuntimeError unless it exits 0.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory() as cache_dir:
+        argv = [sys.executable, "-m", "twistscope", *command, "--cache-dir", cache_dir]
+        floor = _vmrss_mb()
+        start = time.perf_counter()
+        pid = os.fork()
+        if pid == 0:  # the child execs at once, or leaves without running the launcher's exit hooks
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                os.execve(argv[0], argv, env)
+            finally:
+                os._exit(127)
+        _, status, usage = os.wait4(pid, 0)
+        wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status):
+        raise RuntimeError(f"{shlex.join(command)} exited with status {os.waitstatus_to_exitcode(status)}")
+    return wall, usage.ru_maxrss / 1024, floor  # ru_maxrss is in KiB on Linux
 
 
 def measure_startup() -> dict:
     """Wall seconds of STARTUP_COMMAND in a fresh interpreter, on an empty cache."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    if sys.dont_write_bytecode:
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return {"command": shlex.join(STARTUP_COMMAND),
+            "wall_s": statistics.median(_launch(STARTUP_COMMAND)[0] for _ in range(REPEATS)),
+            "dont_write_bytecode": sys.dont_write_bytecode}
 
-    def run():
-        with tempfile.TemporaryDirectory() as cache_dir:
-            argv = [sys.executable, "-m", "twistscope", *STARTUP_COMMAND, "--cache-dir", cache_dir]
-            subprocess.run(argv, env=env, check=True, capture_output=True)
 
-    return {"command": shlex.join(STARTUP_COMMAND), "wall_s": _median_seconds(run),
+def measure_scan() -> dict:
+    """Wall seconds and peak RSS of the cold genus-2 trace scan to SCAN_PMAX at --jobs 1."""
+    command = [*SCAN_COMMAND, str(SCAN_PMAX)]
+    walls, peaks, floors = zip(*(_launch(command) for _ in range(SCAN_REPEATS)))
+    return {"command": shlex.join(command), "runs": SCAN_REPEATS, "wall_s": statistics.median(walls),
+            "peak_rss_mb": statistics.median(peaks), "floor_mb": max(floors),
             "dont_write_bytecode": sys.dont_write_bytecode}
 
 
@@ -220,6 +272,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "repeats": REPEATS,
+        "scan": measure_scan(),  # first, while this process is smallest: its RSS is the floor
         "startup": measure_startup(),
         "compile": measure_compile(),
         "cache": measure_cache(),
