@@ -76,12 +76,13 @@ def odd_primes(lo: int, hi: int) -> list[int]:
     """All odd primes p with lo <= p <= hi, ascending (sieve)."""
     if hi < 3:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
+    # 1 marks a composite.  Too large a range fails here with a bare MemoryError;
+    # bytearray([1]) * n would also print a SystemError on CPython 3.11.
+    sieve = bytearray(hi + 1)
     for q in range(2, int(hi**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = b"\x00" * len(range(q * q, hi + 1, q))
-    return [p for p in range(max(lo, 3) | 1, hi + 1, 2) if sieve[p]]
+        if not sieve[q]:
+            sieve[q * q :: q] = b"\x01" * len(range(q * q, hi + 1, q))
+    return [p for p in range(max(lo, 3) | 1, hi + 1, 2) if not sieve[p]]
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -4,9 +4,10 @@ Every command counts through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
 evaluations), checks those (curve, p, i) units once and hands only them
-to ``curvecount.unit_counts``, in process when ``jobs == 1`` or all of
-them lie at one prime, otherwise in even-cost batches on ``jobs`` helper
-processes that the request forks and reaps before it returns: the cache
+to ``curvecount.unit_counts``.  With ``jobs`` capped at the CPU count,
+they count in process when it is 1 or all of them lie at one prime,
+otherwise in even-cost batches on ``jobs`` helper processes that the
+request forks and reaps before it returns: the cache
 owns no process.  Units of one field always share one batch, so the
 field's tables are built once per request.  A disabled cache
 (``UNCACHED``) stores nothing but counts the same way.
@@ -293,26 +294,28 @@ class LPolyCache:
         return entries
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
-        """Yield (unit, N_i) for each (curve, p, i) unit as its block or batch finishes.
+        """Yield (unit, N_i) for each (curve, p, i) unit as its field or batch finishes.
 
         Every unit is checked here, once, before any is counted, so the
-        helpers check nothing.  In process, when jobs == 1 or every unit is
-        at one prime, one ``unit_counts`` call counts them all.  Otherwise
-        the fields (p, i), largest first, are dealt into four batches per
-        helper, so batches cost about the same and small units share trips,
-        and ``helpers.run`` forks the helpers for this request and reaps
-        them before it returns.  A field's units stay together, so its
-        tables are built once per request.
+        helpers check nothing.  jobs is capped at os.cpu_count(), so no
+        more helpers fork than there are CPUs.  In process, when the capped
+        jobs is 1 or every unit is at one prime, one ``unit_counts`` call
+        counts them all.  Otherwise the fields (p, i), largest first, are
+        dealt into four batches per helper, so batches cost about the same
+        and small units share trips, and ``helpers.run`` forks the helpers
+        for this request and reaps them before it returns.  A field's units
+        stay together, so its tables are built once per request.
         """
         _check_units(units)
-        if self.jobs == 1 or len({p for _, p, _ in units}) < 2:
+        jobs = min(self.jobs, os.cpu_count() or 1)
+        if jobs == 1 or len({p for _, p, _ in units}) < 2:
             for batch in _deal(units, 1):
                 for k, n in unit_counts(batch):
                     yield batch[k], n
             return
         from . import helpers, kernels  # kernels unused: loads numpy once, before the helpers fork
 
-        yield from helpers.run(_deal(units, 4 * self.jobs), self.jobs, unit_counts)
+        yield from helpers.run(_deal(units, 4 * jobs), jobs, unit_counts)
 
     def counts(self, curves: list[CurveModel], p: int, upto: int, budget: int) -> list[list[int]]:
         """N_1..N_upto of each curve, enumerating together only what the cache lacks."""

@@ -13,13 +13,14 @@ self-check failed (an ArithmeticError, reported as ``internal error: ...``).
 
 The cache directory is taken from --cache-dir, else the environment
 variable TWISTSCOPE_CACHE_DIR, else ./.twistscope-cache.  --jobs is the
-number of counting helpers for every subcommand that counts points (lpoly,
-scan, char-search, lemma62, verify-paper).  A request over several primes,
-as a scan makes, forks them and reaps them before it returns; a request at
-one prime counts in this process.  All cache reads and writes happen in
-this process (helpers only count).  Structured output is byte-identical
-for identical inputs regardless of --jobs, and of cache state when the
-budget covers every count (a warm cache serves what a tight one refuses).
+number of counting helpers, at most the CPU count, for every subcommand
+that counts points (lpoly, scan, char-search, lemma62, verify-paper).  A
+request over several primes, as a scan makes, forks them and reaps them
+before it returns; a request at one prime counts in this process.  All
+cache reads and writes happen in this process (helpers only count).
+Structured output is byte-identical for identical inputs regardless of
+--jobs, and of cache state when the budget covers every count (a warm
+cache serves what a tight one refuses).
 
 Each subcommand imports the library code it runs when it runs, so a
 command loads only its own path: ``split`` and ``stats`` open no cache.
@@ -50,7 +51,10 @@ def _prime_range(args) -> list[int]:
         raise CliError("prime range must start at an odd value >= 3")
     if args.pmax < args.pmin:
         raise CliError("empty prime range")
-    return odd_primes(args.pmin, args.pmax)
+    try:
+        return odd_primes(args.pmin, args.pmax)
+    except (MemoryError, OverflowError):  # the sieve takes one byte per integer up to --pmax
+        raise CliError(f"prime range up to {args.pmax} is too large to sieve") from None
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>[+-]?\d*)\*?x(?:\^(?P<exp>\d+))?$")
@@ -310,8 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or structured tab-separated records")
     common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="helper processes for point counting, forked by each request over "
-                             "several primes and reaped before it returns; one-prime requests count in process")
+                        help="helper processes for point counting, at most the CPU count, forked by each "
+                             "request over several primes and reaped before it returns; one-prime requests "
+                             "count in process")
 
     parser = argparse.ArgumentParser(
         prog="twistscope",

@@ -229,7 +229,7 @@ def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
 
 
 def unit_counts(units: list[tuple[CurveModel, int, int]]):
-    """Yield (k, N_i) for each units[k] = (curve, p, i): degree 1 in blocks of primes, then by field.
+    """Yield (k, N_i) for each units[k] = (curve, p, i): the sums that cancel, then field by field.
 
     The one way to count.  It checks nothing: callers pass the units
     through ``_check_units`` first, so a helper counts what its parent checked.

@@ -6,11 +6,10 @@ mod p, let r >= 1 be its least exponent (so f(0) = 0), m = q - 1 and
 d = gcd(m, e - r over f's exponents e).  f = x^r u(x^d) on F_q^*, so for
 zeta = g^(m/d), g a generator, f(zeta x) = zeta^r f(x) and
 chi(zeta^r) = (-1)^(r m/d): when r m/d is odd, the sum is 0.  For every
-other sum the field alone picks the kernel; each extension field's
-kernel runs once, with every f of the batch over it:
-- F_p (``prime_field_sums``): every degree-1 unit of the batch together,
-  a block of primes per numpy pass, by Horner's rule with lazy
-  reduction, then an int8 character table;
+other sum the field alone picks the kernel, and each field's kernel
+runs once, with every f of the batch over it:
+- F_p (``_prime_sums``): f(x) by Horner's rule with lazy reduction,
+  then an int8 character table;
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER (``_char_sum_logs``):
   discrete-log tables built once per call (x = g^k turns each monomial
   into an index, terms are added by Zech logarithms, and chi(y) is the
@@ -41,25 +40,22 @@ import numpy as np
 from .algebra import _require_below_cap, prime_divisors
 
 _CHUNK = 1 << 19
-_BLOCK = 1 << 13  # elements of an F_p block: the x-ranges of small primes, or a chunk of one
+_BLOCK = 1 << 13  # x or exponents per step of a sum: 64 KB int64 temporaries stay in cache
 _HEADROOM = 1 << 62  # |f(x)| stays below this during Horner's rule, under int64's 2^63
-_RAW_COEFF = 1 << 31  # larger coefficients of f enter Horner's rule as residues mod p
 # Log tables serve the fields F_{p^i}, i >= 2, of order q <= _TABLE_MAX_ORDER;
 # larger extension fields go through the norm kernel.  Logs lie in
 # [0, q - 1) and are stored as int32, which needs q - 1 < 2^31.
 _TABLE_MAX_ORDER = 1 << 23
 _TABLE_BLOCK = 1 << 16  # longest recurrence jump, and block length, of a table build
 _SEARCH_BATCH = 64  # counter values per batch of the primitive-modulus search
-_SUM_BLOCK = 1 << 13  # exponents per step of a log sum: 64 KB int64 temporaries stay in cache
 
 
 def _chi_table(p: int) -> np.ndarray:
     """chi[v] = quadratic character of v in F_p, as int8, built in chunks of squares.
 
-    The table of the F_p kernel's primes above _BLOCK, and of the norm
-    kernel, built once per call for every f of the call.  At p near 2^25
-    it takes 32 MB, and its build holds no more than _CHUNK int64
-    temporaries at once.
+    The table of the F_p kernel and of the norm kernel, built once per
+    call for every f of the call.  At p near 2^25 it takes 32 MB, and its
+    build holds no more than _CHUNK int64 temporaries at once.
     """
     chi = np.full(p, -1, dtype=np.int8)
     for lo in range(1, (p + 1) // 2, _CHUNK):  # x and -x have one square
@@ -92,121 +88,41 @@ def _batch_mul(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndar
     return out % p
 
 
-def _horner(coeffs: list, x: np.ndarray, mod, xmax: int) -> np.ndarray:
-    """f(x) mod p for each x, where mod is p, or an array of each element's p.
+def _horner(coeffs: tuple[int, ...], x: np.ndarray, p: int) -> np.ndarray:
+    """f(x) mod p for each x in [0, p), f's coefficients reduced mod p.
 
-    Horner's rule with lazy reduction: while |acc| <= bound and
-    0 <= x <= xmax, acc*x + c is within bound*xmax + |c|, so acc is reduced
-    only when that could pass 2^62.  A coefficient is an int below
-    _RAW_COEFF or an array of residues, and xmax < 2^25, so after a
-    reduction the next step stays below 2^51.  Most steps are one multiply
-    and one add, and f(x) takes a single final %.
+    Horner's rule with lazy reduction: while 0 <= acc <= bound, acc*x + c
+    is at most bound*(p - 1) + c, so acc is reduced only when that could
+    pass 2^62, and after a reduction the next step stays below p^2 < 2^50.
+    Most steps are one multiply and one add, and f(x) takes a single final %.
     """
-    lead, *rest = list(reversed(coeffs)) or [0]
-    bounds = [abs(c) if isinstance(c, int) else xmax for c in rest]
-    if isinstance(lead, int) and lead == 1 and rest:  # monic: acc = x + c
-        acc, bound = x + rest[0], xmax + bounds[0]
-        rest, bounds = rest[1:], bounds[1:]
+    lead, *rest = coeffs[::-1] or (0,)
+    if lead == 1 and rest:  # monic: acc = x + c
+        acc, bound = x + rest[0], p - 1 + rest[0]
+        rest = rest[1:]
     else:
-        acc = np.zeros(x.shape, dtype=np.int64)
-        acc += lead
-        bound = abs(lead) if isinstance(lead, int) else xmax
-    for c, size in zip(rest, bounds):
-        if bound * xmax + size > _HEADROOM:
-            acc %= mod
-            bound = xmax
+        acc, bound = np.full(x.shape, lead, dtype=np.int64), lead
+    for c in rest:
+        if bound * (p - 1) + c > _HEADROOM:
+            acc %= p
+            bound = p - 1
         acc *= x
-        if size:
+        if c:
             acc += c
-        bound = bound * xmax + size
-    acc %= mod
+        bound = bound * (p - 1) + c
+    acc %= p
     return acc
 
 
-def _terms(coeffs: tuple[int, ...], primes: list[int], lens: np.ndarray | None = None) -> list:
-    """f's coefficients for _horner over a block: small ones as they are, others mod each p.
-
-    With one prime a residue is an int; lens gives the length of each
-    prime's range when there are several.
-    """
-    if len(primes) == 1:
-        return [c if abs(c) < _RAW_COEFF else c % primes[0] for c in coeffs]
-    return [c if abs(c) < _RAW_COEFF else np.repeat([c % p for p in primes], lens) for c in coeffs]
-
-
-def _block_sums(polys: tuple[tuple[int, ...], ...], primes: list[int]) -> list[np.ndarray]:
-    """sum_x chi(f(x)) over F_p for each f of polys (rows) and each p of a block (columns).
-
-    The block concatenates the x-ranges of its primes, at most _BLOCK
-    elements, with each element's p and the offset of p's range, and one
-    int8 character table of the same layout serves every f.
-    """
-    lens = np.array(primes, dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    base = np.repeat(starts, lens)
-    mod = np.repeat(lens, lens)
-    x = np.arange(len(base), dtype=np.int64) - base
-    chi = np.full(len(x), -1, dtype=np.int8)
-    sq = x * x
-    sq %= mod
-    sq += base
-    chi[sq] = 1
-    chi[starts] = 0
-    sums = []
-    for coeffs in polys:
-        v = _horner(_terms(coeffs, primes, lens), x, mod, max(primes) - 1)
-        v += base
-        sums.append(np.add.reduceat(chi[v], starts, dtype=np.int64))
-    return sums
-
-
-def _prime_sums(polys: tuple[tuple[int, ...], ...], p: int) -> list[list[int]]:
-    """sum_x chi(f(x)) over F_p for each f of polys, as [[sum]] rows; p > _BLOCK, x in chunks."""
+def _prime_sums(polys: list[tuple[int, ...]], p: int) -> list[int]:
+    """sum_x chi(f(x)) over F_p for each f of polys, coefficients reduced mod p; x in chunks."""
     chi = _chi_table(p)
-    terms = [_terms(coeffs, [p]) for coeffs in polys]
     sums = [0] * len(polys)
     for lo in range(0, p, _BLOCK):
         x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
-        for n, t in enumerate(terms):
-            sums[n] += int(chi[_horner(t, x, p, p - 1)].sum())
-    return [[s] for s in sums]
-
-
-def _blocks(primes: list[int]):
-    """Runs of consecutive primes whose x-ranges fit in _BLOCK elements together; a larger p alone."""
-    block, size = [], 0
-    for p in primes:
-        if block and size + p > _BLOCK:
-            yield block
-            block, size = [], 0
-        block.append(p)
-        size += p
-    if block:
-        yield block
-
-
-def prime_field_sums(pairs: list[tuple[tuple[int, ...], int]]):
-    """Yield (k, sum_x chi(f(x)) over F_p) for each pairs[k] = (coefficients of f, p).
-
-    The one F_p kernel.  Primes asked for the same polynomials form one
-    group, in order of first appearance, and a group runs in blocks: the
-    consecutive primes whose x-ranges fit in _BLOCK elements together, or
-    one larger prime in chunks.  Each block is one numpy pass per f, and
-    its sums are yielded as soon as it is done.  Only the asked (f, p) are
-    counted.  p must be an odd prime below MAX_FIELD_CHAR.
-    """
-    asked: dict[int, list[int]] = {}
-    for k, (_, p) in enumerate(pairs):
-        asked.setdefault(p, []).append(k)
-    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for p, ks in asked.items():
-        groups.setdefault(tuple(pairs[k][0] for k in ks), []).append(p)
-    for polys, primes in groups.items():
-        for block in _blocks(primes):
-            sums = _prime_sums(polys, block[0]) if block[0] > _BLOCK else _block_sums(polys, block)
-            for j, p in enumerate(block):
-                for n, k in enumerate(asked[p]):
-                    yield k, int(sums[n][j])
+        for n, coeffs in enumerate(polys):
+            sums[n] += int(chi[_horner(coeffs, x, p)].sum())
+    return sums
 
 
 def _mat_pows(M: np.ndarray, exps: list[int], p: int) -> list[np.ndarray]:
@@ -387,8 +303,8 @@ def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> i
     if e0 * period % 2:
         raise ArithmeticError("a sum that cancels reached the log kernel; kernel bug")
     partial = 0
-    for lo in range(0, period, _SUM_BLOCK):
-        k = np.arange(lo, min(lo + _SUM_BLOCK, period), dtype=np.int64)
+    for lo in range(0, period, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, period), dtype=np.int64)
         acc = e0 * k + l0  # a log of the partial sum, unreduced
         zero = np.zeros(len(k), dtype=bool)  # the partial sum is 0
         for e, l in rest:
@@ -483,26 +399,28 @@ def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     checked for each p before any count (ValueError).  Then each unit
     whose sum cancels is yielded as 0, before any kernel runs: f mod p has
     least exponent r >= 1, and r m/d is odd for m = p^i - 1 and d = gcd(m,
-    e - r over f's exponents e) (``_cancels``).  The other degree-1 units go
-    through ``prime_field_sums`` together, a block of primes at a time.
-    The other units are grouped by field (p, i), in order of first
-    appearance, and each field's kernel is called once with all of its
-    f: log tables when q <= _TABLE_MAX_ORDER, the norm kernel above.
-    Its tables are freed when that call returns, before the next field's
-    are built.  The sums do not depend on a field's modulus; both
-    extension-field kernels use the primitive one.
+    e - r over f's exponents e) (``_cancels``).  The other units are
+    grouped by field (p, i), in order of first appearance, and each
+    field's kernel is called once with all of its f, reduced mod p: the
+    F_p kernel when i = 1, log tables when q <= _TABLE_MAX_ORDER, the norm
+    kernel above.  Its tables are freed when that call returns, before the
+    next field's are built.  The sums do not depend on a field's modulus;
+    both extension-field kernels use the primitive one.
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_below_cap(p)
     settled = [_cancels(*unit) for unit in units]
     yield from ((k, 0) for k, zero in enumerate(settled) if zero)
-    fp = [k for k, (_, _, i) in enumerate(units) if i == 1 and not settled[k]]
-    for j, s in prime_field_sums([units[k][:2] for k in fp]):
-        yield fp[j], s
     fields: dict[tuple[int, int], list[int]] = {}
     for k, (_, p, i) in enumerate(units):
-        if i > 1 and not settled[k]:
+        if not settled[k]:
             fields.setdefault((p, i), []).append(k)
     for (p, i), ks in fields.items():
-        kernel = _char_sum_logs if p**i <= _TABLE_MAX_ORDER else _char_sum_norm
-        yield from zip(ks, kernel([tuple(c % p for c in units[k][0]) for k in ks], p, i))
+        polys = [tuple(c % p for c in units[k][0]) for k in ks]
+        if i == 1:
+            sums = _prime_sums(polys, p)
+        elif p**i <= _TABLE_MAX_ORDER:
+            sums = _char_sum_logs(polys, p, i)
+        else:
+            sums = _char_sum_norm(polys, p, i)
+        yield from zip(ks, sums)

@@ -505,31 +505,51 @@ class TestComputeThrough:
         assert sorted(stored) == sorted(written)
 
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
-        # the sums that cancel come first, then the F_p kernel hands back its
-        # sums a block of primes at a time, so the blocks it finished before
+        # the sums that cancel come first, then the F_p kernel hands back a
+        # prime's sums as soon as it is done, so the primes it finished before
         # an interrupt are stored; of the pair's primes, only p = 1 mod 8 reach it
         from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
         counted = []
-        real = kernels._block_sums
+        real = kernels._prime_sums
 
-        def interrupted(polys, primes):
-            if 41 in primes:
+        def interrupted(polys, p):
+            if p == 41:
                 raise KeyboardInterrupt
-            counted.extend((f, p) for p in primes for f in polys)
-            return real(polys, primes)
+            counted.extend([p] * len(polys))
+            return real(polys, p)
 
-        monkeypatch.setattr(kernels, "_BLOCK", 100)  # blocks of one to three primes
-        monkeypatch.setattr(kernels, "_block_sums", interrupted)
+        monkeypatch.setattr(kernels, "_BLOCK", 16)  # several chunks of x per prime
+        monkeypatch.setattr(kernels, "_prime_sums", interrupted)
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
         settled = {(c.f_coeffs, p) for c in genus2_pair for p in odd_primes(3, 100) if p % 8 != 1}
         assert all(kernels._cancels(f, p, 1) for f, p in settled)
-        assert sorted(p for f, p in counted) == [73, 73, 89, 89, 97, 97]  # largest first: the blocks above 41
+        assert sorted(counted) == [73, 73, 89, 89, 97, 97]  # largest first: the primes above 41
         stored = {(c.f_coeffs, p) for c in genus2_pair for p in reopened(cache)._records(c)}
-        assert stored - settled == set(counted)
+        assert stored - settled == {(c.f_coeffs, p) for c in genus2_pair for p in set(counted)}
         assert settled <= stored
+
+    def test_interrupt_keeps_each_prime_counted_before_it(self, cache, genus2_pair, monkeypatch):
+        # at the default _BLOCK every prime is its own kernel call, so 97, 89
+        # and 73 are stored for both curves when the count at 41 is interrupted
+        from twistscope import kernels
+        from twistscope.twistlab import scan_pair
+
+        real = kernels._prime_sums
+
+        def interrupted(polys, p):
+            if p == 41:
+                raise KeyboardInterrupt
+            return real(polys, p)
+
+        monkeypatch.setattr(kernels, "_prime_sums", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
+        for curve in genus2_pair:
+            stored = set(reopened(cache)._records(curve))
+            assert {97, 89, 73} <= stored and not {41, 17} & stored, curve.label
 
     def test_trace_uses_count_prefix(self, cache, genus2_pair):
         curve = genus2_pair[1]
@@ -583,11 +603,11 @@ class TestHelpers:
         from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
-        def alarm(pairs):
+        def alarm(polys, p):
             raise ArithmeticError("kernel bug")
 
         cache = LPolyCache("", enabled=False, jobs=2)
-        monkeypatch.setattr(kernels, "prime_field_sums", alarm)  # before the helpers fork
+        monkeypatch.setattr(kernels, "_prime_sums", alarm)  # before the helpers fork
         with pytest.raises(ArithmeticError, match="kernel bug"):
             scan_pair(*genus2_pair, 3, 100, cache=cache)
         assert no_children()
@@ -660,6 +680,7 @@ class TestHelpers:
         forked = []
         fork = helpers.os.fork
         monkeypatch.setattr(helpers.os, "fork", lambda: forked.append(1) or fork())
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)  # the cap leaves jobs=6 alone
         curve = genus2_pair[0]
         cache = LPolyCache("", enabled=False, jobs=6)
         assert cache.counts([curve], 5, 5, 10**6) == [[point_count(curve, 5, i) for i in range(1, 6)]]
@@ -668,6 +689,21 @@ class TestHelpers:
         assert [e.counts for e in entries] == [[point_count(curve, p, 1)] for p in (3, 5, 7)]
         assert len(forked) == 3
         assert no_children()
+
+    def test_helpers_are_capped_at_the_cpu_count(self, genus2_pair, monkeypatch):
+        # jobs=64 deals one batch per prime field, 24 of them up to 100; with
+        # two CPUs no more than two helpers fork, and the records do not change
+        from twistscope import helpers
+        from twistscope.twistlab import scan_pair
+
+        forked = []
+        fork = helpers.os.fork
+        monkeypatch.setattr(helpers.os, "fork", lambda: forked.append(1) or fork())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = scan_pair(*genus2_pair, 3, 100, cache=LPolyCache("", enabled=False, jobs=64))
+        assert len(forked) == 2
+        assert no_children()
+        assert report.to_text() == scan_pair(*genus2_pair, 3, 100).to_text()
 
     def test_one_prime_request_forks_no_helper(self, genus4_pair, monkeypatch):
         # a prime's largest field is most of its cost: forking would only add

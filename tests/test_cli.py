@@ -166,8 +166,8 @@ class TestEachCommandLoadsItsPath:
 
 
 def test_characteristic_above_cap_is_usage_error(capsys, tmp_path, monkeypatch):
-    def never(coeffs, x, mod, xmax):
-        raise AssertionError(f"counted over F_{xmax + 1}, above the cap")
+    def never(coeffs, x, p):
+        raise AssertionError(f"counted over F_{p}, above the cap")
 
     monkeypatch.setattr("twistscope.kernels._horner", never)
     # 33554467 is the least prime above MAX_FIELD_CHAR = 2^25
@@ -355,13 +355,27 @@ class TestUsageErrors:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("pmax", ["100000000000", "100000000000000000000"])
+    def test_range_too_large_to_sieve_is_exit_2(self, tmp_path, pmax):
+        # the sieve takes a byte per integer up to --pmax: 100 GB, past this
+        # child's own address-space limit, or more than an index can hold
+        code = (
+            "import resource, sys\n"
+            "from twistscope.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = run_python("-c", code, "split", "--pmax", pmax, "--cache-dir", str(tmp_path), timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: prime range up to {pmax} is too large to sieve\n"
+
     def test_kernel_alarm_is_exit_4_without_traceback(self, capsys, tmp_path, monkeypatch):
         import twistscope.kernels
 
-        def alarm(pairs):
+        def alarm(polys, p):
             raise ArithmeticError("norm landed outside the prime field; kernel bug")
 
-        monkeypatch.setattr(twistscope.kernels, "prime_field_sums", alarm)
+        monkeypatch.setattr(twistscope.kernels, "_prime_sums", alarm)
         rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "20",
                                "--format", "records", "--cache-dir", str(tmp_path))
         assert rc == 4 and out == ""
@@ -370,10 +384,10 @@ class TestUsageErrors:
     def test_kernel_alarm_in_a_helper_is_exit_4(self, capsys, tmp_path, monkeypatch):
         import twistscope.kernels
 
-        def alarm(pairs):
+        def alarm(polys, p):
             raise ArithmeticError("kernel bug")
 
-        monkeypatch.setattr(twistscope.kernels, "prime_field_sums", alarm)  # before the helpers fork
+        monkeypatch.setattr(twistscope.kernels, "_prime_sums", alarm)  # before the helpers fork
         rc, out, err = run_cli(capsys, "scan", "x^5-x", "x^5+4x", "--pmax", "50", "--jobs", "2",
                                "--format", "records", "--cache-dir", str(tmp_path))
         assert (rc, out, err) == (4, "", "internal error: kernel bug\n")
@@ -386,12 +400,12 @@ class TestUsageErrors:
             "import os, signal, sys\n"
             "from twistscope import kernels\n"
             "from twistscope.cli import main\n"
-            "parent, real = os.getpid(), kernels.prime_field_sums\n"
-            "def dying(pairs):\n"
+            "parent, real = os.getpid(), kernels._prime_sums\n"
+            "def dying(polys, p):\n"
             "    if os.getpid() != parent:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return real(pairs)\n"
-            "kernels.prime_field_sums = dying\n"
+            "    return real(polys, p)\n"
+            "kernels._prime_sums = dying\n"
             "rc = main(sys.argv[1:])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"

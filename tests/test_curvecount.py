@@ -656,13 +656,13 @@ def never(*args):
 class TestPrimeFieldKernel:
     @staticmethod
     def sums(pairs):
-        out = list(kernels.prime_field_sums(pairs))
+        out = list(kernels.char_sums([(f, p, 1) for f, p in pairs]))
         assert sorted(k for k, _ in out) == list(range(len(pairs)))  # each asked pair, once
         return dict(out)
 
     def test_random_polys_across_blocks(self, monkeypatch):
-        # with 64-element blocks, the primes below 64 share blocks and the
-        # larger ones run alone in chunks; some (f, p) pairs are not asked
+        # with 64-element chunks, the primes below 64 take one chunk and the
+        # larger ones several; some (f, p) pairs are not asked
         monkeypatch.setattr(kernels, "_BLOCK", 64)
         rng = random.Random(2024)
         polys = [random_poly(rng, rng.randint(3, 15), dense, big)
@@ -674,8 +674,8 @@ class TestPrimeFieldKernel:
             assert got[k] == oracles.count_points(f, p, 1) - p - 1, (f, p)
 
     def test_primes_around_the_block_size(self, genus2_pair):
-        # the two primes below _BLOCK fill a block each, the two above it run
-        # in two chunks each, and 3 and 5 share a block
+        # the two primes below _BLOCK take one chunk each, the two above it
+        # two chunks each, and 3 and 5 a short chunk each
         below = odd_primes(kernels._BLOCK - 100, kernels._BLOCK)[-2:]
         above = odd_primes(kernels._BLOCK, kernels._BLOCK + 100)[:2]
         primes = [*above, *below, 5, 3]
@@ -700,7 +700,7 @@ class TestPrimeFieldKernel:
             for c in reversed(f):
                 acc = (acc * v + c) % p
             want.append(acc)
-        assert kernels._horner(kernels._terms(tuple(f), [p]), x, p, p - 1).tolist() == want
+        assert kernels._horner(tuple(c % p for c in f), x, p).tolist() == want
         assert self.sums([(tuple(f), p)]) == {0: 0}
 
     def test_bad_prime_in_a_batch_raises_before_counting(self, monkeypatch):

@@ -8,8 +8,11 @@ command is started by ``os.fork`` and ``os.execve`` and reaped by
 ``os.wait4``: ``posix_spawn`` and ``subprocess`` start it inside the
 launcher's memory, so its peak RSS would have the launcher's VmHWM as a
 floor.  After fork + exec the floor is the launcher's VmRSS at the fork,
-recorded as ``floor_mb``.  One F_p row times ``kernels.prime_field_sums``
-on the genus-2 pair at every odd prime up to ``FP_PMAX``, as one batch,
+recorded as ``floor_mb``.  One calibration row times a fixed
+pure-Python integer loop of ``CALIBRATION_STEPS`` steps, so rows taken
+on different days or hosts can be scaled to one another.  One F_p row
+times the F_p kernel alone, ``kernels._prime_sums`` on the genus-2 pair
+(coefficients reduced mod p) at each odd prime up to ``FP_PMAX``,
 largest prime first: seconds, and field elements per second (the sum of
 the primes, twice, over the seconds).  It also times ``kernels.char_sums``
 on the same degree-1 units, which is what a trace scan runs, and gives
@@ -94,6 +97,7 @@ POLYS = {
 NORM_PAIR = {"x^9 + x": POLYS["x^9 + x"], "x^9 + 16x": (0, 16, 0, 0, 0, 0, 0, 0, 0, 1)}
 FP_POLYS = {"x^5 - x": (0, -1, 0, 0, 0, 1), "x^5 + 4x": (0, 4, 0, 0, 0, 1)}
 FP_PMAX = 5000
+CALIBRATION_STEPS = 2_000_000
 NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 SCAN_COMMAND = ["scan", "x^5 - x", "x^5 + 4x", "--jobs", "1", "--pmax"]  # SCAN_PMAX follows
@@ -135,12 +139,24 @@ def measure_norm() -> dict:
             "pair": list(NORM_PAIR), "pair_s": _median_seconds(lambda: list(kernels.char_sums(pair)))}
 
 
+def measure_calibration() -> dict:
+    """Seconds of one fixed pure-Python integer loop, a yardstick for the host's speed."""
+
+    def loop() -> int:
+        acc = 0
+        for k in range(CALIBRATION_STEPS):
+            acc = (acc * 31 + k) % 1_000_003
+        return acc
+
+    return {"steps": CALIBRATION_STEPS, "s": _median_seconds(loop)}
+
+
 def measure_prime_field() -> dict:
-    """The F_p kernel, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
-    primes = odd_primes(3, FP_PMAX)
-    pairs = [(f, p) for p in reversed(primes) for f in FP_POLYS.values()]
-    seconds = _median_seconds(lambda: list(kernels.prime_field_sums(pairs)))
-    units = [(f, p, 1) for f, p in pairs]
+    """The F_p kernel at each prime, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
+    primes = odd_primes(3, FP_PMAX)[::-1]
+    polys = [(p, [tuple(c % p for c in f) for f in FP_POLYS.values()]) for p in primes]
+    seconds = _median_seconds(lambda: [kernels._prime_sums(fs, p) for p, fs in polys])
+    units = [(f, p, 1) for p in primes for f in FP_POLYS.values()]
     char_sums_s = _median_seconds(lambda: list(kernels.char_sums(units)))
     elements = len(FP_POLYS) * sum(primes)
     return {"curves": list(FP_POLYS), "pmax": FP_PMAX, "primes": len(primes), "elements": elements,
@@ -273,6 +289,7 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
         },
         "repeats": REPEATS,
         "scan": measure_scan(),  # first, while this process is smallest: its RSS is the floor
+        "calibration": measure_calibration(),
         "startup": measure_startup(),
         "compile": measure_compile(),
         "cache": measure_cache(),
