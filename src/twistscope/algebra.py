@@ -113,6 +113,29 @@ def _require_below_cap(p: int) -> None:
         raise ValueError(f"p={p} exceeds the supported cap {MAX_FIELD_CHAR}")
 
 
+def _sum_period(coeffs: Sequence[int], p: int, i: int) -> int | None:
+    """The shape of f mod p over F_q, q = p^i: the period d of its character sum, or None when the sum is 0.
+
+    The one shape analysis of a (f, p, i) unit.  Let r be the least
+    exponent of f mod p (r = 0 when f(0) != 0), m = q - 1 and d = gcd(m,
+    e - r over f's exponents e).  Then f = x^r u(x^d) on F_q^*, and
+    zeta = g^(m/d), g a generator, gives f(zeta x) = zeta^r f(x) with
+    chi(zeta^r) = (-1)^(r m/d) (Weil, Bull. AMS 55, 1949).  When r m/d is
+    odd, x and zeta x cancel and sum_x chi(f(x)) = 0: None.  Otherwise
+    the sum over F_q^* is d times its sum over x = g^k, k < m/d, and d is
+    returned; a dense f has d = 1.
+    """
+    m = p**i - 1
+    r, d = None, m  # f = 0 reads as r = 0: no term, no cancellation
+    for e, c in enumerate(coeffs):
+        if c % p:
+            if r is None:
+                r = e
+            else:
+                d = math.gcd(d, e - r)
+    return d if r is None or r * (m // d) % 2 == 0 else None
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} via the Euler criterion."""
     _require_odd_prime(p)

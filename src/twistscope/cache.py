@@ -46,6 +46,7 @@ import os
 from pathlib import Path
 
 from . import __version__
+from .algebra import _require_odd_prime, _sum_period
 from .curvecount import (
     DEFAULT_BUDGET,
     CurveModel,
@@ -237,26 +238,28 @@ class LPolyCache:
     # the compute backend
     # ------------------------------------------------------------------
 
-    def resolve(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
-        """Serve (curve, p, upto) requests: one entry per request, holding N_1..N_upto.
+    def _plan(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> tuple[dict, list]:
+        """The entries of a request by (coefficients, p), and the (curve, p, i) units the budget affords.
 
         A (curve, p) starts from its stored prefix.  Its list is replaced
         once, by a copy with a None for each degree the budget affords, so
-        the list ``get`` serves never changes; each count lands in its place,
-        and when no None is left ``put`` stores the list and gives L.  The
-        budget caps the field evaluations spent on each (curve, p).  A
-        request whose missing degrees do not all fit gets the prefix that
-        fits, stored like any other progress, and its entry's ``short`` (not
-        raised) is a BudgetExceededError whose ``required`` is the cost of
-        every degree the record lacked when the request was planned.
+        the list ``get`` serves never changes.  The budget caps the field
+        evaluations spent on each (curve, p): degree i costs p^i, whether
+        or not its sum cancels, so no budget-exceeded record depends on
+        the rule.  A request whose missing degrees do not all fit gets the
+        prefix that fits, and its entry's ``short`` (not raised) is a
+        BudgetExceededError whose ``required`` is the cost of every degree
+        the record lacked when the request was planned.
         """
         entries: dict[tuple, _Entry] = {}
         upto: dict[tuple, int] = {}
         for curve, p, n in requests:
             key = (curve.f_coeffs, p)
-            upto[key] = max(n, upto.get(key, 0))
             if key not in entries:
                 entries[key] = _Entry(curve, p, *(self.get(curve, p) or ([], None)))
+                upto[key] = n
+            elif n > upto[key]:
+                upto[key] = n
         units = []
         for key, entry in entries.items():
             curve, p = entry.curve, entry.p
@@ -266,15 +269,51 @@ class LPolyCache:
             planned = len(units)
             spent = 0
             for i in missing:
-                if spent + p**i > budget:
+                spent += p**i
+                if spent > budget:
                     required = sum(p**j for j in missing)
                     entry.short = BudgetExceededError(required, budget, f"{curve.label} at p={p}")
                     break
-                spent += p**i
                 units.append((curve, p, i))
             if len(units) > planned:
                 entry.counts = entry.counts + [None] * (len(units) - planned)
-        results = self._run(units)
+        return entries, units
+
+    def _count(self, entries: dict[tuple, _Entry], units: list[tuple[CurveModel, int, int]]) -> None:
+        """Fill in the planned units' counts, storing each finished (curve, p) through ``put``.
+
+        Every unit is checked first, settled or not (``_check_units``: bad
+        reduction, then the cap).  Each unit whose sum cancels
+        (``algebra._sum_period`` gives None) is then settled as N_i =
+        p^i + 1, with no kernel, helper or numpy.  A finished list whose
+        counts all come from that rule, none from a stored line, is not
+        stored unless the budget cut its request short; its L still comes
+        from ``_lpoly_of``.  The other units go to ``_run``, each count
+        lands in its place, and ``put`` stores every other finished list
+        and gives its L.
+        """
+        _check_units(units)
+        counted = []
+        fresh: dict[tuple, bool] = {}  # (curve, p) with a settled unit -> whether nothing was stored
+        for unit in units:
+            curve, p, i = unit
+            if _sum_period(curve.f_coeffs, p, i) is None:
+                key = (curve.f_coeffs, p)
+                counts = entries[key].counts
+                if key not in fresh:
+                    fresh[key] = counts[0] is None
+                counts[i - 1] = p**i + 1
+            else:
+                counted.append(unit)
+        for key, nothing_stored in fresh.items():
+            entry = entries[key]
+            if None in entry.counts:
+                continue  # a kernel count is still to come
+            if nothing_stored and entry.short is None:
+                entry.lpoly = _lpoly_of(entry.curve, entry.p, entry.counts)
+            else:
+                entry.lpoly = self.put(entry.curve, entry.p, entry.counts)
+        results = self._run(counted)
         try:
             for (curve, p, i), n in results:
                 entry = entries[(curve.f_coeffs, p)]
@@ -283,30 +322,54 @@ class LPolyCache:
                     entry.lpoly = self.put(curve, p, entry.counts)
         finally:
             results.close()  # ends the helpers if this loop raised mid-run
+
+    def resolve(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
+        """Serve (curve, p, upto) requests: one entry per request, holding N_1..N_upto.
+
+        Every p must be an odd prime, which callers check where p enters:
+        ``_served`` tests its one p, and ``scan_pair`` takes its primes
+        from the sieve, so no Miller-Rabin test runs here.  ``_plan``
+        plans the missing degrees under the budget, and ``_count`` checks,
+        settles, counts and stores them.  An entry's counts land in its
+        list in place, and its L is set once the list holds N_1..N_g.
+        """
+        entries, units = self._plan(requests, budget)
+        self._count(entries, units)
         return [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
 
     def _served(self, requests: list[tuple[CurveModel, int, int]], budget: int) -> list[_Entry]:
-        """``resolve``, raising the first request's BudgetExceededError, if any."""
-        entries = self.resolve(requests, budget)
-        short = next((e.short for e in entries if e.short is not None), None)
+        """``resolve`` for requests at one p, raising the first request's BudgetExceededError, if any.
+
+        Every per-prime method comes here, so p is checked where it
+        enters: once a count is planned, and before any unit is checked,
+        it must be an odd prime (ValueError).  A request the store serves
+        whole runs no Miller-Rabin test.
+        """
+        entries, units = self._plan(requests, budget)
+        if units:
+            _require_odd_prime(requests[0][1])
+        self._count(entries, units)
+        served = [entries[(curve.f_coeffs, p)] for curve, p, _ in requests]
+        short = next((e.short for e in served if e.short is not None), None)
         if short is not None:
             raise short
-        return entries
+        return served
 
     def _run(self, units: list[tuple[CurveModel, int, int]]):
         """Yield (unit, N_i) for each (curve, p, i) unit as its field or batch finishes.
 
-        Every unit is checked here, once, before any is counted, so the
-        helpers check nothing.  jobs is capped at os.cpu_count(), so no
-        more helpers fork than there are CPUs.  In process, when the capped
-        jobs is 1 or every unit is at one prime, one ``unit_counts`` call
-        counts them all.  Otherwise the fields (p, i), largest first, are
-        dealt into four batches per helper, so batches cost about the same
-        and small units share trips, and ``helpers.run`` forks the helpers
-        for this request and reaps them before it returns.  A field's units
-        stay together, so its tables are built once per request.
+        The units are checked and none cancels: ``_count`` settles those,
+        so only kernel work is dealt and batches cost what they count.
+        The helpers check nothing.  jobs is capped at os.cpu_count(), so
+        no more helpers fork than there are CPUs.  In process, when the
+        capped jobs is 1 or every unit is at one prime, one
+        ``unit_counts`` call counts them all.  Otherwise the fields (p, i),
+        largest first, are dealt into four batches per helper, so batches
+        cost about the same and small units share trips, and
+        ``helpers.run`` forks the helpers for this request and reaps them
+        before it returns.  A field's units stay together, so its tables
+        are built once per request.
         """
-        _check_units(units)
         jobs = min(self.jobs, os.cpu_count() or 1)
         if jobs == 1 or len({p for _, p, _ in units}) < 2:
             for batch in _deal(units, 1):

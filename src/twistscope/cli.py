@@ -19,8 +19,10 @@ request over several primes, as a scan makes, forks them and reaps them
 before it returns; a request at one prime counts in this process.  All
 cache reads and writes happen in this process (helpers only count).
 Structured output is byte-identical for identical inputs regardless of
---jobs, and of cache state when the budget covers every count (a warm
-cache serves what a tight one refuses).
+--jobs, and of cache state when the budget covers every count.  Under
+a tighter budget a warm cache serves the stored counts that a cold one
+refuses; the counts that the cancellation rule settles are never
+stored, so the budget refuses those alike in every cache state.
 
 Each subcommand imports the library code it runs when it runs, so a
 command loads only its own path: ``split`` and ``stats`` open no cache.
@@ -156,8 +158,8 @@ def _cmd_scan(args, cache, out) -> int:
 
     curve_a = parse_curve(args.curve_a)
     curve_b = parse_curve(args.curve_b)
-    _prime_range(args)
-    report = scan_pair(curve_a, curve_b, args.pmin, args.pmax, args.depth, args.budget, cache)
+    primes = _prime_range(args)  # the one sieve of the range
+    report = scan_pair(curve_a, curve_b, args.pmin, args.pmax, args.depth, args.budget, cache, primes)
     if args.format == "records":
         out.write(report.to_text())
         return 0

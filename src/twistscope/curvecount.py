@@ -15,12 +15,14 @@ does not divide disc(f).  ``poly_discriminant`` is the package's one
 squarefreeness test: a curve keeps disc(f) as ``CurveModel.disc``, and a
 field of ``splitfield`` keeps its polynomial's, so each is computed once.
 
-Counting is exact integer work throughout, and every count goes through
+Counting is exact integer work throughout.  Every count that is not
+settled by the cancellation rule (``algebra._sum_period``) goes through
 ``unit_counts``, which asks ``kernels.char_sums``, the one module that
-uses numpy, for the character sums.  Its callers check the units once,
-first, by ``_check_units``: the cache's backend a whole request, and
-``point_count`` its one unit.  ``kernels`` is imported on the first
-count, so commands that count nothing never load numpy.
+uses numpy, for the character sums.  The units are checked once, first,
+by ``_check_units``: the cache's backend checks a whole request, settled
+units included, and ``point_count`` its one unit.  ``kernels`` is
+imported on the first count, so commands that count nothing, or whose
+counts all cancel, never load numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .algebra import FieldSpec, PolyModP, _require_odd_prime, is_prime
+from .algebra import FieldSpec, PolyModP, _require_below_cap, _require_odd_prime, is_prime
 from .errors import BadReductionError, InconsistentCountsError
 from .values import FrozenValue
 
@@ -215,24 +217,28 @@ def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
 
 
 def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
-    """Check a batch of (curve, p, i) units before any of them is counted.
+    """Check a batch of (curve, p, i) units before any of them is counted or settled.
 
-    Each distinct p is checked once (ValueError unless an odd prime), then
-    each (curve, p) by disc(f) % p: BadReductionError names the first bad
-    unit.
+    Each (curve, p) by disc(f) % p first: BadReductionError names the
+    first bad unit.  Then each distinct p once against the cap
+    p < MAX_FIELD_CHAR (ValueError), which a settled unit meets too.
+    Every p must already be an odd prime: it is checked where it enters
+    (``LPolyCache._served``, ``point_count``), or it comes from the sieve.
     """
-    for p in dict.fromkeys(p for _, p, _ in units):
-        _require_odd_prime(p)
     for curve, p, _ in units:
         if curve.disc % p == 0:
             raise BadReductionError(curve.label, p)
+    for p in dict.fromkeys(p for _, p, _ in units):
+        _require_below_cap(p)
 
 
 def unit_counts(units: list[tuple[CurveModel, int, int]]):
     """Yield (k, N_i) for each units[k] = (curve, p, i): the sums that cancel, then field by field.
 
     The one way to count.  It checks nothing: callers pass the units
-    through ``_check_units`` first, so a helper counts what its parent checked.
+    through ``_check_units`` first, so a helper counts what its parent
+    checked.  The cache's backend hands it only units whose sums do not
+    cancel; it settles the others itself.
     """
     from . import kernels
 
@@ -242,14 +248,17 @@ def unit_counts(units: list[tuple[CurveModel, int, int]]):
 
 
 def point_count(curve: CurveModel, p: int, i: int) -> int:
-    """N_i = #C(F_{p^i}) including the point at infinity, after ``_check_units`` on the unit."""
+    """N_i = #C(F_{p^i}) including the point at infinity, after checking p and the unit."""
+    _require_odd_prime(p)
     _check_units([(curve, p, i)])
     return next(unit_counts([(curve, p, i)]))[1]
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:
+    q = 1
     for i, n in enumerate(counts, start=1):
-        if (n - p**i - 1) ** 2 > 4 * g * g * p**i:
+        q *= p
+        if (n - q - 1) ** 2 > 4 * g * g * q:
             raise InconsistentCountsError(
                 f"{label}: N_{i}={n} violates |N - (p^{i}+1)| <= 2g p^({i}/2) at p={p}"
             )

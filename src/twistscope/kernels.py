@@ -1,21 +1,23 @@
 """Character sums sum_x chi(f(x)) over F_{p^i}: one entry, one numpy kernel per kind of field.
 
 ``char_sums`` is the only entry.  It checks the cap p < MAX_FIELD_CHAR
-once per p of a batch, then yields 0 for every sum that cancels: read f
-mod p, let r >= 1 be its least exponent (so f(0) = 0), m = q - 1 and
-d = gcd(m, e - r over f's exponents e).  f = x^r u(x^d) on F_q^*, so for
-zeta = g^(m/d), g a generator, f(zeta x) = zeta^r f(x) and
-chi(zeta^r) = (-1)^(r m/d): when r m/d is odd, the sum is 0.  For every
-other sum the field alone picks the kernel, and each field's kernel
-runs once, with every f of the batch over it:
+once per p of a batch, then reads each unit's shape from
+``algebra._sum_period``, the one shape analysis: f mod p = x^r u(x^d) on
+F_q^*, and the sum is 0 when r (q-1)/d is odd.  ``LPolyCache.resolve``
+settles those units while it plans a request, so from the package they
+never reach this module; ``char_sums`` yields 0 for one that a direct
+caller hands it, before any kernel.  For every other sum the field
+alone picks the kernel, and each field's kernel runs once, with every f
+of the batch over it and its period d:
 - F_p (``_prime_sums``): f(x) by Horner's rule with lazy reduction,
-  then an int8 character table;
+  then an int8 character table; x runs over F_p when d = 1, and over
+  x = g^k, k < (p-1)/d, for a generator g when d > 1;
 - F_{p^i}, i >= 2, q <= _TABLE_MAX_ORDER (``_char_sum_logs``):
   discrete-log tables built once per call (x = g^k turns each monomial
   into an index, terms are added by Zech logarithms, and chi(y) is the
   parity of log y).  g is t = x mod h, h the modulus below, and the exp
-  table is read off one linear recurring sequence of h.  When f =
-  x^r u(x^d) on F_q^*, only m/d exponents k are summed;
+  table is read off one linear recurring sequence of h.  Only the
+  exponents k < (q-1)/d are summed;
 - larger F_{p^i} (``_char_sum_norm``): f(x) by repeated squaring in
   int64, then chi_p of the norm to F_p through Frobenius-orbit products.
 
@@ -32,12 +34,11 @@ every kernel against an independent enumeration oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .algebra import _require_below_cap, prime_divisors
+from .algebra import _require_below_cap, _sum_period, prime_divisors
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 13  # x or exponents per step of a sum: 64 KB int64 temporaries stay in cache
@@ -114,14 +115,53 @@ def _horner(coeffs: tuple[int, ...], x: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _prime_sums(polys: list[tuple[int, ...]], p: int) -> list[int]:
-    """sum_x chi(f(x)) over F_p for each f of polys, coefficients reduced mod p; x in chunks."""
+def _generates(n: int, p: int, rs: list[int]) -> bool:
+    """Whether n generates F_p^*; rs are the prime divisors of p - 1."""
+    return n % p != 0 and all(pow(n, (p - 1) // r, p) != 1 for r in rs)
+
+
+def _prime_sums(polys: list[tuple[tuple[int, ...], int]], p: int) -> list[int]:
+    """sum_x chi(f(x)) over F_p for each (f, d) of polys: f's coefficients reduced mod p, d its period.
+
+    The f of one period share each chunk of x.  With d = 1, x runs over
+    0..p-1.  With d > 1 (``algebra._sum_period``), f = x^r u(x^d) on F_p^*
+    with r (p-1)/d even, so f(g^(k+D)) and f(g^k) have one character for
+    D = (p-1)/d and g a generator: the sum over F_p^* is d times the sum
+    over x = g^k, k < D, and x = 0 adds chi(f(0)).  A chunk's x is g^lo
+    times a table of g^j, j < _BLOCK, built once per prime as the products
+    of two short lists of powers; every product is below p^2 < 2^50.
+    """
     chi = _chi_table(p)
     sums = [0] * len(polys)
-    for lo in range(0, p, _BLOCK):
-        x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
-        for n, coeffs in enumerate(polys):
-            sums[n] += int(chi[_horner(coeffs, x, p)].sum())
+    periods: dict[int, list[int]] = {}
+    for n, (_, d) in enumerate(polys):
+        periods.setdefault(d, []).append(n)
+    longest = max(((p - 1) // d for d in periods if d > 1), default=0)
+    if longest:
+        rs = prime_divisors(p - 1)
+        g = next(g for g in range(2, p) if _generates(g, p, rs))
+        size = min(_BLOCK, longest)
+        side = math.isqrt(size - 1) + 1  # table[side a + b] = (g^side)^a g^b, for a, b < side
+        low, high = [1], [1]
+        for _ in range(side - 1):
+            low.append(low[-1] * g % p)
+        giant = low[-1] * g % p
+        for _ in range(side - 1):
+            high.append(high[-1] * giant % p)
+        table = (np.array(high, dtype=np.int64)[:, None] * np.array(low, dtype=np.int64) % p).ravel()[:size]
+    for d, ns in periods.items():
+        if d == 1:
+            xs = (np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64) for lo in range(0, p, _BLOCK))
+        else:
+            D = (p - 1) // d
+            xs = (table[: D - lo] * pow(g, lo, p) % p if lo else table[:D] for lo in range(0, D, _BLOCK))
+        for x in xs:
+            for n in ns:
+                sums[n] += int(chi[_horner(polys[n][0], x, p)].sum())
+        if d > 1:
+            for n in ns:
+                coeffs = polys[n][0]
+                sums[n] = d * sums[n] + (int(chi[coeffs[0]]) if coeffs else 0)
     return sums
 
 
@@ -170,15 +210,10 @@ def _primitive_modulus(p: int, i: int) -> tuple[int, ...]:
     """
     q = p**i
     rs_p, rs = prime_divisors(p - 1), prime_divisors(q - 1)  # rs[0] = 2: q is odd
-
-    def norm_generates(v: int) -> bool:  # v % p is h_0
-        n = (-1) ** i * v % p
-        return n != 0 and all(pow(n, (p - 1) // r, p) != 1 for r in rs_p)
-
     one = np.eye(i, dtype=np.int64)
     digits = p ** np.arange(i, dtype=np.int64)
     for lo in range(p, q, _SEARCH_BATCH):
-        v = [v for v in range(lo, min(lo + _SEARCH_BATCH, q)) if norm_generates(v)]
+        v = [v for v in range(lo, min(lo + _SEARCH_BATCH, q)) if _generates((-1) ** i * v, p, rs_p)]
         low = (np.array(v, dtype=np.int64)[:, None] // digits) % p
         pows = _mat_pows(_companion(low, p), [(q - 1) // r for r in rs], p)
         ok = (pows[0] @ pows[0] % p == one).all(axis=(1, 2))
@@ -269,27 +304,27 @@ def _field_tables(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return zech, log[:p].astype(np.int64)
 
 
-def _char_sum_logs(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
-    """sum_x chi(f(x)) over F_{p^i}, i >= 2, for each f of polys, over one build of the field's tables."""
+def _char_sum_logs(polys: list[tuple[tuple[int, ...], int]], p: int, i: int) -> list[int]:
+    """sum_x chi(f(x)) over F_{p^i}, i >= 2, for each (f, d) of polys, over one build of the field's tables."""
     zech, log_fp = _field_tables(p, i)
-    return [_log_sum(coeffs, zech, log_fp) for coeffs in polys]
+    return [_log_sum(coeffs, zech, log_fp, d) for coeffs, d in polys]
 
 
-def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> int:
-    """sum_x chi(f(x)) over F_q by discrete logs, q - 1 = len(zech); coeffs reduced mod p.
+def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray, d: int) -> int:
+    """sum_x chi(f(x)) over F_q by discrete logs, q - 1 = len(zech); coeffs reduced mod p, d f's period.
 
     With x = g^k, each term c_e x^e is g^(log c_e + e*k).  Terms are added
     in log form, g^a + g^b = g^(a + zech[(b - a) mod (q-1)]), and chi(g^n)
     is (-1)^n; q - 1 is even, so the parity survives reduction mod q - 1.
     Exponents are reduced mod q - 1 first, so e*k < q^2 <= 2^46 in int64.
 
-    Only k < D = (q-1)/d is summed, where r is the least exponent of f and
-    d = gcd(q - 1, e - r over its exponents e): then f = x^r u(x^d) on
-    F_q^*, so f(g^(k+D)) = g^(rD) f(g^k) and the step k -> k + D
-    multiplies chi by (-1)^(rD), and the d shifted copies add up to the
-    partial sum times d.  Precondition: rD is even or f(0) != 0; the other
-    sums are 0, ``char_sums`` settles them before any table is built, and
-    one here is an ArithmeticError.  A dense f has d = 1.
+    Only k < D = (q-1)/d is summed, d from ``algebra._sum_period``: f =
+    x^r u(x^d) on F_q^*, r its least exponent, so f(g^(k+D)) = g^(rD)
+    f(g^k) and the step k -> k + D multiplies chi by (-1)^(rD), and the d
+    shifted copies add up to the partial sum times d.  Precondition: rD
+    is even or f(0) != 0; the other sums are 0 and are settled before any
+    table is built, and one here is an ArithmeticError.  A dense f has
+    d = 1.
     """
     m = len(zech)
     terms = [(e % m, int(log_fp[c])) for e, c in enumerate(coeffs) if c]
@@ -298,7 +333,6 @@ def _log_sum(coeffs: tuple[int, ...], zech: np.ndarray, log_fp: np.ndarray) -> i
     if not terms:
         return total
     (e0, l0), rest = terms[0], terms[1:]
-    d = functools.reduce(math.gcd, (e - e0 for e, _ in rest), m)
     period = m // d
     if e0 * period % 2:
         raise ArithmeticError("a sum that cancels reached the log kernel; kernel bug")
@@ -383,44 +417,39 @@ def _char_sum_norm(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
     return totals
 
 
-def _cancels(coeffs: tuple[int, ...], p: int, i: int) -> bool:
-    """Whether r m/d is odd for f mod p over F_{p^i}, so its sum cancels (module docstring)."""
-    exps = [e for e, c in enumerate(coeffs) if c % p] or [0]  # r = 0: f(0) != 0, never cancels
-    m = p**i - 1
-    d = functools.reduce(math.gcd, (e - exps[0] for e in exps), m)
-    return exps[0] * (m // d) % 2 == 1
-
-
 def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
     """Yield (k, sum_x chi(f(x)) over F_{p^i}) for each units[k] = (coefficients of f, p, i).
 
     The kernels' one entry.  Every p must be an odd prime; the cap
     p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs, is
-    checked for each p before any count (ValueError).  Then each unit
-    whose sum cancels is yielded as 0, before any kernel runs: f mod p has
-    least exponent r >= 1, and r m/d is odd for m = p^i - 1 and d = gcd(m,
-    e - r over f's exponents e) (``_cancels``).  The other units are
-    grouped by field (p, i), in order of first appearance, and each
-    field's kernel is called once with all of its f, reduced mod p: the
-    F_p kernel when i = 1, log tables when q <= _TABLE_MAX_ORDER, the norm
-    kernel above.  Its tables are freed when that call returns, before the
-    next field's are built.  The sums do not depend on a field's modulus;
-    both extension-field kernels use the primitive one.
+    checked for each p before any count (ValueError).  Then each unit's
+    shape comes from ``algebra._sum_period``: a unit whose sum cancels is
+    yielded as 0 before any kernel runs (``LPolyCache.resolve`` settles
+    such units itself, so only direct callers such as ``point_count``
+    hand them here), and every other unit keeps its period d.  Those
+    units are grouped by field (p, i), in order of first appearance, and
+    each field's kernel is called once with all of its f, reduced mod p,
+    and their d: the F_p kernel when i = 1, log tables when
+    q <= _TABLE_MAX_ORDER, the norm kernel, which needs no d, above.  Its
+    tables are freed when that call returns, before the next field's are
+    built.  The sums do not depend on a field's modulus; both
+    extension-field kernels use the primitive one.
     """
     for p in dict.fromkeys(p for _, p, _ in units):
         _require_below_cap(p)
-    settled = [_cancels(*unit) for unit in units]
-    yield from ((k, 0) for k, zero in enumerate(settled) if zero)
-    fields: dict[tuple[int, int], list[int]] = {}
-    for k, (_, p, i) in enumerate(units):
-        if not settled[k]:
-            fields.setdefault((p, i), []).append(k)
-    for (p, i), ks in fields.items():
-        polys = [tuple(c % p for c in units[k][0]) for k in ks]
+    fields: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k, (coeffs, p, i) in enumerate(units):
+        d = _sum_period(coeffs, p, i)
+        if d is None:
+            yield k, 0
+        else:
+            fields.setdefault((p, i), []).append((k, d))
+    for (p, i), group in fields.items():
+        polys = [(tuple(c % p for c in units[k][0]), d) for k, d in group]
         if i == 1:
             sums = _prime_sums(polys, p)
         elif p**i <= _TABLE_MAX_ORDER:
             sums = _char_sum_logs(polys, p, i)
         else:
-            sums = _char_sum_norm(polys, p, i)
-        yield from zip(ks, sums)
+            sums = _char_sum_norm([coeffs for coeffs, _ in polys], p, i)
+        yield from zip((k for k, _ in group), sums)

@@ -231,7 +231,7 @@ class ScanReport(Value):
 
 def _bad_pair(curve_a: CurveModel, curve_b: CurveModel, p: int) -> bool:
     """Whether an odd prime p divides disc(f) for either curve: bad reduction."""
-    return any(c.disc % p == 0 for c in (curve_a, curve_b))
+    return curve_a.disc % p == 0 or curve_b.disc % p == 0
 
 
 def scan_pair(
@@ -242,6 +242,7 @@ def scan_pair(
     depth: str = "traces",
     budget: int = DEFAULT_BUDGET,
     cache: LPolyCache | None = None,
+    primes: list[int] | None = None,
 ) -> ScanReport:
     """Scan every odd prime in [pmin, pmax] and record the twist verdicts.
 
@@ -250,7 +251,10 @@ def scan_pair(
     it needs cost more than ``budget``).  A scan needs every prime, so the
     counts of all good primes go to ``cache`` as one request; with
     ``cache.jobs > 1`` all their units share the helpers it forks.  Records are in
-    prime order, so the report does not depend on scheduling.
+    prime order, so the report does not depend on scheduling.  ``primes``
+    is ``odd_primes(pmin, pmax)`` when the caller has sieved the range
+    already, and is sieved here when None; sieve output is trusted, so
+    no prime is tested again.
     """
     if pmin < 3:
         raise ValueError("scans start at 3: p = 2 is excluded")
@@ -261,7 +265,8 @@ def scan_pair(
     if cache is None:
         from .cache import UNCACHED as cache  # only commands that count load the cache
     report = ScanReport(curve_a.label, curve_b.label, pmin, pmax, depth, curve_a.genus)
-    primes = odd_primes(pmin, pmax)
+    if primes is None:
+        primes = odd_primes(pmin, pmax)
     bad = {p for p in primes if _bad_pair(curve_a, curve_b, p)}
     upto = 1 if depth == "traces" else curve_a.genus
     requests = [(c, p, upto) for p in primes if p not in bad for c in (curve_a, curve_b)]

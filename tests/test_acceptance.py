@@ -28,6 +28,7 @@ Criteria and tolerances (all exact unless stated):
 
 import pytest
 
+from twistscope import cache as cache_module
 from twistscope import kernels
 from twistscope.cache import LPolyCache
 from twistscope.curvecount import DEFAULT_BUDGET
@@ -78,10 +79,12 @@ def test_criterion_06_flat_counts(verify_results):
 
 
 def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
-    # every unit of criterion 6 cancels, so it builds no table; with the
-    # cancellation rule off, its 11 primes, each with the fields F_p^2 and
-    # F_p^3, take one table build per field, for both curves (the log sum,
-    # which refuses a sum that cancels, is stubbed: only builds are counted)
+    # every unit of criterion 6 cancels, so the planner settles it and no
+    # table is built; with the cancellation rule off in the planner and in
+    # char_sums (every unit gets period 1), its 11 primes, each with the
+    # fields F_p^2 and F_p^3, take one table build per field, for both
+    # curves (the log sum, which refuses a sum that cancels, is stubbed:
+    # only builds are counted)
     real, built = kernels._field_tables, []
 
     def spy(p, i):
@@ -91,8 +94,9 @@ def test_criterion_06_counts_the_pair_together(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "_field_tables", spy)
     ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=LPolyCache(tmp_path / "rule")))
     assert ok and built == []
-    monkeypatch.setattr(kernels, "_cancels", lambda coeffs, p, i: False)
-    monkeypatch.setattr(kernels, "_log_sum", lambda coeffs, zech, log_fp: 0)
+    for module in (kernels, cache_module):
+        monkeypatch.setattr(module, "_sum_period", lambda coeffs, p, i: 1)
+    monkeypatch.setattr(kernels, "_log_sum", lambda coeffs, zech, log_fp, d: 0)
     ok, _ = _c6_flat_counts(_Context(budget=DEFAULT_BUDGET, cache=LPolyCache(tmp_path / "kernels")))
     assert ok
     assert len(built) == len(set(built)) == 22

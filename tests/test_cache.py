@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import twistscope
 from twistscope import cache as cache_module
-from twistscope.algebra import odd_primes
+from twistscope.algebra import _sum_period, odd_primes
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
 from twistscope.curvecount import curve_from_coeffs, lpoly, point_count, unit_counts
@@ -473,11 +474,19 @@ class TestComputeThrough:
         assert (exc.value.label, exc.value.p) == (bad.label, 3)
 
     def test_counts_through_cache(self, cache, genus4_pair):
+        # x^9 + x at 17 = 1 mod 16 reaches the kernels at i = 1 and 2, so its
+        # counts are stored and served; at 53 both sums cancel, so the planner
+        # settles them and stores nothing
         curve = genus4_pair[0]
-        [out] = cache.counts([curve], 53, upto=2, budget=10**6)
-        assert out == [53 + 1, 53**2 + 1]
-        assert cache.get(curve, 53)[0] == out
-        assert cache.counts([curve], 53, upto=1, budget=0) == [[54]]
+        [out] = cache.counts([curve], 17, upto=2, budget=10**6)
+        assert out == [26, 282] == [point_count(curve, 17, i) for i in (1, 2)]
+        assert cache.get(curve, 17)[0] == out
+        assert cache.counts([curve], 17, upto=1, budget=0) == [[26]]
+        [flat] = cache.counts([curve], 53, upto=2, budget=10**6)
+        assert flat == [53 + 1, 53**2 + 1]
+        assert cache.get(curve, 53) is None
+        with pytest.raises(BudgetExceededError):
+            cache.counts([curve], 53, upto=1, budget=0)
 
     def test_counts_recovered_from_lpoly(self, cache, genus2_pair):
         curve = genus2_pair[0]
@@ -488,7 +497,8 @@ class TestComputeThrough:
         assert len(out) == 4
 
     def test_every_write_goes_through_put(self, cache, genus2_pair, monkeypatch):
-        # a cold trace scan stores each (curve, p) by one put, and writes nothing else
+        # a cold trace scan stores each (curve, p) a kernel counts by one put,
+        # and writes nothing else; the planner settles every p but p = 1 mod 8
         from twistscope.twistlab import scan_pair
 
         stored = []
@@ -501,13 +511,15 @@ class TestComputeThrough:
         monkeypatch.setattr(LPolyCache, "put", spy)
         scan_pair(*genus2_pair, 3, 200, depth="traces", cache=cache)
         written = [(c.f_coeffs, int(line.split("\t")[1])) for c in genus2_pair for line in lines(cache, c)]
-        assert len(written) == 2 * len(odd_primes(3, 200))  # both curves are good at every odd p
+        counted = [(c.f_coeffs, p) for c in genus2_pair for p in odd_primes(3, 200) if p % 8 == 1]
+        assert sorted(written) == sorted(counted)  # both curves are good at every odd p
         assert sorted(stored) == sorted(written)
 
     def test_interrupted_run_keeps_what_it_finished(self, cache, genus2_pair, monkeypatch):
-        # the sums that cancel come first, then the F_p kernel hands back a
-        # prime's sums as soon as it is done, so the primes it finished before
-        # an interrupt are stored; of the pair's primes, only p = 1 mod 8 reach it
+        # the planner settles the sums that cancel and stores none of them;
+        # the F_p kernel hands back a prime's sums as soon as it is done, so
+        # the primes it finished before an interrupt are stored; of the
+        # pair's primes, only p = 1 mod 8 reach it
         from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
@@ -525,11 +537,11 @@ class TestComputeThrough:
         with pytest.raises(KeyboardInterrupt):
             scan_pair(*genus2_pair, 3, 100, depth="traces", cache=cache)
         settled = {(c.f_coeffs, p) for c in genus2_pair for p in odd_primes(3, 100) if p % 8 != 1}
-        assert all(kernels._cancels(f, p, 1) for f, p in settled)
+        assert all(_sum_period(f, p, 1) is None for f, p in settled)
         assert sorted(counted) == [73, 73, 89, 89, 97, 97]  # largest first: the primes above 41
         stored = {(c.f_coeffs, p) for c in genus2_pair for p in reopened(cache)._records(c)}
         assert stored - settled == {(c.f_coeffs, p) for c in genus2_pair for p in set(counted)}
-        assert settled <= stored
+        assert not settled & stored
 
     def test_interrupt_keeps_each_prime_counted_before_it(self, cache, genus2_pair, monkeypatch):
         # at the default _BLOCK every prime is its own kernel call, so 97, 89
@@ -552,10 +564,81 @@ class TestComputeThrough:
             assert {97, 89, 73} <= stored and not {41, 17} & stored, curve.label
 
     def test_trace_uses_count_prefix(self, cache, genus2_pair):
+        # at 17 = 1 mod 8 the trace of x^5 + 4x is counted and stored; at 7
+        # its sum cancels, so the planner settles it and stores nothing
         curve = genus2_pair[1]
+        assert cache.trace(curve, 17) == 12
+        assert cache.get(curve, 17)[0] == [6]
+        assert cache.trace(curve, 17) == 12
         assert cache.trace(curve, 7) == 0
-        assert cache.get(curve, 7)[0] == [8]
+        assert cache.get(curve, 7) is None
         assert cache.trace(curve, 7) == 0
+
+
+class TestPlannerSettles:
+    def test_cold_trace_scan_stores_only_counted_lines(self, cache, genus2_pair, monkeypatch):
+        # the planner settles every p but p = 1 mod 8 and stores none of them;
+        # a warm rerun counts and writes nothing, and prints the same records
+        from twistscope.twistlab import scan_pair
+
+        cold = scan_pair(*genus2_pair, 3, 200, depth="traces", cache=cache).to_text()
+        counted = [p for p in odd_primes(3, 200) if p % 8 == 1]
+        for curve in genus2_pair:
+            assert sorted(int(line.split("\t")[1]) for line in lines(cache, curve)) == counted
+        sizes = {f.name: f.stat().st_size for f in cache.directory.iterdir()}
+
+        def never(*args):
+            raise AssertionError("a warm rerun counted or wrote")
+
+        monkeypatch.setattr("twistscope.cache.unit_counts", never)
+        monkeypatch.setattr(LPolyCache, "put", never)
+        assert scan_pair(*genus2_pair, 3, 200, depth="traces", cache=reopened(cache)).to_text() == cold
+        assert {f.name: f.stat().st_size for f in cache.directory.iterdir()} == sizes
+
+    def test_settled_counts_match_enumeration(self, genus2_pair, genus4_pair, monkeypatch):
+        # genus 2, 3 and 4 at small fields, and criterion 6's units: the
+        # genus-4 pair at p = 3, 5 mod 8 in (47, 150], N_1 everywhere and N_2
+        # at 53 and 59.  No settled unit is dispatched to the kernels
+        genus3 = [curve_from_coeffs((0, 1, 0, 0, 0, 0, 0, 1)), curve_from_coeffs((0, 3, 0, 0, 0, 0, 0, 1))]
+        curves = [*genus2_pair, *genus3, *genus4_pair]
+        requests = [(c, p, max(i for i in (1, 2, 3) if p**i <= 1331)) for c in curves for p in odd_primes(3, 13)
+                    if c.disc % p]
+        c6 = [p for p in odd_primes(48, 150) if p % 8 in (3, 5)]
+        assert len(c6) == 11
+        requests += [(c, p, 2 if p in (53, 59) else 1) for c in genus4_pair for p in c6]
+        dispatched = []
+        monkeypatch.setattr("twistscope.cache.unit_counts",
+                            lambda units: dispatched.extend((c.f_coeffs, p, i) for c, p, i in units)
+                            or unit_counts(units))
+        entries = LPolyCache("", enabled=False).resolve(requests, 10**9)
+        settled = []
+        for (curve, p, upto), entry in zip(requests, entries):
+            for i in range(1, upto + 1):
+                unit = (curve.f_coeffs, p, i)
+                if _sum_period(*unit) is None:
+                    settled.append((curve.genus, p, i))
+                    assert unit not in dispatched, unit
+                    assert entry.counts[i - 1] == p**i + 1 == oracles.count_points(*unit), unit
+                else:
+                    assert unit in dispatched, unit
+        assert {g for g, _, _ in settled} == {2, 3, 4}
+        assert {(p, i) for g, p, i in settled if p > 47} == {(p, 1) for p in c6} | {(53, 2), (59, 2)}
+
+    @pytest.mark.parametrize(
+        "coeffs,p,error",
+        [((3, 0, 0, 1), 3, BadReductionError),  # x^3 + 3 = x^3 mod 3: bad, and its sum cancels
+         ((0, -1, 0, 0, 0, 1), 33554467, ValueError)],  # x^5 - x cancels at the least prime above 2^25
+    )
+    def test_settled_units_are_checked_first(self, coeffs, p, error, monkeypatch):
+        def never(units):
+            raise AssertionError("counted a unit that failed its check")
+
+        monkeypatch.setattr("twistscope.cache.unit_counts", never)
+        assert _sum_period(coeffs, p, 1) is None
+        with pytest.raises(error):
+            LPolyCache("", enabled=False).resolve([(curve_from_coeffs(coeffs), p, 1)], 10**9)
+        with pytest.raises(error):
+            point_count(curve_from_coeffs(coeffs), p, 1)
 
 
 class TestBatches:
@@ -574,7 +657,8 @@ class TestBatches:
 
     def test_pool_scan_builds_each_field_once(self, tmp_path, genus4_pair, monkeypatch):
         # a --jobs 2 scan hands each field's units to one helper, and stores
-        # the same records as an in-process scan
+        # the same records as an in-process scan; only the fields with
+        # 16 | q - 1 are dealt, since the planner settles every other unit
         from twistscope.twistlab import scan_pair
 
         dealt = []
@@ -589,7 +673,9 @@ class TestBatches:
         report = scan_pair(*genus4_pair, 3, 13, depth="full", cache=pooled)
         batches = dealt[0]
         fields = [{(p, i) for _, p, i in batch} for batch in batches]
-        assert len(batches) == 8 and sum(map(len, fields)) == len(set().union(*fields)) == 20
+        kernel_fields = {(p, i) for p in (3, 5, 7, 11, 13) for i in range(1, 5) if (p**i - 1) % 16 == 0}
+        assert len(kernel_fields) == 6 and set().union(*fields) == kernel_fields
+        assert len(batches) == 6 and sum(map(len, fields)) == 6
         assert all(len(batch) == 2 * len(f) for batch, f in zip(batches, fields))
         serial = LPolyCache(tmp_path / "serial")
         assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=serial).to_text() == report.to_text()
@@ -674,7 +760,8 @@ class TestHelpers:
 
     def test_one_prime_forks_none_and_three_primes_fork_up_to_jobs(self, genus2_pair, monkeypatch):
         # five fields at one prime count in process; three fields, one per
-        # prime, are three batches, so they fork 3 of the 6 helpers
+        # prime p = 1 mod 8, whose sums the kernel counts, are three batches,
+        # so they fork 3 of the 6 helpers
         from twistscope import helpers
 
         forked = []
@@ -685,8 +772,8 @@ class TestHelpers:
         cache = LPolyCache("", enabled=False, jobs=6)
         assert cache.counts([curve], 5, 5, 10**6) == [[point_count(curve, 5, i) for i in range(1, 6)]]
         assert forked == []
-        entries = cache.resolve([(curve, p, 1) for p in (3, 5, 7)], 10**6)
-        assert [e.counts for e in entries] == [[point_count(curve, p, 1)] for p in (3, 5, 7)]
+        entries = cache.resolve([(curve, p, 1) for p in (17, 41, 73)], 10**6)
+        assert [e.counts for e in entries] == [[point_count(curve, p, 1)] for p in (17, 41, 73)]
         assert len(forked) == 3
         assert no_children()
 

@@ -538,6 +538,63 @@ class TestScanCommand:
         )
         assert rc == 2 and "odd" in err
 
+    def test_range_is_sieved_once(self, capsys, tmp_path, monkeypatch):
+        # the range is checked and sieved where it enters, and scan_pair takes those primes
+        import twistscope.algebra
+        import twistscope.twistlab
+
+        calls, real = [], twistscope.algebra.odd_primes
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(twistscope.algebra, "odd_primes", spy)
+        monkeypatch.setattr(twistscope.twistlab, "odd_primes", spy)
+        rc, out, _ = run_cli(capsys, "scan", "x^5 - x", "x^5 + 4x", "--pmax", "200",
+                             "--format", "records", "--cache-dir", str(tmp_path))
+        assert rc == 0 and calls == [(3, 200)]
+        assert out == scan_pair(parse_curve("x^5 - x"), parse_curve("x^5 + 4x"), 3, 200).to_text()
+
+    def test_range_too_large_to_sieve_is_exit_2(self, tmp_path):
+        code = (
+            "import resource, sys\n"
+            "from twistscope.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = run_python("-c", code, "scan", "x^5 - x", "x^5 + 4x", "--pmax", "100000000000",
+                          "--cache-dir", str(tmp_path), timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: prime range up to 100000000000 is too large to sieve\n"
+
+    def test_cold_scan_whose_counts_all_cancel_loads_no_numpy(self, tmp_path):
+        # at 3, 5 and 7 the planner settles every unit of the pair: nothing is
+        # counted, dealt or stored, and the records equal a counting run's
+        argv = ("scan", "x^5 - x", "x^5 + 4x", "--pmax", "7", "--format", "records",
+                "--cache-dir", str(tmp_path))
+        for jobs in ("1", "2"):
+            done, modules, forks = probe(*argv, "--jobs", jobs)
+            assert "numpy" not in modules and forks == [], jobs
+            assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+        report = ScanReport.from_text(done.stdout)
+        assert [(r.p, r.a, r.a_prime) for r in report.records] == [(3, 0, 0), (5, 0, 0), (7, 0, 0)]
+
+    def test_tight_budget_refuses_settled_counts_in_every_cache_state(self, capsys, tmp_path):
+        # settled counts are not stored, so a warm rerun under a budget that
+        # does not cover them prints the records a cold cache prints; 17, the
+        # one stored prime, fits the budget
+        base = ("scan", "x^5 - x", "x^5 + 4x", "--pmax", "40", "--format", "records")
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        rc, full, _ = run_cli(capsys, *base, "--cache-dir", str(warm))
+        assert rc == 0 and "budget-exceeded" not in full
+        tight = ("--budget", "20")
+        rc_cold, from_cold, _ = run_cli(capsys, *base, *tight, "--cache-dir", str(cold))
+        rc_warm, from_warm, _ = run_cli(capsys, *base, *tight, "--cache-dir", str(warm))
+        assert rc_cold == rc_warm == 0 and from_warm == from_cold
+        skipped = [int(ln.split("\t")[0]) for ln in from_cold.splitlines() if "\tbudget-exceeded" in ln]
+        assert skipped == [23, 29, 31, 37]
+
 
 class TestCharSearchCommand:
     def test_genus4_refutations_at_17(self, capsys, tmp_path):

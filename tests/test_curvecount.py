@@ -14,6 +14,7 @@ from twistscope.algebra import (
     FieldSpec,
     PolyModP,
     _powmod,
+    _sum_period,
     build_extension,
     is_irreducible,
     odd_primes,
@@ -497,7 +498,7 @@ RULE_FIELDS = [(p, i) for p in (3, 5, 7, 11, 13) for i in (1, 2, 3)]
 
 
 def cancels(f, p, i):
-    """Oracle for kernels._cancels: f mod p has f(0) = 0 and an odd rD under ``symmetry``."""
+    """Oracle for ``_sum_period`` giving None: f mod p has f(0) = 0 and an odd rD under ``symmetry``."""
     f = [c % p for c in f]
     return f[0] == 0 and any(f) and symmetry(f, p**i)[1] == 1
 
@@ -516,7 +517,7 @@ class TestCancellationRule:
             monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", cap)
             got = dict(kernels.char_sums(units))
             for k, (f, p, i) in enumerate(units):
-                assert kernels._cancels(f, p, i) == cancels(f, p, i), (f, p, i)
+                assert (_sum_period(f, p, i) is None) == cancels(f, p, i), (f, p, i)
                 assert p**i + 1 + got[k] == want[k], (f, p, i, cap)
 
     def test_settled_units_reach_no_kernel(self, monkeypatch):
@@ -539,16 +540,16 @@ class TestCancellationRule:
     )
     def test_no_cancellation_off_the_rule(self, f):
         for p, i in RULE_FIELDS:
-            assert not kernels._cancels(f, p, i) and not cancels(f, p, i), (p, i)
+            assert _sum_period(f, p, i) is not None and not cancels(f, p, i), (p, i)
         units = [(f, p, i) for p, i in RULE_FIELDS if p**i <= 343]
         for k, s in kernels.char_sums(units):
             _, p, i = units[k]
             assert p**i + 1 + s == oracles.count_points(f, p, i), (p, i)
 
     def test_log_kernel_refuses_a_sum_that_cancels(self, monkeypatch):
-        # x^9 + x over F_9 has r (q - 1)/d = 1: with the rule bypassed, the
-        # log kernel must not return a guess
-        monkeypatch.setattr(kernels, "_cancels", lambda coeffs, p, i: False)
+        # x^9 + x over F_9 has d = 8 and r (q - 1)/d = 1: with the rule
+        # bypassed, so that d reaches it, the log kernel must not return a guess
+        monkeypatch.setattr(kernels, "_sum_period", lambda coeffs, p, i: 8)
         with pytest.raises(ArithmeticError, match="kernel bug"):
             list(kernels.char_sums([((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3, 2)]))
 
@@ -565,8 +566,8 @@ class TestCancellationRule:
         f = [0] * (r + s * len(u) + 1)
         for j, c in enumerate([*u, 1]):
             f[r + s * j] = c
-        assert kernels._cancels(f, p, i) == cancels(f, p, i)
-        if kernels._cancels(f, p, i):
+        assert (_sum_period(f, p, i) is None) == cancels(f, p, i)
+        if cancels(f, p, i):
             assert oracles.count_points(f, p, i) == p**i + 1
 
 
@@ -703,6 +704,36 @@ class TestPrimeFieldKernel:
         assert kernels._horner(tuple(c % p for c in f), x, p).tolist() == want
         assert self.sums([(tuple(f), p)]) == {0: 0}
 
+    # sparse f with their period d at p = 1 mod 48: f = x^r u(x^d) with r (p-1)/d
+    # even; x^8 + 3x^4 + 5 has f(0) != 0, so x = 0 adds chi(5)
+    PERIODS = [((0, 1, 0, 1), 2),  # x^3 + x
+               ((0, 4, 0, 0, 0, 1), 4),  # x^5 + 4x
+               ((0, 3, 0, 0, 0, 0, 0, 1), 6),  # x^7 + 3x
+               ((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 8),  # x^9 + x
+               ((5, 0, 0, 0, 3, 0, 0, 0, 1), 4)]  # x^8 + 3x^4 + 5
+
+    @pytest.mark.parametrize("block", [64, kernels._BLOCK])
+    def test_period_walk_matches_enumeration_and_the_full_walk(self, monkeypatch, block):
+        # 97 and 193 take one chunk of g^k, or two at _BLOCK = 64; 8161 and
+        # 8209 lie on either side of the default _BLOCK, and at 16417 the
+        # period (p - 1)/2 of x^3 + x spans two default chunks
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for p in (97, 193, 8161, 8209, 16417):
+            assert (p - 1) % 48 == 0
+            polys = [(tuple(c % p for c in f), d) for f, d in self.PERIODS]
+            assert [_sum_period(f, p, 1) for f, _ in self.PERIODS] == [d for _, d in self.PERIODS]
+            walked = kernels._prime_sums(polys, p)
+            assert walked == kernels._prime_sums([(f, 1) for f, _ in polys], p), p
+            assert walked == [oracles.count_points(f, p, 1) - p - 1 for f, _ in self.PERIODS], p
+
+    def test_period_walk_at_the_largest_prime(self):
+        # EDGE_P = 1 mod 8: x^5 + 4x has d = 4, and its 8,388,598 powers of g
+        # give the sum of the walk over all of F_p
+        p = EDGE_P
+        f = (0, 4, 0, 0, 0, 1)
+        assert _sum_period(f, p, 1) == 4
+        assert kernels._prime_sums([(f, 4)], p) == kernels._prime_sums([(f, 1)], p)
+
     def test_bad_prime_in_a_batch_raises_before_counting(self, monkeypatch):
         good, bad = curve_from_coeffs((0, -1, 0, 0, 0, 1)), curve_from_coeffs((3, 0, 0, 0, 0, 1))
         monkeypatch.setattr(kernels, "_horner", never)  # x^5 + 3 is bad at 3 and 5
@@ -718,8 +749,9 @@ class TestPrimeFieldKernel:
 
 class TestUnitCounts:
     def test_each_prime_is_checked_once(self, genus2_pair, monkeypatch):
-        # a request of degrees 1-4 over three primes: one Miller-Rabin test
-        # per p, in the backend, and none in unit_counts
+        # p is tested where it enters: one Miller-Rabin test per request at
+        # one prime (_served), none in resolve, whose callers hand it sieved
+        # primes, and none in unit_counts
         import twistscope.algebra
 
         tested = []
@@ -730,14 +762,18 @@ class TestUnitCounts:
 
         real = twistscope.algebra.is_prime
         monkeypatch.setattr(twistscope.algebra, "is_prime", spy)
+        for p in (7, 3, 5):
+            counts = UNCACHED.counts(list(genus2_pair), p, 4, 10**4)
+            assert counts == [[oracles.count_points(c.f_coeffs, p, i) for i in range(1, 5)] for c in genus2_pair]
+        assert tested == [7, 3, 5]
         entries = UNCACHED.resolve([(curve, p, 4) for p in (7, 3, 5) for curve in genus2_pair], 10**4)
-        assert sorted(tested) == [3, 5, 7]
+        assert tested == [7, 3, 5]
         for entry in entries:
             want = [oracles.count_points(entry.curve.f_coeffs, entry.p, i) for i in range(1, 5)]
             assert entry.counts == want, (entry.curve.label, entry.p)
         units = [(curve, p, i) for p in (7, 3, 5) for i in (4, 1, 3, 2) for curve in genus2_pair]
         assert len(dict(unit_counts(units))) == len(units)
-        assert sorted(tested) == [3, 5, 7]
+        assert tested == [7, 3, 5]
 
     @pytest.mark.parametrize(
         "unit,error",

@@ -21,7 +21,7 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_layers, "FP_PMAX", 30)  # 9 primes, not 668
     monkeypatch.setattr(bench_layers, "DISPATCH_PMAX", 7)  # 3, 5, 7, not up to 23
     monkeypatch.setattr(bench_layers, "REQUEST_PMAX", 30)  # 9 primes, not 2,261
-    monkeypatch.setattr(bench_layers, "SCAN_PMAX", 200)  # 45 primes, not 9,592
+    monkeypatch.setattr(bench_layers, "SCAN_PMAX", 200)  # 45 primes, not 9,592, in each scan row
     monkeypatch.setattr(bench_layers, "CALIBRATION_STEPS", 1000)
     # fields where x^9 + x does not cancel; F_7^2 is a norm-kernel field once the cap is 9
     monkeypatch.setattr(bench_layers, "NORM_FIELD", (7, 2))
@@ -38,6 +38,12 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert scan["command"] == "scan 'x^5 - x' 'x^5 + 4x' --jobs 1 --pmax 200" and scan["runs"] == 3
     assert scan["wall_s"] > 0 and scan["peak_rss_mb"] > 0 and scan["floor_mb"] > 0
     assert scan["dont_write_bytecode"] is sys.dont_write_bytecode
+    warm, g4 = data["scan_warm"], data["scan_g4"]
+    assert warm["command"] == scan["command"] and warm["runs"] == 3
+    assert g4["command"] == "scan 'x^9 + x' 'x^9 + 16x' --jobs 1 --pmax 200" and g4["runs"] == 3
+    for row in (warm, g4):
+        assert row["wall_s"] > 0 and row["peak_rss_mb"] > 0 and row["floor_mb"] > 0
+        assert row["dont_write_bytecode"] is sys.dont_write_bytecode
     assert data["calibration"]["steps"] == 1000 and data["calibration"]["s"] > 0
     modules = data["compile"]["modules"]
     src = BENCH_LAYERS.parent.parent / "src" / "twistscope"
@@ -60,12 +66,15 @@ def test_bench_layers_writes_its_json(tmp_path, monkeypatch):
     assert fp["elements_per_s"] == fp["elements"] / fp["s"]
     assert fp["char_sums_s"] > 0
     assert fp["settled"] == 2 * 8  # every odd p < 30 but 17 cancels, for both curves
-    # the kernel alone runs at every prime, largest first; char_sums only at 17
+    # the kernel's full walk runs at every prime, largest first; char_sums
+    # only at 17, over the (p - 1)/4 powers of a generator
     timed = []
     real = bench_layers.kernels._prime_sums
-    monkeypatch.setattr(bench_layers.kernels, "_prime_sums", lambda fs, p: timed.append(p) or real(fs, p))
+    monkeypatch.setattr(bench_layers.kernels, "_prime_sums",
+                        lambda fs, p: timed.append((p, [d for _, d in fs])) or real(fs, p))
     bench_layers.measure_prime_field()
-    assert timed == odd_primes(3, 30)[::-1] * bench_layers.REPEATS + [17] * bench_layers.REPEATS
+    full = [(p, [1, 1]) for p in odd_primes(3, 30)[::-1]]
+    assert timed == full * bench_layers.REPEATS + [(17, [4, 4])] * bench_layers.REPEATS
     norm = data["norm"]
     assert (norm["p"], norm["i"], norm["q"], norm["curve"]) == (7, 2, 49, "x^9 + x")
     assert norm["elements_per_s"] == 49 / norm["s"]

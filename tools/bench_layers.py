@@ -1,26 +1,31 @@
 """Layer timings of the counting kernels and the cache, written as one JSON file.
 
-One end-to-end row times the cold genus-2 trace scan of x^5 - x and
-x^5 + 4x to ``SCAN_PMAX`` at ``--jobs 1``, each run in a fresh
-interpreter on an empty ``--cache-dir``, its stdout discarded: the median
-wall seconds and the median peak RSS (``ru_maxrss``) of 3 runs.  The
-command is started by ``os.fork`` and ``os.execve`` and reaped by
+Three end-to-end rows time trace scans to ``SCAN_PMAX`` at ``--jobs 1``,
+each run in a fresh interpreter, its stdout discarded: the median wall
+seconds and the median peak RSS (``ru_maxrss``) of 3 runs.  ``scan`` is
+the cold genus-2 scan of x^5 - x and x^5 + 4x, each run on an empty
+``--cache-dir``; ``scan_warm`` reruns it on the cache one cold run
+leaves; ``scan_g4`` is the cold genus-4 scan of x^9 + x and x^9 + 16x.
+Each command is started by ``os.fork`` and ``os.execve`` and reaped by
 ``os.wait4``: ``posix_spawn`` and ``subprocess`` start it inside the
 launcher's memory, so its peak RSS would have the launcher's VmHWM as a
 floor.  After fork + exec the floor is the launcher's VmRSS at the fork,
 recorded as ``floor_mb``.  One calibration row times a fixed
 pure-Python integer loop of ``CALIBRATION_STEPS`` steps, so rows taken
 on different days or hosts can be scaled to one another.  One F_p row
-times the F_p kernel alone, ``kernels._prime_sums`` on the genus-2 pair
-(coefficients reduced mod p) at each odd prime up to ``FP_PMAX``,
-largest prime first: seconds, and field elements per second (the sum of
-the primes, twice, over the seconds).  It also times ``kernels.char_sums``
-on the same degree-1 units, which is what a trace scan runs, and gives
-``settled``, the number of (f, p) whose sum cancels, which
-``char_sums`` answers before any kernel.  For each
+times the F_p kernel's walk over all of F_p alone, ``kernels._prime_sums``
+with period 1 on the genus-2 pair (coefficients reduced mod p) at each
+odd prime up to ``FP_PMAX``, largest prime first: seconds, and field
+elements per second (the sum of the primes, twice, over the seconds).
+It also times ``kernels.char_sums`` on the same degree-1 units, which
+walks only (p-1)/d powers of a generator where f has period d, and
+gives ``settled``, the number of (f, p) whose sum cancels
+(``algebra._sum_period``).  A trace scan's planner settles those units
+and never hands them to ``char_sums``; ``char_sums`` answers them the
+same way, before any kernel.  For each
 field F_{p^i} it records the seconds to build the field's log tables
 (``kernels._field_tables``) and the throughput of the log kernel's sum
-for one f (``kernels._log_sum``) over tables built outside the timing,
+for one f (``kernels._log_sum``, with f's period) over tables built outside the timing,
 in field elements per second (q / seconds), for the sparse f = x^9 + x
 and a dense degree-9 f.  One norm row times ``kernels.char_sums`` on
 ``NORM_FIELD``, the first field F_{p^2} above the log-table cap, which
@@ -38,8 +43,9 @@ imports.  One compile row gives, for each
 ``src/twistscope/*.py``, its line count and the median seconds of
 ``compile()`` on its source, and their totals: what a command pays for
 each module it imports when no bytecode can be read.  One cache row times
-``LPolyCache`` on the file of a genus-2 trace scan: one line, N_1 = p + 1,
-for each odd prime below ``CACHE_PMAX`` (9,591 lines for 1e5).  It gives
+``LPolyCache`` on a file of one-count lines, N_1 = p + 1, one for each
+odd prime below ``CACHE_PMAX`` (9,591 lines for 1e5; a genus-2 trace
+scan stores only the lines at p = 1 mod 8, whose sums do not cancel).  It gives
 the seconds per line of ``put`` writing the file into an empty directory,
 and of the first ``get`` on a fresh cache object, which reads the whole
 file; each is the median of 5 runs.  It also gives the file's size and
@@ -66,6 +72,7 @@ Run from the root of a checkout; it imports that checkout's ``src/``:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -83,7 +90,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from twistscope import kernels  # noqa: E402
-from twistscope.algebra import odd_primes  # noqa: E402
+from twistscope.algebra import _sum_period, odd_primes  # noqa: E402
 from twistscope.cache import LPolyCache  # noqa: E402
 from twistscope.curvecount import DEFAULT_BUDGET, curve_from_coeffs  # noqa: E402
 
@@ -101,6 +108,7 @@ CALIBRATION_STEPS = 2_000_000
 NORM_FIELD = (2897, 2)  # 2897^2 is just above kernels._TABLE_MAX_ORDER = 2^23
 STARTUP_COMMAND = ["lpoly", "x^5 - x", "--p", "3"]
 SCAN_COMMAND = ["scan", "x^5 - x", "x^5 + 4x", "--jobs", "1", "--pmax"]  # SCAN_PMAX follows
+SCAN_G4_COMMAND = ["scan", "x^9 + x", "x^9 + 16x", "--jobs", "1", "--pmax"]
 SCAN_PMAX = 100_000
 CACHE_CURVE = "x^5 - x", (0, -1, 0, 0, 0, 1)
 CACHE_PMAX = 100_000
@@ -121,8 +129,10 @@ def measure_field(p: int, i: int) -> dict:
     row = {"p": p, "i": i, "q": p**i, "table_build_s": _median_seconds(lambda: kernels._field_tables(p, i))}
     zech, log_fp = kernels._field_tables(p, i)  # built outside the timing of the sums
     for name, coeffs in POLYS.items():
-        reduced = tuple(c % p for c in coeffs)
-        seconds = _median_seconds(lambda: kernels._log_sum(reduced, zech, log_fp))
+        reduced, d = tuple(c % p for c in coeffs), _sum_period(coeffs, p, i)
+        if d is None:
+            raise ValueError(f"{name} cancels over F_{p}^{i}: no log-kernel row")
+        seconds = _median_seconds(lambda: kernels._log_sum(reduced, zech, log_fp, d))
         row[name] = {"char_sum_s": seconds, "elements_per_s": p**i / seconds}
     return row
 
@@ -130,7 +140,7 @@ def measure_field(p: int, i: int) -> dict:
 def measure_norm() -> dict:
     """The norm kernel on NORM_FIELD, for f = x^9 + x alone and for NORM_PAIR in one call."""
     p, i = NORM_FIELD
-    if p**i <= kernels._TABLE_MAX_ORDER or kernels._cancels(POLYS["x^9 + x"], p, i):
+    if p**i <= kernels._TABLE_MAX_ORDER or _sum_period(POLYS["x^9 + x"], p, i) is None:
         raise ValueError(f"F_{p}^{i} is a log-table field, or x^9 + x cancels there: no norm-kernel row")
     units = [(POLYS["x^9 + x"], p, i)]
     seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
@@ -152,16 +162,16 @@ def measure_calibration() -> dict:
 
 
 def measure_prime_field() -> dict:
-    """The F_p kernel at each prime, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
+    """The F_p kernel's full walk at each prime, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
     primes = odd_primes(3, FP_PMAX)[::-1]
-    polys = [(p, [tuple(c % p for c in f) for f in FP_POLYS.values()]) for p in primes]
+    polys = [(p, [(tuple(c % p for c in f), 1) for f in FP_POLYS.values()]) for p in primes]
     seconds = _median_seconds(lambda: [kernels._prime_sums(fs, p) for p, fs in polys])
     units = [(f, p, 1) for p in primes for f in FP_POLYS.values()]
     char_sums_s = _median_seconds(lambda: list(kernels.char_sums(units)))
     elements = len(FP_POLYS) * sum(primes)
     return {"curves": list(FP_POLYS), "pmax": FP_PMAX, "primes": len(primes), "elements": elements,
             "s": seconds, "elements_per_s": elements / seconds, "char_sums_s": char_sums_s,
-            "settled": sum(kernels._cancels(*unit) for unit in units)}
+            "settled": sum(_sum_period(*unit) is None for unit in units)}
 
 
 def _vmrss_mb() -> float:
@@ -170,8 +180,8 @@ def _vmrss_mb() -> float:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
 
 
-def _launch(command: list[str]) -> tuple[float, float, float]:
-    """Run twistscope with command on an empty cache: (wall s, peak RSS MB, floor MB).
+def _launch(command: list[str], cache_dir: str | None = None) -> tuple[float, float, float]:
+    """Run twistscope with command on cache_dir, or on an empty cache: (wall s, peak RSS MB, floor MB).
 
     fork + exec, reaped by wait4, so the peak is the command's own, above
     a floor of this process's RSS at the fork; its stdout is discarded.
@@ -180,8 +190,9 @@ def _launch(command: list[str]) -> tuple[float, float, float]:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     if sys.dont_write_bytecode:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
-    with tempfile.TemporaryDirectory() as cache_dir:
-        argv = [sys.executable, "-m", "twistscope", *command, "--cache-dir", cache_dir]
+    empty = tempfile.TemporaryDirectory() if cache_dir is None else contextlib.nullcontext(cache_dir)
+    with empty as directory:
+        argv = [sys.executable, "-m", "twistscope", *command, "--cache-dir", directory]
         floor = _vmrss_mb()
         start = time.perf_counter()
         pid = os.fork()
@@ -205,13 +216,20 @@ def measure_startup() -> dict:
             "dont_write_bytecode": sys.dont_write_bytecode}
 
 
-def measure_scan() -> dict:
-    """Wall seconds and peak RSS of the cold genus-2 trace scan to SCAN_PMAX at --jobs 1."""
-    command = [*SCAN_COMMAND, str(SCAN_PMAX)]
-    walls, peaks, floors = zip(*(_launch(command) for _ in range(SCAN_REPEATS)))
+def measure_scan(command: list[str], cache_dir: str | None = None) -> dict:
+    """Wall seconds and peak RSS of a scan to SCAN_PMAX at --jobs 1, on cache_dir or on an empty cache."""
+    command = [*command, str(SCAN_PMAX)]
+    walls, peaks, floors = zip(*(_launch(command, cache_dir) for _ in range(SCAN_REPEATS)))
     return {"command": shlex.join(command), "runs": SCAN_REPEATS, "wall_s": statistics.median(walls),
             "peak_rss_mb": statistics.median(peaks), "floor_mb": max(floors),
             "dont_write_bytecode": sys.dont_write_bytecode}
+
+
+def measure_warm_scan() -> dict:
+    """``measure_scan`` of the genus-2 scan rerun on the cache one cold run of it leaves."""
+    with tempfile.TemporaryDirectory() as cache_dir:
+        _launch([*SCAN_COMMAND, str(SCAN_PMAX)], cache_dir)
+        return measure_scan(SCAN_COMMAND, cache_dir)
 
 
 def measure_compile() -> dict:
@@ -288,7 +306,10 @@ def write(fields: list[tuple[int, int]], out: Path) -> str:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "repeats": REPEATS,
-        "scan": measure_scan(),  # first, while this process is smallest: its RSS is the floor
+        # the scans first, while this process is smallest: its RSS is the floor
+        "scan": measure_scan(SCAN_COMMAND),
+        "scan_warm": measure_warm_scan(),
+        "scan_g4": measure_scan(SCAN_G4_COMMAND),
         "calibration": measure_calibration(),
         "startup": measure_startup(),
         "compile": measure_compile(),
