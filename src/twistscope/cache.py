@@ -3,9 +3,10 @@
 Every command counts through ``LPolyCache``.  It serves requests
 (curve, p, upto) for N_1..N_upto: it reads each (curve, p) record once,
 plans the missing degrees the budget affords (degree i costs p^i field
-evaluations), checks those (curve, p, i) units once and hands only them
-to ``curvecount.unit_counts``.  With ``jobs`` capped at the CPU count,
-they count in process when it is 1 or all of them lie at one prime,
+evaluations), and checks, shapes and settles each (curve, p, i) unit
+once; only the units whose sums do not cancel reach
+``kernels.char_sums``.  With ``jobs`` capped at the CPU count, they
+count in process when it is 1 or all of them lie at one prime,
 otherwise in even-cost batches on ``jobs`` helper processes that the
 request forks and reaps before it returns: the cache
 owns no process.  Units of one field always share one batch, so the
@@ -28,9 +29,9 @@ keeping the count lists of the well-formed lines, by p in file order.
 The first request for p takes the newest of them that is valid, and
 keeps (counts, L) for it, L None below g counts, so a later valid line
 for p wins.  A line is valid when its counts lie within the Weil bounds
-and, once there are g of them, ``lpoly_from_counts`` accepts them; a
-line that fails to parse, or this validation, is a warned miss,
-recomputed on demand.
+and, once there are g of them, ``lpoly_from_counts`` accepts N_1..N_g
+and L gives back N_(g+1)..N_2g; a line that fails to parse, or this
+validation, is a warned miss, recomputed on demand.
 Helpers only count.  The owning process stores each finished (curve, p)
 at once through ``put``, the one write path, which validates the counts
 and opens the file for one write under O_APPEND, so an interrupted run
@@ -55,7 +56,6 @@ from .curvecount import (
     _check_units,
     log_derivative_counts,
     lpoly_from_counts,
-    unit_counts,
 )
 from .errors import BudgetExceededError, InconsistentCountsError
 from .values import Value
@@ -112,21 +112,29 @@ def _lpoly_of(curve: CurveModel, p: int, counts: list[int]) -> LPolynomial | Non
     """L_p from a count prefix once it holds N_1..N_g, else None.
 
     Raises InconsistentCountsError when a count lies outside the Weil
-    bounds or N_1..N_g cannot be a curve's.
+    bounds, N_1..N_g cannot be a curve's, or N_(g+1)..N_2g differ from
+    the counts L gives back.  Counts past N_2g, which only ``counts`` with
+    upto > 2g asks for, are checked against the Weil bounds only.
     """
     g = curve.genus
     _check_count_bounds(counts, p, g, curve.label)
-    return lpoly_from_counts(counts[:g], p, g, curve.label) if len(counts) >= g else None
+    if len(counts) < g:
+        return None
+    L = lpoly_from_counts(counts[:g], p, g, curve.label)
+    upto = min(len(counts), 2 * g)
+    if upto > g and counts[g:upto] != log_derivative_counts(L, upto)[g:]:
+        raise InconsistentCountsError(f"{curve.label}: N_{g + 1}..N_{upto} disagree with L_p at p={p}")
+    return L
 
 
-def _deal(units: list[tuple[CurveModel, int, int]], n: int) -> list[list[tuple[CurveModel, int, int]]]:
-    """At most n batches of units; the units of one field (p, i) share a batch.
+def _deal(units: list[tuple], n: int) -> list[list[tuple]]:
+    """At most n batches of (coefficients, p, i, d) units; the units of one field (p, i) share a batch.
 
     Fields go largest first, round-robin over the batches.
     """
     fields: dict[tuple[int, int], list] = {}
     for unit in units:
-        fields.setdefault(unit[1:], []).append(unit)
+        fields.setdefault(unit[1:3], []).append(unit)
     order = sorted(fields, key=lambda f: f[0] ** f[1], reverse=True)
     return [[u for f in order[k::n] for u in fields[f]] for k in range(min(n, len(order)))]
 
@@ -280,31 +288,30 @@ class LPolyCache:
         return entries, units
 
     def _count(self, entries: dict[tuple, _Entry], units: list[tuple[CurveModel, int, int]]) -> None:
-        """Fill in the planned units' counts, storing each finished (curve, p) through ``put``.
+        """Check, shape and settle each planned unit once, count the rest, and store each finished (curve, p).
 
         Every unit is checked first, settled or not (``_check_units``: bad
-        reduction, then the cap).  Each unit whose sum cancels
-        (``algebra._sum_period`` gives None) is then settled as N_i =
-        p^i + 1, with no kernel, helper or numpy.  A finished list whose
-        counts all come from that rule, none from a stored line, is not
-        stored unless the budget cut its request short; its L still comes
-        from ``_lpoly_of``.  The other units go to ``_run``, each count
-        lands in its place, and ``put`` stores every other finished list
-        and gives its L.
+        reduction, then the cap).  Then ``algebra._sum_period`` reads each
+        unit's shape once.  A unit whose sum cancels (None) is settled as
+        N_i = p^i + 1, with no kernel, helper or numpy; every other goes to
+        ``_run`` as (coefficients of f, p, i, d), and its sum s lands in its
+        place as N_i = p^i + 1 + s.  A finished list whose counts all come
+        from the rule, none from a stored line, is not stored unless the
+        budget cut its request short; its L still comes from ``_lpoly_of``.
+        ``put`` stores every other finished list and gives its L.
         """
         _check_units(units)
         counted = []
         fresh: dict[tuple, bool] = {}  # (curve, p) with a settled unit -> whether nothing was stored
-        for unit in units:
-            curve, p, i = unit
-            if _sum_period(curve.f_coeffs, p, i) is None:
+        for curve, p, i in units:
+            d = _sum_period(curve.f_coeffs, p, i)
+            if d is None:
                 key = (curve.f_coeffs, p)
                 counts = entries[key].counts
-                if key not in fresh:
-                    fresh[key] = counts[0] is None
+                fresh.setdefault(key, counts[0] is None)
                 counts[i - 1] = p**i + 1
             else:
-                counted.append(unit)
+                counted.append((curve.f_coeffs, p, i, d))
         for key, nothing_stored in fresh.items():
             entry = entries[key]
             if None in entry.counts:
@@ -315,11 +322,11 @@ class LPolyCache:
                 entry.lpoly = self.put(entry.curve, entry.p, entry.counts)
         results = self._run(counted)
         try:
-            for (curve, p, i), n in results:
-                entry = entries[(curve.f_coeffs, p)]
-                entry.counts[i - 1] = n
+            for (coeffs, p, i, _), s in results:
+                entry = entries[(coeffs, p)]
+                entry.counts[i - 1] = p**i + 1 + s
                 if None not in entry.counts:
-                    entry.lpoly = self.put(curve, p, entry.counts)
+                    entry.lpoly = self.put(entry.curve, p, entry.counts)
         finally:
             results.close()  # ends the helpers if this loop raised mid-run
 
@@ -355,30 +362,33 @@ class LPolyCache:
             raise short
         return served
 
-    def _run(self, units: list[tuple[CurveModel, int, int]]):
-        """Yield (unit, N_i) for each (curve, p, i) unit as its field or batch finishes.
+    def _run(self, units: list[tuple[tuple[int, ...], int, int, int]]):
+        """Yield (unit, s) for each (coefficients of f, p, i, d) unit, s its character sum, as its field or batch finishes.
 
         The units are checked and none cancels: ``_count`` settles those,
         so only kernel work is dealt and batches cost what they count.
         The helpers check nothing.  jobs is capped at os.cpu_count(), so
         no more helpers fork than there are CPUs.  In process, when the
         capped jobs is 1 or every unit is at one prime, one
-        ``unit_counts`` call counts them all.  Otherwise the fields (p, i),
-        largest first, are dealt into four batches per helper, so batches
-        cost about the same and small units share trips, and
-        ``helpers.run`` forks the helpers for this request and reaps them
-        before it returns.  A field's units stay together, so its tables
-        are built once per request.
+        ``kernels.char_sums`` call counts them all.  Otherwise the fields
+        (p, i), largest first, are dealt into four batches per helper, so
+        batches cost about the same and small units share trips, and
+        ``helpers.run`` forks the helpers for this request, each running
+        ``kernels.char_sums`` on its batches, and reaps them before it
+        returns.  A field's units stay together, so its tables are built
+        once per request.
         """
         jobs = min(self.jobs, os.cpu_count() or 1)
-        if jobs == 1 or len({p for _, p, _ in units}) < 2:
-            for batch in _deal(units, 1):
-                for k, n in unit_counts(batch):
-                    yield batch[k], n
-            return
-        from . import helpers, kernels  # kernels unused: loads numpy once, before the helpers fork
+        if jobs > 1 and len({p for _, p, _, _ in units}) > 1:
+            from . import helpers, kernels  # in this order: numpy first left a larger parent at each fork
 
-        yield from helpers.run(_deal(units, 4 * jobs), jobs, unit_counts)
+            yield from helpers.run(_deal(units, 4 * jobs), jobs, kernels.char_sums)
+        elif units:  # empty when every count settled, and then numpy stays unloaded
+            from . import kernels
+
+            [batch] = _deal(units, 1)
+            for k, s in kernels.char_sums(batch):
+                yield batch[k], s
 
     def counts(self, curves: list[CurveModel], p: int, upto: int, budget: int) -> list[list[int]]:
         """N_1..N_upto of each curve, enumerating together only what the cache lacks."""

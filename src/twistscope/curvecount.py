@@ -15,11 +15,11 @@ does not divide disc(f).  ``poly_discriminant`` is the package's one
 squarefreeness test: a curve keeps disc(f) as ``CurveModel.disc``, and a
 field of ``splitfield`` keeps its polynomial's, so each is computed once.
 
-Counting is exact integer work throughout.  Every count that is not
-settled by the cancellation rule (``algebra._sum_period``) goes through
-``unit_counts``, which asks ``kernels.char_sums``, the one module that
-uses numpy, for the character sums.  The units are checked once, first,
-by ``_check_units``: the cache's backend checks a whole request, settled
+Counting is exact integer work throughout.  A character sum that the
+cancellation rule (``algebra._sum_period``) finds to be 0 is settled
+without a kernel; every other one comes from ``kernels.char_sums``, the
+one module that uses numpy.  The units are checked once, first, by
+``_check_units``: the cache's backend checks a whole request, settled
 units included, and ``point_count`` its one unit.  ``kernels`` is
 imported on the first count, so commands that count nothing, or whose
 counts all cancel, never load numpy.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .algebra import FieldSpec, PolyModP, _require_below_cap, _require_odd_prime, is_prime
+from .algebra import FieldSpec, PolyModP, _require_below_cap, _require_odd_prime, _sum_period, is_prime
 from .errors import BadReductionError, InconsistentCountsError
 from .values import FrozenValue
 
@@ -203,12 +203,20 @@ def reduce_curve(curve: CurveModel, p: int) -> PolyModP | BadReduction:
 
 
 def affine_char_sum(fbar: PolyModP, spec: FieldSpec) -> int:
-    """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q], by ``kernels.char_sums``."""
+    """S = sum over x in F_q of chi(f(x)), an exact integer in [-q, q]; ``FieldSpec`` keeps p below the cap."""
     if spec.p != fbar.p:
         raise ValueError("field and polynomial have different characteristic")
+    return _char_sum(fbar.coeffs, spec.p, spec.degree)
+
+
+def _char_sum(coeffs: tuple[int, ...], p: int, i: int) -> int:
+    """sum_x chi(f(x)) over F_{p^i} for one checked unit: 0 when it cancels, else the kernels' sum."""
+    d = _sum_period(coeffs, p, i)
+    if d is None:
+        return 0
     from . import kernels  # numpy loads on the first count, not on import
 
-    return next(kernels.char_sums([(fbar.coeffs, spec.p, spec.degree)]))[1]
+    return next(kernels.char_sums([(coeffs, p, i, d)]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +240,11 @@ def _check_units(units: list[tuple[CurveModel, int, int]]) -> None:
         _require_below_cap(p)
 
 
-def unit_counts(units: list[tuple[CurveModel, int, int]]):
-    """Yield (k, N_i) for each units[k] = (curve, p, i): the sums that cancel, then field by field.
-
-    The one way to count.  It checks nothing: callers pass the units
-    through ``_check_units`` first, so a helper counts what its parent
-    checked.  The cache's backend hands it only units whose sums do not
-    cancel; it settles the others itself.
-    """
-    from . import kernels
-
-    for k, s in kernels.char_sums([(curve.f_coeffs, p, i) for curve, p, i in units]):
-        _, p, i = units[k]
-        yield k, p**i + 1 + s
-
-
 def point_count(curve: CurveModel, p: int, i: int) -> int:
-    """N_i = #C(F_{p^i}) including the point at infinity, after checking p and the unit."""
+    """N_i = #C(F_{p^i}) including the point at infinity, after checking p and the unit, by ``_char_sum``."""
     _require_odd_prime(p)
     _check_units([(curve, p, i)])
-    return next(unit_counts([(curve, p, i)]))[1]
+    return p**i + 1 + _char_sum(curve.f_coeffs, p, i)
 
 
 def _check_count_bounds(counts, p: int, g: int, label: str) -> None:

@@ -5,7 +5,7 @@ process that owns the cache, after numpy has loaded, so every helper
 shares the loaded modules, runs ``count`` as the parent has it and holds
 ``batches`` as they were at the fork.  The parent sends each idle helper
 the index of the next batch, pickled on its task pipe, so each helper has
-one batch in flight; the helper answers with every (k, N) of the batch in
+one batch in flight; the helper answers with every (k, s) of the batch in
 one pickle, or with the exception the batch raised, and the parent reads
 answers as they come (``select``).  Helpers only count: the parent keeps
 every cache read and write.
@@ -43,7 +43,7 @@ def _serve(batches, count, tasks, results) -> None:
 
 
 def run(batches: list[list], n: int, count):
-    """Yield (batch[k], N) for each (k, N) that ``count(batch)`` gives, a batch's answer at a time."""
+    """Yield (batch[k], s) for each (k, s) that ``count(batch)`` gives, a batch's answer at a time."""
     procs = []  # (pid, task pipe fd, result pipe), the parent's ends
     ends = []  # the fds of those ends, which each new helper closes
     try:

@@ -1,14 +1,12 @@
 """Character sums sum_x chi(f(x)) over F_{p^i}: one entry, one numpy kernel per kind of field.
 
-``char_sums`` is the only entry.  It checks the cap p < MAX_FIELD_CHAR
-once per p of a batch, then reads each unit's shape from
-``algebra._sum_period``, the one shape analysis: f mod p = x^r u(x^d) on
-F_q^*, and the sum is 0 when r (q-1)/d is odd.  ``LPolyCache.resolve``
-settles those units while it plans a request, so from the package they
-never reach this module; ``char_sums`` yields 0 for one that a direct
-caller hands it, before any kernel.  For every other sum the field
-alone picks the kernel, and each field's kernel runs once, with every f
-of the batch over it and its period d:
+``char_sums`` is the only entry, and it only counts.  Its caller reads
+each unit's shape from ``algebra._sum_period``, the one shape analysis
+(f mod p = x^r u(x^d) on F_q^*, and the sum is 0 when r (q-1)/d is
+odd), settles the sums that cancel and hands the others here with their
+period d.  ``char_sums`` checks the cap p < MAX_FIELD_CHAR once per p of
+a batch; then the field alone picks the kernel, and each field's kernel
+runs once, with every f of the batch over it and its period d:
 - F_p (``_prime_sums``): f(x) by Horner's rule with lazy reduction,
   then an int8 character table; x runs over F_p when d = 1, and over
   x = g^k, k < (p-1)/d, for a generator g when d > 1;
@@ -38,7 +36,7 @@ import math
 
 import numpy as np
 
-from .algebra import _require_below_cap, _sum_period, prime_divisors
+from .algebra import _require_below_cap, prime_divisors
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 13  # x or exponents per step of a sum: 64 KB int64 temporaries stay in cache
@@ -417,39 +415,32 @@ def _char_sum_norm(polys: list[tuple[int, ...]], p: int, i: int) -> list[int]:
     return totals
 
 
-def char_sums(units: list[tuple[tuple[int, ...], int, int]]):
-    """Yield (k, sum_x chi(f(x)) over F_{p^i}) for each units[k] = (coefficients of f, p, i).
+def char_sums(units: list[tuple[tuple[int, ...], int, int, int]]):
+    """Yield (k, sum_x chi(f(x)) over F_{p^i}) for each units[k] = (coefficients of f, p, i, d).
 
-    The kernels' one entry.  Every p must be an odd prime; the cap
-    p < MAX_FIELD_CHAR, which every kernel's int64 headroom needs, is
-    checked for each p before any count (ValueError).  Then each unit's
-    shape comes from ``algebra._sum_period``: a unit whose sum cancels is
-    yielded as 0 before any kernel runs (``LPolyCache.resolve`` settles
-    such units itself, so only direct callers such as ``point_count``
-    hand them here), and every other unit keeps its period d.  Those
-    units are grouped by field (p, i), in order of first appearance, and
-    each field's kernel is called once with all of its f, reduced mod p,
-    and their d: the F_p kernel when i = 1, log tables when
-    q <= _TABLE_MAX_ORDER, the norm kernel, which needs no d, above.  Its
-    tables are freed when that call returns, before the next field's are
-    built.  The sums do not depend on a field's modulus; both
-    extension-field kernels use the primitive one.
+    The kernels' one entry.  Every p must be an odd prime, and d is f's
+    period from ``algebra._sum_period``, which must not have found the sum
+    to cancel: its caller settles those sums.  The cap p < MAX_FIELD_CHAR,
+    which every kernel's int64 headroom needs, is checked for each p
+    before any count (ValueError).  The units are grouped by field (p, i),
+    in order of first appearance, and each field's kernel is called once
+    with all of its f, reduced mod p, and their d: the F_p kernel when
+    i = 1, log tables when q <= _TABLE_MAX_ORDER, the norm kernel, which
+    needs no d, above.  Its tables are freed when that call returns,
+    before the next field's are built.  The sums do not depend on a
+    field's modulus; both extension-field kernels use the primitive one.
     """
-    for p in dict.fromkeys(p for _, p, _ in units):
+    for p in dict.fromkeys(p for _, p, _, _ in units):
         _require_below_cap(p)
-    fields: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, (coeffs, p, i) in enumerate(units):
-        d = _sum_period(coeffs, p, i)
-        if d is None:
-            yield k, 0
-        else:
-            fields.setdefault((p, i), []).append((k, d))
-    for (p, i), group in fields.items():
-        polys = [(tuple(c % p for c in units[k][0]), d) for k, d in group]
+    fields: dict[tuple[int, int], list[int]] = {}
+    for k, (_, p, i, _) in enumerate(units):
+        fields.setdefault((p, i), []).append(k)
+    for (p, i), ks in fields.items():
+        polys = [(tuple(c % p for c in units[k][0]), units[k][3]) for k in ks]
         if i == 1:
             sums = _prime_sums(polys, p)
         elif p**i <= _TABLE_MAX_ORDER:
             sums = _char_sum_logs(polys, p, i)
         else:
             sums = _char_sum_norm([coeffs for coeffs, _ in polys], p, i)
-        yield from zip((k for k, _ in group), sums)
+        yield from zip(ks, sums)

@@ -12,10 +12,11 @@ import pytest
 import oracles
 import twistscope
 from twistscope import cache as cache_module
+from twistscope import kernels
 from twistscope.algebra import _sum_period, odd_primes
 from twistscope.cache import LPolyCache, resolve_cache_dir
 from twistscope.cli import main
-from twistscope.curvecount import curve_from_coeffs, lpoly, point_count, unit_counts
+from twistscope.curvecount import curve_from_coeffs, lpoly, point_count
 from twistscope.errors import BadReductionError, BudgetExceededError, InconsistentCountsError
 
 from test_cli import no_children
@@ -118,6 +119,27 @@ class TestBasics:
         n2 = point_count(curve, 7, 2)
         assert cache.put(curve, 7, counts=[8, n2]) == lpoly(curve, 7)
         assert lines(cache, curve) == ["\t7\t8\t", f"\t7\t8,{n2}\t"]
+
+    # x^5 + 3x + 1 at 7 has N = 11, 55, 371, 2419; N_3 = 373 lies within the
+    # Weil bounds, and N_1, N_2 give L, which gives back N_3 = 371
+    PAST_G = (1, 3, 0, 0, 0, 1), [11, 55, 371, 2419], [11, 55, 373, 2419]
+
+    def test_put_refuses_counts_past_g_that_disagree_with_l(self, cache):
+        coeffs, _, bad = self.PAST_G
+        with pytest.raises(InconsistentCountsError, match="N_3..N_4 disagree with L_p"):
+            cache.put(curve_from_coeffs(coeffs), 7, counts=bad)
+        assert not cache.directory.exists()
+
+    def test_stored_counts_past_g_that_disagree_with_l_are_warned_miss(self, cache, caplog):
+        coeffs, good, bad = self.PAST_G
+        curve = curve_from_coeffs(coeffs)
+        append(cache, curve, f"\t7\t{','.join(map(str, bad))}\t\n")
+        with caplog.at_level(logging.WARNING, logger="twistscope.cache"):
+            again = reopened(cache)
+            assert again.get(curve, 7) is None
+            assert again.counts([curve], 7, 4, budget=10**4) == [good]
+        assert "line 1 failed validation" in caplog.text
+        assert reopened(cache).get(curve, 7) == (good, lpoly(curve, 7))
 
     def test_version_mismatch_is_miss(self, cache, genus2_pair):
         # a file named for another tool version or an older record format is
@@ -455,13 +477,13 @@ class TestComputeThrough:
         # with N_1..N_3 stored, only the p^4 enumeration runs
         curve = genus4_pair[0]
         cache.put(curve, 3, counts=[4, 10, 28])
-        degrees = []
+        degrees, real = [], kernels.char_sums
 
         def spy(units):
-            degrees.extend(i for _, _, i in units)
-            return unit_counts(units)
+            degrees.extend(i for _, _, i, _ in units)
+            return real(units)
 
-        monkeypatch.setattr("twistscope.cache.unit_counts", spy)
+        monkeypatch.setattr(kernels, "char_sums", spy)
         L = cache.lpoly(curve, 3, budget=81)
         assert L.coeffs == (1, 0, 0, 0, 18, 0, 0, 0, 81)
         assert degrees == [4]
@@ -520,7 +542,6 @@ class TestComputeThrough:
         # the F_p kernel hands back a prime's sums as soon as it is done, so
         # the primes it finished before an interrupt are stored; of the
         # pair's primes, only p = 1 mod 8 reach it
-        from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
         counted = []
@@ -546,7 +567,6 @@ class TestComputeThrough:
     def test_interrupt_keeps_each_prime_counted_before_it(self, cache, genus2_pair, monkeypatch):
         # at the default _BLOCK every prime is its own kernel call, so 97, 89
         # and 73 are stored for both curves when the count at 41 is interrupted
-        from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
         real = kernels._prime_sums
@@ -590,7 +610,7 @@ class TestPlannerSettles:
         def never(*args):
             raise AssertionError("a warm rerun counted or wrote")
 
-        monkeypatch.setattr("twistscope.cache.unit_counts", never)
+        monkeypatch.setattr(kernels, "char_sums", never)
         monkeypatch.setattr(LPolyCache, "put", never)
         assert scan_pair(*genus2_pair, 3, 200, depth="traces", cache=reopened(cache)).to_text() == cold
         assert {f.name: f.stat().st_size for f in cache.directory.iterdir()} == sizes
@@ -606,10 +626,9 @@ class TestPlannerSettles:
         c6 = [p for p in odd_primes(48, 150) if p % 8 in (3, 5)]
         assert len(c6) == 11
         requests += [(c, p, 2 if p in (53, 59) else 1) for c in genus4_pair for p in c6]
-        dispatched = []
-        monkeypatch.setattr("twistscope.cache.unit_counts",
-                            lambda units: dispatched.extend((c.f_coeffs, p, i) for c, p, i in units)
-                            or unit_counts(units))
+        dispatched, real = [], kernels.char_sums
+        monkeypatch.setattr(kernels, "char_sums",
+                            lambda units: dispatched.extend(unit[:3] for unit in units) or real(units))
         entries = LPolyCache("", enabled=False).resolve(requests, 10**9)
         settled = []
         for (curve, p, upto), entry in zip(requests, entries):
@@ -633,12 +652,33 @@ class TestPlannerSettles:
         def never(units):
             raise AssertionError("counted a unit that failed its check")
 
-        monkeypatch.setattr("twistscope.cache.unit_counts", never)
+        monkeypatch.setattr(kernels, "char_sums", never)
         assert _sum_period(coeffs, p, 1) is None
         with pytest.raises(error):
             LPolyCache("", enabled=False).resolve([(curve_from_coeffs(coeffs), p, 1)], 10**9)
         with pytest.raises(error):
             point_count(curve_from_coeffs(coeffs), p, 1)
+
+
+    def test_each_planned_unit_is_shaped_once(self, tmp_path, genus4_pair, monkeypatch, capsys):
+        # a cold genus-4 full scan to 47 plans N_1..N_4 of both curves at its
+        # 14 primes; each of those 112 units has its shape read once, by the
+        # planner, and the kernels read none
+        real, seen = _sum_period, []
+
+        def spy(coeffs, p, i):
+            seen.append((coeffs, p, i))
+            return real(coeffs, p, i)
+
+        assert not hasattr(kernels, "_sum_period")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twistscope") and hasattr(module, "_sum_period"):
+                monkeypatch.setattr(module, "_sum_period", spy)
+        argv = ["scan", "x^9 + x", "x^9 + 16x", "--pmax", "47", "--depth", "full", "--jobs", "1",
+                "--format", "records", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        planned = [(c.f_coeffs, p, i) for c in genus4_pair for p in odd_primes(3, 47) for i in range(1, 5)]
+        assert len(planned) == 112 and sorted(seen) == sorted(planned)
 
 
 class TestBatches:
@@ -672,7 +712,7 @@ class TestBatches:
         pooled = LPolyCache(tmp_path / "pool", jobs=2)
         report = scan_pair(*genus4_pair, 3, 13, depth="full", cache=pooled)
         batches = dealt[0]
-        fields = [{(p, i) for _, p, i in batch} for batch in batches]
+        fields = [{(p, i) for _, p, i, _ in batch} for batch in batches]
         kernel_fields = {(p, i) for p in (3, 5, 7, 11, 13) for i in range(1, 5) if (p**i - 1) % 16 == 0}
         assert len(kernel_fields) == 6 and set().union(*fields) == kernel_fields
         assert len(batches) == 6 and sum(map(len, fields)) == 6
@@ -686,7 +726,6 @@ class TestBatches:
 
 class TestHelpers:
     def test_helper_error_ends_every_helper(self, genus2_pair, monkeypatch):
-        from twistscope import kernels
         from twistscope.twistlab import scan_pair
 
         def alarm(polys, p):
@@ -747,13 +786,15 @@ class TestHelpers:
 
         want = scan_pair(*genus4_pair, 3, 13, depth="full").to_text()
         first, second = (LPolyCache("", enabled=False, jobs=2) for _ in range(2))
-        units = [(c, p, i) for p in (3, 5, 7) for c in genus4_pair for i in range(1, 5)]
+        curves = {c.f_coeffs: c for c in genus4_pair}
+        units = [(f, p, i, _sum_period(f, p, i)) for p in (3, 5, 7) for f in curves for i in range(1, 5)]
+        units = [unit for unit in units if unit[3] is not None]  # _count settles the others
         running = first._run(units)
         done = [next(running)]
         assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=second).to_text() == want
         done.extend(running)
-        assert sorted((c.f_coeffs, p, i, n) for (c, p, i), n in done) == sorted(
-            (c.f_coeffs, p, i, point_count(c, p, i)) for c, p, i in units)
+        assert sorted((f, p, i, p**i + 1 + s) for (f, p, i, _), s in done) == sorted(
+            (f, p, i, point_count(curves[f], p, i)) for f, p, i, _ in units)
         assert no_children()
         assert scan_pair(*genus4_pair, 3, 13, depth="full", cache=first).to_text() == want
         assert no_children()
@@ -829,7 +870,7 @@ class TestConcurrentCommands:
         def no_counting(units):
             raise AssertionError(f"counted {units} on a warm cache")
 
-        monkeypatch.setattr("twistscope.cache.unit_counts", no_counting)
+        monkeypatch.setattr(kernels, "char_sums", no_counting)
         assert main([*argv, "--jobs", "2", "--cache-dir", str(shared)]) == 0
         assert capsys.readouterr().out == want
         assert {f.name: f.stat().st_size for f in shared.iterdir()} == sizes

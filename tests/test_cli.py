@@ -7,10 +7,9 @@ from pathlib import Path
 import pytest
 
 import twistscope
+from twistscope import kernels
 from twistscope.cli import CliError, main, parse_curve
-from twistscope.curvecount import (
-    LPolynomial, curve_from_coeffs, frobenius_trace, lpoly, unit_counts,
-)
+from twistscope.curvecount import LPolynomial, curve_from_coeffs, frobenius_trace, lpoly
 from twistscope.splitfield import default_fields, split_profile
 from twistscope.twistlab import ScanReport, scan_pair, z20_statistic
 
@@ -24,13 +23,15 @@ def run_cli(capsys, *argv):
 def count_only(monkeypatch, allowed=()):
     """Let the backend count only the listed degrees, here and in forked helpers."""
 
-    def guarded(units):
-        for curve, p, i in units:
-            if i not in allowed:
-                raise AssertionError(f"count of {curve.label} at p={p}, i={i} was not expected")
-        return unit_counts(units)
+    real = kernels.char_sums
 
-    monkeypatch.setattr("twistscope.cache.unit_counts", guarded)
+    def guarded(units):
+        for coeffs, p, i, _ in units:
+            if i not in allowed:
+                raise AssertionError(f"count of {coeffs} at p={p}, i={i} was not expected")
+        return real(units)
+
+    monkeypatch.setattr(kernels, "char_sums", guarded)
 
 
 def no_children():

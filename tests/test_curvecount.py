@@ -25,6 +25,7 @@ from twistscope.curvecount import (
     BadReduction,
     CurveModel,
     LPolynomial,
+    _char_sum,
     affine_char_sum,
     canonical_label,
     curve_from_coeffs,
@@ -36,7 +37,6 @@ from twistscope.curvecount import (
     point_count,
     poly_discriminant,
     reduce_curve,
-    unit_counts,
     validate_weil,
 )
 from twistscope.errors import (
@@ -339,11 +339,11 @@ class TestOneKernelCallPerField:
 
     @staticmethod
     def units():
-        return [(TRANSLATED_PAIR[c], 7, i) for c, i in PAIR_FIELD_ORDER]
+        return [(TRANSLATED_PAIR[c], 7, i, _sum_period(TRANSLATED_PAIR[c], 7, i)) for c, i in PAIR_FIELD_ORDER]
 
     @staticmethod
     def assert_counts(units, got):
-        for k, (f, p, i) in enumerate(units):
+        for k, (f, p, i, _) in enumerate(units):
             assert p**i + 1 + got[k] == oracles.count_points(f, p, i), (f, p, i)
 
     def test_each_field_is_built_once_per_call(self, monkeypatch):
@@ -367,7 +367,7 @@ class TestOneKernelCallPerField:
             return real(p, i)
 
         monkeypatch.setattr(kernels, "_exp_log_tables", spy)
-        units = [(f.f_coeffs, 7, 4) for f in genus4_pair]
+        units = [(f.f_coeffs, 7, 4, _sum_period(f.f_coeffs, 7, 4)) for f in genus4_pair]
         first = list(kernels.char_sums(units))
         assert list(kernels.char_sums(units)) == first
         assert built == [(7, 4), (7, 4)]  # nothing outlived the first call
@@ -504,7 +504,7 @@ def cancels(f, p, i):
 
 
 class TestCancellationRule:
-    """char_sums yields 0, before any kernel, for the sums that cancel, and only for them."""
+    """The direct path's ``_char_sum`` gives 0, before any kernel, for the sums that cancel, and only for them."""
 
     def test_sparse_f_on_both_sides_of_the_rule(self, monkeypatch):
         # at i = 1, 2 and 3 the rule settles some units and leaves others to
@@ -515,10 +515,9 @@ class TestCancellationRule:
         want = [oracles.count_points(f, p, i) for f, p, i in units]
         for cap in (kernels._TABLE_MAX_ORDER, 8):
             monkeypatch.setattr(kernels, "_TABLE_MAX_ORDER", cap)
-            got = dict(kernels.char_sums(units))
             for k, (f, p, i) in enumerate(units):
                 assert (_sum_period(f, p, i) is None) == cancels(f, p, i), (f, p, i)
-                assert p**i + 1 + got[k] == want[k], (f, p, i, cap)
+                assert p**i + 1 + _char_sum(f, p, i) == want[k], (f, p, i, cap)
 
     def test_settled_units_reach_no_kernel(self, monkeypatch):
         # x^5 + 7x^2 + x is x^5 + x mod 7, which cancels at i = 1 and 3; read
@@ -527,7 +526,8 @@ class TestCancellationRule:
         assert symmetry(f, 7) == (1, 0) and symmetry(f, 7**3) == (1, 0)
         for name in ("_horner", "_field_tables", "_primitive_modulus"):
             monkeypatch.setattr(kernels, name, never)
-        assert list(kernels.char_sums([(f, 7, 1), (f, 7, 3)])) == [(0, 0), (1, 0)]
+        curve = curve_from_coeffs(f)
+        assert [point_count(curve, 7, 1), point_count(curve, 7, 3)] == [7 + 1, 7**3 + 1]
         assert oracles.count_points(f, 7, 1) == 7 + 1
         assert oracles.count_points(f, 7, 3) == 7**3 + 1
 
@@ -541,17 +541,16 @@ class TestCancellationRule:
     def test_no_cancellation_off_the_rule(self, f):
         for p, i in RULE_FIELDS:
             assert _sum_period(f, p, i) is not None and not cancels(f, p, i), (p, i)
-        units = [(f, p, i) for p, i in RULE_FIELDS if p**i <= 343]
+        units = [(f, p, i, _sum_period(f, p, i)) for p, i in RULE_FIELDS if p**i <= 343]
         for k, s in kernels.char_sums(units):
-            _, p, i = units[k]
+            _, p, i, _ = units[k]
             assert p**i + 1 + s == oracles.count_points(f, p, i), (p, i)
 
     def test_log_kernel_refuses_a_sum_that_cancels(self, monkeypatch):
-        # x^9 + x over F_9 has d = 8 and r (q - 1)/d = 1: with the rule
-        # bypassed, so that d reaches it, the log kernel must not return a guess
-        monkeypatch.setattr(kernels, "_sum_period", lambda coeffs, p, i: 8)
+        # x^9 + x over F_9 has d = 8 and r (q - 1)/d = 1: handed that d, with
+        # the rule bypassed, the log kernel must not return a guess
         with pytest.raises(ArithmeticError, match="kernel bug"):
-            list(kernels.char_sums([((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3, 2)]))
+            list(kernels.char_sums([((0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3, 2, 8)]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -657,9 +656,12 @@ def never(*args):
 class TestPrimeFieldKernel:
     @staticmethod
     def sums(pairs):
-        out = list(kernels.char_sums([(f, p, 1) for f, p in pairs]))
-        assert sorted(k for k, _ in out) == list(range(len(pairs)))  # each asked pair, once
-        return dict(out)
+        # as the planner does: a sum that cancels is 0, and the others go to one char_sums call
+        units = [(f, p, 1, _sum_period(f, p, 1)) for f, p in pairs]
+        counted = [k for k, unit in enumerate(units) if unit[3] is not None]
+        out = list(kernels.char_sums([units[k] for k in counted]))
+        assert sorted(k for k, _ in out) == list(range(len(counted)))  # each asked pair, once
+        return {**dict.fromkeys(range(len(pairs)), 0), **{counted[j]: s for j, s in out}}
 
     def test_random_polys_across_blocks(self, monkeypatch):
         # with 64-element chunks, the primes below 64 take one chunk and the
@@ -680,11 +682,10 @@ class TestPrimeFieldKernel:
         below = odd_primes(kernels._BLOCK - 100, kernels._BLOCK)[-2:]
         above = odd_primes(kernels._BLOCK, kernels._BLOCK + 100)[:2]
         primes = [*above, *below, 5, 3]
-        units = [(curve, p, 1) for p in primes for curve in genus2_pair]
-        got = dict(unit_counts(units))
-        for k, (curve, p, _) in enumerate(units):
-            assert got[k] == oracles.count_points(curve.f_coeffs, p, 1), (curve.label, p)
-        assert point_count(genus2_pair[1], above[0], 1) == got[1]
+        entries = UNCACHED.resolve([(curve, p, 1) for p in primes for curve in genus2_pair], 10**5)
+        for entry in entries:
+            assert entry.counts == [oracles.count_points(entry.curve.f_coeffs, entry.p, 1)], entry
+        assert point_count(genus2_pair[1], above[0], 1) == entries[1].counts[0]
 
     def test_headroom_at_the_largest_prime(self):
         # (x + a)^15 + b permutes F_p when gcd(15, p - 1) = 1, so its sum is 0;
@@ -744,14 +745,14 @@ class TestPrimeFieldKernel:
     def test_characteristic_cap_is_checked_before_counting(self, monkeypatch):
         monkeypatch.setattr(kernels, "_horner", never)
         with pytest.raises(ValueError, match="exceeds the supported cap"):
-            next(kernels.char_sums([((1, 1, 0, 1), 7, 1), ((1, 1, 0, 1), 33554467, 1)]))
+            next(kernels.char_sums([((1, 1, 0, 1), 7, 1, 1), ((1, 1, 0, 1), 33554467, 1, 1)]))
 
 
 class TestUnitCounts:
     def test_each_prime_is_checked_once(self, genus2_pair, monkeypatch):
         # p is tested where it enters: one Miller-Rabin test per request at
         # one prime (_served), none in resolve, whose callers hand it sieved
-        # primes, and none in unit_counts
+        # primes, and none in char_sums
         import twistscope.algebra
 
         tested = []
@@ -771,8 +772,10 @@ class TestUnitCounts:
         for entry in entries:
             want = [oracles.count_points(entry.curve.f_coeffs, entry.p, i) for i in range(1, 5)]
             assert entry.counts == want, (entry.curve.label, entry.p)
-        units = [(curve, p, i) for p in (7, 3, 5) for i in (4, 1, 3, 2) for curve in genus2_pair]
-        assert len(dict(unit_counts(units))) == len(units)
+        units = [(c.f_coeffs, p, i, _sum_period(c.f_coeffs, p, i)) for p in (7, 3, 5) for i in (4, 1, 3, 2)
+                 for c in genus2_pair]
+        counted = [unit for unit in units if unit[3] is not None]
+        assert len(dict(kernels.char_sums(counted))) == len(counted)
         assert tested == [7, 3, 5]
 
     @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ class TestScanPair:
         run = LPolyCache._run
 
         def spy(self, units):
-            batches.append(sorted({p for _, p, _ in units}))
+            batches.append(sorted({p for _, p, _, _ in units}))
             return run(self, units)
 
         monkeypatch.setattr(LPolyCache, "_run", spy)

@@ -17,12 +17,13 @@ times the F_p kernel's walk over all of F_p alone, ``kernels._prime_sums``
 with period 1 on the genus-2 pair (coefficients reduced mod p) at each
 odd prime up to ``FP_PMAX``, largest prime first: seconds, and field
 elements per second (the sum of the primes, twice, over the seconds).
-It also times ``kernels.char_sums`` on the same degree-1 units, which
-walks only (p-1)/d powers of a generator where f has period d, and
-gives ``settled``, the number of (f, p) whose sum cancels
-(``algebra._sum_period``).  A trace scan's planner settles those units
-and never hands them to ``char_sums``; ``char_sums`` answers them the
-same way, before any kernel.  For each
+It also times ``kernels.char_sums`` on those of the same degree-1 units
+that reach a kernel, as (coefficients, p, 1, d), which walks only
+(p-1)/d powers of a generator where f has period d, and gives
+``settled``, the number of (f, p) whose sum cancels
+(``algebra._sum_period``): a trace scan's planner settles those units
+and never hands them to ``char_sums``, so ``char_sums_s`` leaves them
+out.  For each
 field F_{p^i} it records the seconds to build the field's log tables
 (``kernels._field_tables``) and the throughput of the log kernel's sum
 for one f (``kernels._log_sum``, with f's period) over tables built outside the timing,
@@ -140,11 +141,11 @@ def measure_field(p: int, i: int) -> dict:
 def measure_norm() -> dict:
     """The norm kernel on NORM_FIELD, for f = x^9 + x alone and for NORM_PAIR in one call."""
     p, i = NORM_FIELD
-    if p**i <= kernels._TABLE_MAX_ORDER or _sum_period(POLYS["x^9 + x"], p, i) is None:
-        raise ValueError(f"F_{p}^{i} is a log-table field, or x^9 + x cancels there: no norm-kernel row")
-    units = [(POLYS["x^9 + x"], p, i)]
+    pair = [(f, p, i, _sum_period(f, p, i)) for f in NORM_PAIR.values()]
+    if p**i <= kernels._TABLE_MAX_ORDER or any(d is None for *_, d in pair):
+        raise ValueError(f"F_{p}^{i} is a log-table field, or the pair cancels there: no norm-kernel row")
+    units = pair[:1]  # x^9 + x
     seconds = _median_seconds(lambda: list(kernels.char_sums(units)))
-    pair = [(f, p, i) for f in NORM_PAIR.values()]
     return {"p": p, "i": i, "q": p**i, "curve": "x^9 + x", "s": seconds, "elements_per_s": p**i / seconds,
             "pair": list(NORM_PAIR), "pair_s": _median_seconds(lambda: list(kernels.char_sums(pair)))}
 
@@ -162,16 +163,17 @@ def measure_calibration() -> dict:
 
 
 def measure_prime_field() -> dict:
-    """The F_p kernel's full walk at each prime, and ``char_sums``, over the genus-2 pair at every odd prime up to FP_PMAX."""
+    """The F_p kernel's full walk at each prime, and ``char_sums`` on the units it counts, over the genus-2 pair at every odd prime up to FP_PMAX."""
     primes = odd_primes(3, FP_PMAX)[::-1]
     polys = [(p, [(tuple(c % p for c in f), 1) for f in FP_POLYS.values()]) for p in primes]
     seconds = _median_seconds(lambda: [kernels._prime_sums(fs, p) for p, fs in polys])
-    units = [(f, p, 1) for p in primes for f in FP_POLYS.values()]
+    shaped = [(f, p, 1, _sum_period(f, p, 1)) for p in primes for f in FP_POLYS.values()]
+    units = [unit for unit in shaped if unit[3] is not None]  # the planner settles the others
     char_sums_s = _median_seconds(lambda: list(kernels.char_sums(units)))
     elements = len(FP_POLYS) * sum(primes)
     return {"curves": list(FP_POLYS), "pmax": FP_PMAX, "primes": len(primes), "elements": elements,
             "s": seconds, "elements_per_s": elements / seconds, "char_sums_s": char_sums_s,
-            "settled": sum(_sum_period(*unit) is None for unit in units)}
+            "settled": len(shaped) - len(units)}
 
 
 def _vmrss_mb() -> float:
